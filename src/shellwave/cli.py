@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .lattice import (
     constant_background,
     desitter_background,
     make_time_grid,
+    zero_field,
 )
 from .lp import check_lp_properties, make_partition, verify_refined_poincare
 from .modelsys import (
@@ -158,7 +159,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_scalar(raw, line_no, key):
+def _parse_scalar(raw):
     raw = raw.strip()
     try:
         if raw.lower() in ("true", "false"):
@@ -173,8 +174,9 @@ def _parse_scalar(raw, line_no, key):
 def parse_config(text):
     """Parse sectioned key = value text into a Scenario.
 
-    Unknown sections or keys, duplicate sections, repeated scalar keys and
-    family/coupling contradictions are all rejected with the line number.
+    Unknown sections or keys, duplicate sections, repeated scalar keys,
+    family/coupling contradictions and out-of-range values are all rejected
+    with the line number.
     """
     section = None
     seen_sections = set()
@@ -215,10 +217,15 @@ def parse_config(text):
             continue
         if key in values[section]:
             raise ConfigError(f"line {line_no}: repeated key {key!r} in [{section}]")
-        values[section][key] = (_parse_scalar(raw_val, line_no, key), line_no)
+        values[section][key] = (_parse_scalar(raw_val), line_no)
 
     def get(section, key, default):
         return values.get(section, {}).get(key, (default, None))[0]
+
+    def require(ok, section, key, message):
+        # every default passes, so a failing value was read from a line
+        if not ok:
+            raise ConfigError(f"line {values[section][key][1]}: {message}")
 
     targets_raw = str(get("scenario", "targets", "verify-all"))
     targets = tuple(t.strip() for t in targets_raw.split(",") if t.strip())
@@ -243,18 +250,31 @@ def parse_config(text):
         resolutions = (int(res_raw),)
     else:
         resolutions = tuple(int(x) for x in str(res_raw).split(",") if x.strip())
+    require(len(resolutions) >= 2, "verify", "resolutions",
+            f"need at least two resolutions to compare, got {resolutions}")
+    kind = str(get("background", "kind", "desitter"))
+    require(kind in ("desitter", "constant"), "background", "kind",
+            f"background kind must be 'desitter' or 'constant', got {kind!r}")
+    n_sphere = int(get("lattice", "n", 2))
+    require(n_sphere >= 1, "lattice", "n", f"sphere dimension n must be >= 1, got {n_sphere}")
+    k_min = int(get("partition", "k_min", -8))
+    require(k_min < 0, "partition", "k_min", f"k_min must be negative, got {k_min}")
+    k_max = int(get("partition", "k_max", 12))
+    require(k_max > 0, "partition", "k_max", f"k_max must be positive, got {k_max}")
+    n_draws = int(get("verify", "n_draws", 50))
+    require(n_draws >= 1, "verify", "n_draws", f"n_draws must be >= 1, got {n_draws}")
 
     return Scenario(
         name=str(get("scenario", "name", "default")),
         targets=targets,
         seed=int(get("scenario", "seed", 0)),
         out_dir=str(get("scenario", "out", "reports")),
-        n_sphere=int(get("lattice", "n", 2)),
+        n_sphere=n_sphere,
         l_max=int(get("lattice", "l_max", 32)),
-        background_kind=str(get("background", "kind", "desitter")),
+        background_kind=kind,
         background_value=float(get("background", "value", 2.0)),
-        k_min=int(get("partition", "k_min", -8)),
-        k_max=int(get("partition", "k_max", 12)),
+        k_min=k_min,
+        k_max=k_max,
         smoothness=int(get("partition", "smoothness", 3)),
         shift=float(get("partition", "shift", 0.0)),
         n_regular=int(get("system", "n_regular", 2)),
@@ -262,7 +282,7 @@ def parse_config(text):
         top_order=int(get("system", "top_order", 2)),
         tau_seed=float(get("system", "tau_seed", 1e-4)),
         couplings=tuple(entry for _, entry in couples),
-        n_draws=int(get("verify", "n_draws", 50)),
+        n_draws=n_draws,
         resolutions=resolutions,
         n_fields=int(get("verify", "n_fields", 500)),
         gronwall_count=int(get("verify", "gronwall_count", 200)),
@@ -439,10 +459,10 @@ def _target_singular_split(scn):
     stat_rows = [("draw", "sup_statistic", "max_drift")]
     for d in range(n_draws):
         o_field = _bounded_field(lat_blow, rng, decay=6.0)
-        bdata = make_asymptotic_data(lat_blow, part, bg, O=o_field, frak_h=_zero(lat_blow),
-                                     phis=[_zero(lat_blow)])
+        bdata = make_asymptotic_data(lat_blow, part, bg, O=o_field,
+                                     frak_h=zero_field(lat_blow), phis=[zero_field(lat_blow)])
         ty, _ = split_singular_component(blow_cfg, lat_blow, bg, bdata, blow_grid, part=part)
-        rep = singular_blowup_check(ty, bdata, part, top_order=1)
+        rep = singular_blowup_check(ty, bdata, top_order=1)
         worst = max(rep.drifts) if rep.drifts else 0.0
         worst_drift = max(worst_drift, worst)
         sup_stat = max(sup_stat, rep.sup_value)
@@ -492,10 +512,6 @@ def _target_singular_split(scn):
 
     passed = all(entry["passed"] for entry in sub.values())
     return {"passed": passed, "parts": sub}, series
-
-
-def _zero(lattice):
-    return Field(lattice=lattice, coeffs=np.zeros(lattice.n_slots))
 
 
 def _target_gronwall(scn):

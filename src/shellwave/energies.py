@@ -2,9 +2,15 @@
 
 The two theorem-style checks compare a time-dependent energy against the
 asymptotic-data norm plus the accumulated forcing, over ensembles of random
-draws and several lattice resolutions.  Ensembles never re-integrate per
-draw: the per-degree propagators from :mod:`.modelsys` reduce a draw to a
-handful of matrix products.
+draws and several lattice resolutions.
+
+Each energy functional is defined once, in the weight tables
+``_energy_weights`` (per column, weights on value^2 and derivative^2, plus the
+backward family's integrand accumulated from tau up to 1) and
+``_data_weights``; trajectory energies, data and forcing norms and the one
+ensemble kernel of both families read them.  Ensembles never re-integrate
+per draw: per degree a draw reduces to its Gram matrix and slot sum against
+the propagators of :mod:`.modelsys`.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import eigenvalue_at
+from .lattice import build_lattice, eigenvalue_at
 from .lp import lp_project
 from .modelsys import (
+    Forcing,
     SystemConfig,
     bessel_oracle,
     constant_mode_run,
@@ -187,7 +194,7 @@ class BlowupReport:
     passed: bool
 
 
-def singular_blowup_check(traj_Y, data, part, top_order, drift_limit=0.10):
+def singular_blowup_check(traj_Y, data, top_order, drift_limit=0.10):
     """Normalized growth of the log-branch component.
 
     The statistic sums the graded H^1 norms of the component through the top
@@ -244,53 +251,102 @@ def singular_blowup_check(traj_Y, data, part, top_order, drift_limit=0.10):
     )
 
 
-# ------------------------------------------------- energy functionals (I)
+# ------------------------------------------------------ energy functionals
 
 
-def _graded_sq(values, lam, grad_order, s):
-    """sum over slots of lam^g (1+lam)^s values^2."""
-    return float(np.sum(lam**grad_order * (1.0 + lam) ** s * values * values))
+def _energy_weights(system, top_order, n_cols, lam, tau):
+    """The weight table of both families' energy functionals.
+
+    ``lam`` and ``tau`` broadcast to one shape.  Returns ``(weights,
+    forcing)``.  ``weights`` has shape (2, 2, n_cols, *shape): row 0 the
+    pointwise energy, row 1 the integrand the backward family accumulates
+    from tau up to 1 (zero for the forward family), each weighing the squares
+    of every column's values and tau-derivatives.  ``forcing`` weighs the
+    square of every column's forcing in the integrand of the forcing budget.
+    """
+    m = top_order
+    lam, tau = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(tau, dtype=float))
+    one = 1.0 + lam
+    weights = np.zeros((2, 2, n_cols) + lam.shape)
+    point, tail = weights
+    if system == "first":
+        grad_half = lam**m * one**0.5
+        point[0, 0] = tau**2 * lam**m * one**1.5
+        point[1, 0] = tau**2 * grad_half
+        point[0, 1:] = tau * lam * grad_half + one ** (m + 1)
+        point[1, 1:] = tau * grad_half
+        forcing = sum(lam**g for g in range(m + 1)) + tau * grad_half
+    else:
+        # sum over g <= M of lambda^g (1 + lambda)^(1/2): the graded H^(1/2) weight
+        graded_half = one**0.5 * sum(lam**g for g in range(m + 1))
+        point[0, 0] = tau * one ** (m + 0.5) + tau**2 * one ** (m + 1.5)
+        point[1, 0] = tau**2 * (lam**m * one**0.5 + sum(lam**g for g in range(m)))
+        point[0, 1:] = one ** (m + 1.5)
+        point[1, 1:] = graded_half
+        tail[0, 0] = tau * one ** (m + 1)
+        tail[1, 1:] = graded_half / tau
+        forcing = tau * graded_half
+    return weights, forcing
+
+
+def _data_weights(system, top_order, n_cols, bg, lam0):
+    """Weights of the data norm on the squares of one data vector's entries.
+
+    Forward family: (O, frak_h, phi0_1..phi0_I), each in H^(M+1) at tau = 0.
+    Backward family: the state at tau = 1, (values, derivs) of every column
+    in H^(M+3/2) and H^(M+1/2).  Returns shape (k, *lam0.shape).
+    """
+    m = top_order
+    if system == "first":
+        one = 1.0 + eigenvalue_at(bg, lam0, 0.0)
+        return np.stack([one ** (m + 1)] * (n_cols + 1))
+    one = 1.0 + eigenvalue_at(bg, lam0, 1.0)
+    return np.stack([one ** (m + 1.5)] * n_cols + [one ** (m + 0.5)] * n_cols)
+
+
+def _cumtrapz(taus, integrand):
+    """Trapezoid integral along the grid from its first time; time is the last axis."""
+    steps = np.abs(np.diff(taus))
+    parts = 0.5 * steps * (integrand[..., 1:] + integrand[..., :-1])
+    return np.concatenate([np.zeros_like(integrand[..., :1]), np.cumsum(parts, axis=-1)],
+                          axis=-1)
+
+
+def _trajectory_energy(traj, system):
+    taus = traj.taus
+    lam = eigenvalue_at(traj.bg, traj.lattice.lam0_slot[None, :], taus[:, None])
+    weights, _ = _energy_weights(system, traj.config.top_order, traj.config.n_columns,
+                                 lam, taus[:, None])
+    sq = np.stack([traj.values**2, traj.derivs**2])  # (2, n_times, n_cols, n_slots)
+    point, integrand = np.einsum("jkcts,ktcs->jt", weights, sq)
+    return taus, point + _cumtrapz(taus, integrand)
+
+
+def _forcing_budget(config, lattice, bg, taus, system):
+    """Time-integrated forcing squares along the grid from its first time."""
+    taus = np.asarray(taus, dtype=float)
+    lam = eigenvalue_at(bg, lattice.lam0[None, :], taus[:, None])
+    _, weight = _energy_weights(system, config.top_order, config.n_columns,
+                                lam, taus[:, None])
+    forcing_sq = np.zeros_like(lam)  # sum over columns, per (time, degree)
+    for f in config.forcing_list():
+        profile = np.array([f.profile(tau) for tau in taus])
+        forcing_sq += np.outer(profile**2, f.degree_weights(lattice) ** 2)
+    return _cumtrapz(taus, (weight * forcing_sq) @ lattice.mult)
 
 
 def energy_first(traj):
     """Forward-family energy along a trajectory; returns (taus, energies)."""
-    m = traj.config.top_order
-    lattice, bg = traj.lattice, traj.bg
-    out = np.empty(len(traj.taus))
-    for t, tau in enumerate(traj.taus):
-        lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
-        e = tau**2 * _graded_sq(traj.derivs[t, 0], lam, m, 0.5)
-        e += tau**2 * _graded_sq(traj.values[t, 0], lam, m, 1.5)
-        for i in range(1, traj.config.n_columns):
-            e += tau * _graded_sq(traj.derivs[t, i], lam, m, 0.5)
-            e += tau * _graded_sq(traj.values[t, i], lam, m + 1, 0.5)
-            e += _graded_sq(traj.values[t, i], lam, 0, m + 1)
-        out[t] = e
-    return traj.taus, out
+    return _trajectory_energy(traj, "first")
 
 
 def data_energy_first(data, bg, top_order):
     """Data norm: O, renormalized finite part and the regular limits in H^(M+1)."""
-    lattice = data.O_field.lattice
-    lam = eigenvalue_at(bg, lattice.lam0_slot, 0.0)
-    total = _graded_sq(data.O_field.coeffs, lam, 0, top_order + 1)
-    total += _graded_sq(data.frak_h.coeffs, lam, 0, top_order + 1)
-    for phi in data.phi0_fields:
-        total += _graded_sq(phi.coeffs, lam, 0, top_order + 1)
-    return total
-
-
-def _forcing_slot_sums(config, lattice, bg, tau, grad_order, s):
-    """sum over columns of the weighted square of the forcing at one time."""
-    total = 0.0
-    for f in config.forcing_list():
-        p = f.profile(tau)
-        if p == 0.0:
-            continue
-        lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
-        w = np.repeat(f.degree_weights(lattice), lattice.mult)
-        total += p * p * _graded_sq(w, lam, grad_order, s)
-    return total
+    entries = np.stack([data.O_field.coeffs, data.frak_h.coeffs]
+                       + [phi.coeffs for phi in data.phi0_fields])
+    weights = _data_weights("first", top_order, data.n_regular + 1, bg,
+                            data.O_field.lattice.lam0_slot)
+    return float(np.sum(weights * entries**2))
 
 
 def forcing_energy_first(config, lattice, bg, taus):
@@ -299,76 +355,23 @@ def forcing_energy_first(config, lattice, bg, taus):
     Per column: the L^2 squares of the graded forcings through order M plus
     the tau-weighted H^(1/2) square at the top order, both time-integrated.
     """
-    taus = np.asarray(taus, dtype=float)
-    m = config.top_order
-    flat = np.empty(len(taus))
-    weighted = np.empty(len(taus))
-    for t, tau in enumerate(taus):
-        acc = 0.0
-        for g in range(m + 1):
-            acc += _forcing_slot_sums(config, lattice, bg, tau, g, 0.0)
-        flat[t] = acc
-        weighted[t] = tau * _forcing_slot_sums(config, lattice, bg, tau, m, 0.5)
-    out = np.zeros(len(taus))
-    if len(taus) > 1:
-        steps = np.diff(taus)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * steps * (flat[1:] + flat[:-1]))])
-        cum_w = np.concatenate([[0.0], np.cumsum(0.5 * steps * (weighted[1:] + weighted[:-1]))])
-        out = cum + cum_w
-    return out
-
-
-# ------------------------------------------------ energy functionals (II)
+    return _forcing_budget(config, lattice, bg, taus, "first")
 
 
 def energy_second(traj):
     """Backward-family energy; expects taus descending from 1."""
-    m = traj.config.top_order
-    lattice, bg = traj.lattice, traj.bg
-    taus = traj.taus
-    if taus[0] < taus[-1]:
+    if traj.taus[0] < traj.taus[-1]:
         raise ValueError("backward energy expects a trajectory integrated from tau = 1 down")
-    n_t = len(taus)
-    # pointwise pieces
-    point = np.empty(n_t)
-    col0_int = np.empty(n_t)  # integrand tau' ||phi0||^2_{H^(M+1)}
-    reg_int = np.empty(n_t)  # integrand (1/tau') sum_m ||grad_t grad^m phi_i||^2_{H^(1/2)}
-    for t, tau in enumerate(taus):
-        lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
-        e = tau * _graded_sq(traj.values[t, 0], lam, 0, m + 0.5)
-        e += tau**2 * _graded_sq(traj.values[t, 0], lam, 0, m + 1.5)
-        e += tau**2 * _graded_sq(traj.derivs[t, 0], lam, m, 0.5)
-        for g in range(m):
-            e += tau**2 * _graded_sq(traj.derivs[t, 0], lam, g, 0.0)
-        reg = 0.0
-        for i in range(1, traj.config.n_columns):
-            e += _graded_sq(traj.values[t, i], lam, 0, m + 1.5)
-            for g in range(m + 1):
-                e += _graded_sq(traj.derivs[t, i], lam, g, 0.5)
-                reg += _graded_sq(traj.derivs[t, i], lam, g, 0.5)
-        point[t] = e
-        col0_int[t] = tau * _graded_sq(traj.values[t, 0], lam, 0, m + 1)
-        reg_int[t] = reg / tau
-    # integrals from tau up to 1 accumulate along the descending grid
-    tail = np.zeros(n_t)
-    for t in range(1, n_t):
-        step = taus[t - 1] - taus[t]
-        tail[t] = tail[t - 1] + 0.5 * step * (
-            col0_int[t] + col0_int[t - 1] + reg_int[t] + reg_int[t - 1]
-        )
-    return taus, point + tail
+    return _trajectory_energy(traj, "second")
 
 
 def data_energy_second(state, bg, lattice, top_order):
     """Endpoint norm at tau = 1 over all columns."""
     if abs(state.tau - 1.0) > 1e-12:
         raise ValueError("backward data norm is defined at tau = 1")
-    lam = eigenvalue_at(bg, lattice.lam0_slot, 1.0)
-    total = 0.0
-    for i in range(state.values.shape[0]):
-        total += _graded_sq(state.values[i], lam, 0, top_order + 1.5)
-        total += _graded_sq(state.derivs[i], lam, 0, top_order + 0.5)
-    return total
+    entries = np.concatenate([state.values, state.derivs])
+    weights = _data_weights("second", top_order, state.values.shape[0], bg, lattice.lam0_slot)
+    return float(np.sum(weights * entries**2))
 
 
 def forcing_energy_second(config, lattice, bg, taus):
@@ -376,18 +379,7 @@ def forcing_energy_second(config, lattice, bg, taus):
     taus = np.asarray(taus, dtype=float)
     if len(taus) > 1 and taus[0] < taus[-1]:
         raise ValueError("backward forcing budget expects a descending grid")
-    m = config.top_order
-    integrand = np.empty(len(taus))
-    for t, tau in enumerate(taus):
-        acc = 0.0
-        for g in range(m + 1):
-            acc += _forcing_slot_sums(config, lattice, bg, tau, g, 0.5)
-        integrand[t] = tau * acc
-    out = np.zeros(len(taus))
-    for t in range(1, len(taus)):
-        step = taus[t - 1] - taus[t]
-        out[t] = out[t - 1] + 0.5 * step * (integrand[t] + integrand[t - 1])
-    return out
+    return _forcing_budget(config, lattice, bg, taus, "second")
 
 
 # ------------------------------------------------------- theorem ensembles
@@ -405,114 +397,43 @@ class TheoremReport:
     passed: bool
 
 
-def _draw_weights(lam0, decay):
-    return (1.0 + lam0) ** (-0.5 * decay)
+def _ensemble_ratios(config, lattice, bg, part, draws, taus):
+    """Energy / (data + forcing) of every draw at every time; (n_draws, n_times).
 
-
-def _first_system_ratios(config, lattice, bg, part, rng, n_draws, taus, decay):
-    n_cols = config.n_columns
+    Forward family: a draw holds per-slot asymptotic data (O, frak_h,
+    phi0_1..phi0_I) and taus ascend from the seed time.  Backward family: a
+    draw holds the per-slot (values, derivs) state at tau = 1 and taus
+    descend from 1.  All slots of degree l share the propagator P (with the
+    data-to-seed map folded in) and the forced response f, so a draw enters
+    only through its Gram matrix G = sum_s x_s x_s^T and slot sum S:
+    sum_s (P x_s + f)^2 = diag(P G P^T) + 2 diag(P S) f + m_l f^2.
+    """
+    system, n_cols, m = config.system, config.n_columns, config.top_order
     props = fundamental_matrices(config, lattice, bg, taus[0], taus)
+    if system == "first":
+        props = props @ data_to_state_maps(config, lattice, bg, taus[0], part)[:, None]
+        budget = forcing_energy_first(config, lattice, bg, taus)
+    else:
+        budget = forcing_energy_second(config, lattice, bg, taus)
     forced = forced_profile(config, lattice, bg, taus[0], taus)
-    maps = data_to_state_maps(config, lattice, bg, taus[0], part)
-    f_budget = forcing_energy_first(config, lattice, bg, taus)
-    m = config.top_order
-    n_t = len(taus)
-
-    draw_coeffs = []
-    lam0_slot = lattice.lam0_slot
-    for _ in range(n_draws):
-        raw = rng.standard_normal((lattice.n_slots, n_cols + 1))
-        draw_coeffs.append(raw * _draw_weights(lam0_slot, decay)[:, None])
-    draws = np.stack(draw_coeffs)  # (n_draws, n_slots, n_cols+1)
-
-    lam0_at0 = eigenvalue_at(bg, lam0_slot, 0.0)
-    dnorm_w = (1.0 + lam0_at0) ** (m + 1)
-    data_sq = np.einsum("dsc,s->d", draws**2, dnorm_w)  # O, frak_h, phis all in H^(M+1)
-
-    energies = np.zeros((n_draws, n_t))
+    data_w = _data_weights(system, m, n_cols, bg, lattice.lam0)
+    acc = np.zeros((2, draws.shape[0], len(taus)))  # pointwise energy, tail integrand
+    data_sq = np.zeros(draws.shape[0])
     for l in range(lattice.l_max + 1):
-        sl = lattice.slots_of_degree(l)
-        dl = draws[:, sl, :]  # (n_draws, m_l, n_cols+1)
-        seed = np.einsum("ab,dsb->dsa", maps[l], dl)  # (n_draws, m_l, d)
-        lam0_l = lattice.lam0[l]
-        for t in range(n_t):
-            tau = taus[t]
-            sol = np.einsum("ab,dsb->dsa", props[l, t], seed) + forced[l, t]
-            v = sol[..., :n_cols]
-            dv = sol[..., n_cols:] / tau
-            lam = eigenvalue_at(bg, lam0_l, tau)
-            sq_v = np.sum(v * v, axis=1)  # (n_draws, n_cols)
-            sq_d = np.sum(dv * dv, axis=1)
-            e = tau**2 * lam**m * (1.0 + lam) ** 0.5 * sq_d[:, 0]
-            e += tau**2 * lam**m * (1.0 + lam) ** 1.5 * sq_v[:, 0]
-            for i in range(1, n_cols):
-                e += tau * lam**m * (1.0 + lam) ** 0.5 * sq_d[:, i]
-                e += tau * lam ** (m + 1) * (1.0 + lam) ** 0.5 * sq_v[:, i]
-                e += (1.0 + lam) ** (m + 1) * sq_v[:, i]
-            energies[:, t] += e
-    ratios = energies / (data_sq[:, None] + f_budget[None, :])
-    return np.max(ratios, axis=1)
-
-
-def _second_system_ratios(config, lattice, bg, rng, n_draws, taus, decay):
-    n_cols = config.n_columns
-    d = 2 * n_cols
-    props = fundamental_matrices(config, lattice, bg, taus[0], taus)
-    forced = forced_profile(config, lattice, bg, taus[0], taus)
-    f_budget = forcing_energy_second(config, lattice, bg, taus)
-    m = config.top_order
-    n_t = len(taus)
-    lam0_slot = lattice.lam0_slot
-    lam_at1 = eigenvalue_at(bg, lam0_slot, 1.0)
-
-    draws = rng.standard_normal((n_draws, lattice.n_slots, d))
-    draws *= _draw_weights(lam0_slot, decay)[None, :, None]
-
-    w_v = (1.0 + lam_at1) ** (m + 1.5)
-    w_d = (1.0 + lam_at1) ** (m + 0.5)
-    data_sq = np.zeros(n_draws)
-    for i in range(n_cols):
-        data_sq += np.einsum("ds,s->d", draws[:, :, i] ** 2, w_v)
-        data_sq += np.einsum("ds,s->d", draws[:, :, n_cols + i] ** 2, w_d)
-
-    point = np.zeros((n_draws, n_t))
-    col0_int = np.zeros((n_draws, n_t))
-    reg_int = np.zeros((n_draws, n_t))
-    for l in range(lattice.l_max + 1):
-        sl = lattice.slots_of_degree(l)
-        dl = draws[:, sl, :]
-        lam0_l = lattice.lam0[l]
-        for t in range(n_t):
-            tau = taus[t]
-            sol = np.einsum("ab,dsb->dsa", props[l, t], dl) + forced[l, t]
-            v = sol[..., :n_cols]
-            dv = sol[..., n_cols:] / tau
-            lam = eigenvalue_at(bg, lam0_l, tau)
-            sq_v = np.sum(v * v, axis=1)
-            sq_d = np.sum(dv * dv, axis=1)
-            e = tau * (1.0 + lam) ** (m + 0.5) * sq_v[:, 0]
-            e += tau**2 * (1.0 + lam) ** (m + 1.5) * sq_v[:, 0]
-            e += tau**2 * lam**m * (1.0 + lam) ** 0.5 * sq_d[:, 0]
-            for g in range(m):
-                e += tau**2 * lam**g * sq_d[:, 0]
-            reg = np.zeros(n_draws)
-            for i in range(1, n_cols):
-                e += (1.0 + lam) ** (m + 1.5) * sq_v[:, i]
-                for g in range(m + 1):
-                    both = lam**g * (1.0 + lam) ** 0.5 * sq_d[:, i]
-                    e += both
-                    reg += both
-            point[:, t] += e
-            col0_int[:, t] += tau * (1.0 + lam) ** (m + 1) * sq_v[:, 0]
-            reg_int[:, t] += reg / tau
-    tail = np.zeros((n_draws, n_t))
-    for t in range(1, n_t):
-        step = taus[t - 1] - taus[t]
-        tail[:, t] = tail[:, t - 1] + 0.5 * step * (
-            col0_int[:, t] + col0_int[:, t - 1] + reg_int[:, t] + reg_int[:, t - 1]
-        )
-    ratios = (point + tail) / (data_sq[:, None] + f_budget[None, :])
-    return np.max(ratios, axis=1)
+        x = draws[:, lattice.slots_of_degree(l), :]
+        gram = np.einsum("nsa,nsb->nab", x, x)
+        p, f = props[l], forced[l]  # (n_times, d, k), (n_times, d)
+        # slot sums of squared (values, tau * derivs), (n_draws, n_times, d)
+        sq = (np.einsum("ntak,tak->nta", p @ gram[:, None], p)
+              + 2.0 * np.einsum("tak,nk->nta", p, x.sum(axis=1)) * f
+              + lattice.mult[l] * f * f)
+        lam = eigenvalue_at(bg, lattice.lam0[l], taus)
+        weights, _ = _energy_weights(system, m, n_cols, lam, taus)
+        weights[:, 1] /= taus**2  # the kernel carries tau * derivs
+        acc += np.einsum("nta,jat->jnt", sq, weights.reshape(2, 2 * n_cols, -1))
+        data_sq += np.einsum("naa,a->n", gram, data_w[:, l])
+    energies = acc[0] + _cumtrapz(taus, acc[1])
+    return energies / (data_sq[:, None] + budget[None, :])
 
 
 def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50,
@@ -524,12 +445,12 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
     the energy runs from tau = 1e-4 to 1; for the backward family draws are
     endpoint states at tau = 1 evolved down to 1e-3.  The max ratio must be
     finite and move by less than a factor 2 between consecutive resolution
-    doublings.
+    doublings, so at least two resolutions are needed.
     """
-    from .lattice import build_lattice
-
     if system not in ("first", "second"):
         raise ValueError(f"system must be 'first' or 'second', got {system!r}")
+    if len(resolutions) < 2:
+        raise ValueError(f"need at least two resolutions to compare, got {tuple(resolutions)}")
     rng = np.random.default_rng(seed)
     if decay is None:
         decay = 2.0 * top_order + 3.0
@@ -539,24 +460,26 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
     if coupling_scale:
         cs, cp = random_coupling(n_regular, system, rng, coupling_scale)
     forcings = ()
+    if with_forcing:
+        forcings = tuple(_default_forcing(i) for i in range(n_regular + 1))
+    config = SystemConfig(
+        n_regular=n_regular, system=system, top_order=top_order,
+        coupling_scale=cs, coupling_psi=cp, forcings=forcings,
+        rtol=1e-9, atol=1e-11,
+    )
+    n_cols = config.n_columns
+    if system == "first":
+        taus = np.geomspace(config.tau_seed, 1.0, 49)
+        entries = n_cols + 1
+    else:
+        taus = np.geomspace(1.0, 1e-3, 49)
+        entries = 2 * n_cols
     max_ratios, med_ratios = [], []
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
-        if with_forcing:
-            forcings = tuple(
-                [_default_forcing(0)] + [_default_forcing(i) for i in range(1, n_regular + 1)]
-            )
-        config = SystemConfig(
-            n_regular=n_regular, system=system, top_order=top_order,
-            coupling_scale=cs, coupling_psi=cp, forcings=forcings,
-            rtol=1e-9, atol=1e-11,
-        )
-        if system == "first":
-            taus = np.geomspace(config.tau_seed, 1.0, 49)
-            sup = _first_system_ratios(config, lattice, bg, part, rng, n_draws, taus, decay)
-        else:
-            taus = np.geomspace(1.0, 1e-3, 49)
-            sup = _second_system_ratios(config, lattice, bg, rng, n_draws, taus, decay)
+        draws = rng.standard_normal((n_draws, lattice.n_slots, entries))
+        draws *= ((1.0 + lattice.lam0_slot) ** (-0.5 * decay))[None, :, None]
+        sup = np.max(_ensemble_ratios(config, lattice, bg, part, draws, taus), axis=1)
         max_ratios.append(float(np.max(sup)))
         med_ratios.append(float(np.median(sup)))
     factors = tuple(
@@ -573,8 +496,6 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
 
 
 def _default_forcing(column):
-    from .modelsys import Forcing
-
     if column == 0:
         return Forcing(kind="tau_bump", amplitude=0.3, center=0.5, width=0.15)
     return Forcing(kind="tau_bump", amplitude=0.2, center=0.3 + 0.1 * column, width=0.1)

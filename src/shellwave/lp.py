@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .lattice import Field, eigenvalue_at, eigenvalue_rate, random_field
+from .lattice import build_lattice, eigenvalue_at, eigenvalue_rate, random_field
 
 __all__ = [
     "LPPartition",
@@ -505,12 +505,13 @@ def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.
 
     For each resolution a seeded corpus of rough random fields is paired with
     random nonnegative cells; the per-delta max constant must stay finite and
-    move by less than a factor 2 between consecutive resolutions.
+    move by less than a factor 2 between consecutive resolutions, so at least
+    two resolutions are needed.
     """
-    from .lattice import build_lattice, random_field as _rand
-
     if any(d <= 0.0 for d in deltas):
         raise ValueError("deltas must be positive")
+    if len(resolutions) < 2:
+        raise ValueError(f"need at least two resolutions to compare, got {tuple(resolutions)}")
     constants = {d: [] for d in deltas}
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
@@ -519,7 +520,7 @@ def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.
         k_hi = min(part.k_max, int(math.floor(math.log(float(np.max(lam)), 4.0))))
         worst = {d: 0.0 for d in deltas}
         for _ in range(n_fields):
-            f = _rand(lattice, rng, decay=1.0)
+            f = random_field(lattice, rng, decay=1.0)
             k = int(rng.integers(0, k_hi + 1))
             for d in deltas:
                 worst[d] = max(worst[d], refined_poincare_defect(part, k, d, f, tau, bg))

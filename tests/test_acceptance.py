@@ -80,7 +80,7 @@ def test_criterion_3_singular_blowup_bounded(part, bg):
             phis=[bounded_field(lat, rng, decay=6.0)],
         )
         traj_y, _ = split_singular_component(cfg, lat, bg, data, grid, part=part)
-        rep = singular_blowup_check(traj_y, data, part, top_order=1, drift_limit=0.10)
+        rep = singular_blowup_check(traj_y, data, top_order=1, drift_limit=0.10)
         assert rep.passed, (draw, rep.drifts)
         assert math.isfinite(rep.sup_value)
 

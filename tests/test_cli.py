@@ -96,6 +96,12 @@ def test_expanded_targets_dedup():
         ("[system]\nfamily = zeroth\n", "family must be"),
         ("[system]\nfamily = second\ncouple = 1 0 0.5 0\n", "line 3: the second system"),
         ("[system]\ncouple = 0 1 0.5 9\n", "line 2: psi selector"),
+        ("[background]\nkind = banana\n", "line 2: background kind"),
+        ("[lattice]\nn = 0\n", "line 2: sphere dimension"),
+        ("[partition]\nk_min = 2\n", "line 2: k_min must be negative"),
+        ("[partition]\nk_max = 0\n", "line 2: k_max must be positive"),
+        ("[verify]\nn_draws = 0\n", "line 2: n_draws must be"),
+        ("[verify]\nresolutions = 8\n", "line 2: need at least two resolutions"),
     ],
 )
 def test_parse_rejections(text, fragment):

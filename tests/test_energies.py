@@ -6,7 +6,9 @@ import pytest
 from shellwave import (
     Field,
     Forcing,
+    ModeState,
     SystemConfig,
+    TimeGrid,
     build_lattice,
     data_energy_first,
     data_energy_second,
@@ -19,6 +21,8 @@ from shellwave import (
     integrate,
     make_asymptotic_data,
     make_time_grid,
+    random_coupling,
+    random_field,
     seed_state,
     shell_decay_check,
     shell_energy,
@@ -27,6 +31,7 @@ from shellwave import (
     verify_theorem_ratio,
     zero_field,
 )
+from shellwave.energies import _default_forcing, _ensemble_ratios
 from tests.conftest import bounded_field, zero_like
 
 
@@ -146,7 +151,7 @@ def blowup_run(part, bg):
 
 def test_blowup_statistic_settles(part, blowup_run):
     traj_y, data = blowup_run
-    rep = singular_blowup_check(traj_y, data, part, top_order=1)
+    rep = singular_blowup_check(traj_y, data, top_order=1)
     assert rep.passed
     assert math.isfinite(rep.sup_value)
     assert len(rep.decade_sups) >= 3
@@ -161,7 +166,7 @@ def test_blowup_rejects_zero_data(part, bg, blowup_run):
     dead = make_asymptotic_data(lat, part, bg, O=zero_like(lat),
                                 h=zero_like(lat), phis=[zero_like(lat)])
     with pytest.raises(ValueError, match="zero"):
-        singular_blowup_check(traj_y, dead, part, top_order=1)
+        singular_blowup_check(traj_y, dead, top_order=1)
 
 
 def test_blowup_needs_two_decades(part, bg, small_lattice):
@@ -174,7 +179,7 @@ def test_blowup_needs_two_decades(part, bg, small_lattice):
     grid = make_time_grid(1e-4, 1.0, count=17)
     traj_y, _ = split_singular_component(cfg, small_lattice, bg, data, grid, part=part)
     with pytest.raises(ValueError, match="decade"):
-        singular_blowup_check(traj_y, data, part, top_order=1)
+        singular_blowup_check(traj_y, data, top_order=1)
 
 
 # ------------------------------------------------------ energy functionals
@@ -325,3 +330,104 @@ def test_theorem_coupled_variant_and_validation(part, bg):
     assert rep.passed
     with pytest.raises(ValueError):
         verify_theorem_ratio("third", part, bg)
+
+
+@pytest.mark.parametrize("system", ["first", "second"])
+def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
+    # one draw through the per-degree kernel against the slot-level path:
+    # integrate, then the trajectory energy over data norm plus forcing budget
+    lat = build_lattice(2, 8)
+    rng = np.random.default_rng(21)
+    cs, cp = random_coupling(2, system, rng, 0.1)
+    cfg = SystemConfig(n_regular=2, system=system, coupling_scale=cs, coupling_psi=cp,
+                       forcings=tuple(_default_forcing(i) for i in range(3)),
+                       rtol=1e-11, atol=1e-13)
+    n_cols = cfg.n_columns
+    damp = ((1.0 + lat.lam0_slot) ** -3.5)[:, None]
+    if system == "first":
+        taus = np.geomspace(cfg.tau_seed, 1.0, 25)
+        draw = rng.standard_normal((lat.n_slots, n_cols + 1)) * damp
+        data = make_asymptotic_data(
+            lat, part, bg, O=Field(lattice=lat, coeffs=draw[:, 0]),
+            frak_h=Field(lattice=lat, coeffs=draw[:, 1]),
+            phis=[Field(lattice=lat, coeffs=c) for c in draw[:, 2:].T],
+        )
+        traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0,
+                         grid=TimeGrid(taus=taus))
+        _, energy = energy_first(traj)
+        budget = data_energy_first(data, bg, cfg.top_order)
+        budget = budget + forcing_energy_first(cfg, lat, bg, taus)
+    else:
+        taus = np.geomspace(1.0, 1e-3, 25)
+        draw = rng.standard_normal((lat.n_slots, 2 * n_cols)) * damp
+        state = ModeState(tau=1.0, values=draw[:, :n_cols].T, derivs=draw[:, n_cols:].T)
+        traj = integrate(cfg, lat, bg, state, 1e-3, grid=TimeGrid(taus=taus[::-1]))
+        _, energy = energy_second(traj)
+        budget = data_energy_second(state, bg, lat, cfg.top_order)
+        budget = budget + forcing_energy_second(cfg, lat, bg, taus)
+    assert np.array_equal(traj.taus, taus)
+    ratios = _ensemble_ratios(cfg, lat, bg, part, draw[None], taus)
+    assert ratios.shape == (1, len(taus))
+    # the whole series: the backward maximum sits at tau = 1, before any propagation
+    np.testing.assert_allclose(ratios[0], energy / budget, rtol=1e-8, atol=0.0)
+
+
+# energies at the five grid times of a coupled, forced run on S^2 with
+# l_max 4, recorded before both functionals read one weight table
+GOLDEN_ENERGIES = {
+    "first": (2221.8254512551284, 2233.080094333579, 2402.899053206721,
+              5006.370333880313, 5.4505479713708045),
+    "second": (3523.8754179355437, 5606161.300470197, 5028091.816203686,
+               4590581.819412816, 4539842.881233678),
+}
+
+
+@pytest.mark.parametrize("system", list(GOLDEN_ENERGIES))
+def test_trajectory_energies_golden(part, bg, system):
+    lat = build_lattice(2, 4)
+    rng = np.random.default_rng(31)
+    cs, cp = random_coupling(2, system, rng, 0.1)
+    cfg = SystemConfig(n_regular=2, system=system, coupling_scale=cs, coupling_psi=cp,
+                       forcings=tuple(_default_forcing(i) for i in range(3)))
+    if system == "first":
+        data = make_asymptotic_data(lat, part, bg, O=random_field(lat, rng, decay=3.0),
+                                    h=random_field(lat, rng, decay=3.0),
+                                    phis=[random_field(lat, rng, decay=3.0) for _ in range(2)])
+        traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0,
+                         grid=make_time_grid(cfg.tau_seed, 1.0, count=5))
+        _, energy = energy_first(traj)
+    else:
+        state = ModeState(tau=1.0, values=rng.standard_normal((3, lat.n_slots)),
+                          derivs=rng.standard_normal((3, lat.n_slots)))
+        traj = integrate(cfg, lat, bg, state, 1e-3, grid=make_time_grid(1e-3, 1.0, count=5))
+        _, energy = energy_second(traj)
+    np.testing.assert_allclose(energy, GOLDEN_ENERGIES[system], rtol=1e-12, atol=0.0)
+
+
+# max and median ratios at resolutions (8, 16), 6 draws, seed 0, recorded
+# before the two families shared one ensemble kernel
+GOLDEN_RATIOS = {
+    ("first", 0.0): ((1.0070903190432665, 1.000630491846715),
+                     (0.6384719897570353, 0.7994599511265325)),
+    ("first", 0.1): ((0.9093755482083244, 0.629652008255474),
+                     (0.5528583776692789, 0.5791385262749495)),
+    ("second", 0.0): ((1.804575630825511, 1.5440899270786688),
+                      (1.1286788370318153, 1.0537492951309697)),
+    ("second", 0.1): ((1.4766360334778015, 1.7946907958112464),
+                      (1.1666470048717863, 1.1136028753527225)),
+}
+
+
+@pytest.mark.parametrize("system,scale", list(GOLDEN_RATIOS))
+def test_theorem_ratios_golden(part, bg, system, scale):
+    rep = verify_theorem_ratio(system, part, bg, resolutions=(8, 16), n_draws=6,
+                               coupling_scale=scale, seed=0)
+    max_ref, med_ref = GOLDEN_RATIOS[(system, scale)]
+    np.testing.assert_allclose(rep.max_ratios, max_ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.median_ratios, med_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("resolutions", [(8,), ()])
+def test_theorem_ratio_needs_two_resolutions(part, bg, resolutions):
+    with pytest.raises(ValueError, match="two resolutions"):
+        verify_theorem_ratio("first", part, bg, resolutions=resolutions, n_draws=2)

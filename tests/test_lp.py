@@ -292,3 +292,9 @@ def test_verify_refined_poincare_small(part, bg):
     for row in rep.drift_factors:
         for d in row:
             assert d < 2.0
+
+
+@pytest.mark.parametrize("resolutions", [(8,), ()])
+def test_verify_refined_poincare_needs_two_resolutions(part, bg, resolutions):
+    with pytest.raises(ValueError, match="two resolutions"):
+        verify_refined_poincare(part, bg, resolutions=resolutions, n_fields=4)
