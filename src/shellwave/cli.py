@@ -92,7 +92,7 @@ _SECTION_KEYS = {
     "lattice": {"n", "l_max"},
     "background": {"kind", "value"},
     "partition": {"k_min", "k_max", "smoothness", "shift"},
-    "system": {"n_regular", "family", "top_order", "tau_seed", "couple"},
+    "system": {"n_regular", "family", "top_order", "tau_seed"},
     "verify": {"n_draws", "resolutions", "n_fields", "gronwall_count"},
 }
 
@@ -117,7 +117,6 @@ class Scenario:
     family: str = "first"
     top_order: int = 2
     tau_seed: float = 1e-4
-    couplings: tuple[tuple[int, int, float, int], ...] = ()
     n_draws: int = 50
     resolutions: tuple[int, ...] = (32, 64, 128)
     n_fields: int = 500
@@ -174,14 +173,13 @@ def _parse_scalar(raw):
 def parse_config(text):
     """Parse sectioned key = value text into a Scenario.
 
-    Unknown sections or keys, duplicate sections, repeated scalar keys,
-    family/coupling contradictions and out-of-range values are all rejected
-    with the line number.
+    Unknown sections or keys, duplicate sections, repeated keys, values that
+    do not read as their type and out-of-range values are all rejected with
+    the line number.
     """
     section = None
     seen_sections = set()
     values: dict[str, dict] = {}
-    couples: list[tuple[int, tuple[int, int, float, int]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -203,89 +201,65 @@ def parse_config(text):
         key = key.strip()
         if key not in _SECTION_KEYS[section]:
             raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{section}]")
-        if key == "couple":
-            parts = raw_val.split()
-            if len(parts) != 4:
-                raise ConfigError(
-                    f"line {line_no}: couple needs 'row col scale psi', got {raw_val.strip()!r}"
-                )
-            try:
-                entry = (int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
-            except ValueError as exc:
-                raise ConfigError(f"line {line_no}: bad couple entry: {exc}") from None
-            couples.append((line_no, entry))
-            continue
         if key in values[section]:
             raise ConfigError(f"line {line_no}: repeated key {key!r} in [{section}]")
         values[section][key] = (_parse_scalar(raw_val), line_no)
 
-    def get(section, key, default):
-        return values.get(section, {}).get(key, (default, None))[0]
-
-    def require(ok, section, key, message):
+    def get(section, key, default, kind=str, ok=None, need=""):
         # every default passes, so a failing value was read from a line
-        if not ok:
-            raise ConfigError(f"line {values[section][key][1]}: {message}")
+        raw, line_no = values.get(section, {}).get(key, (default, None))
+        try:
+            value = kind(raw)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"line {line_no}: bad value {raw!r} for {key}") from None
+        if ok is not None and not ok(value):
+            raise ConfigError(f"line {line_no}: {need}, got {value!r}")
+        return value
 
-    targets_raw = str(get("scenario", "targets", "verify-all"))
-    targets = tuple(t.strip() for t in targets_raw.split(",") if t.strip())
+    def split_list(raw):
+        return tuple(x.strip() for x in str(raw).split(",") if x.strip())
+
+    targets = get("scenario", "targets", "verify-all", split_list)
+    valid = TARGETS + ("verify-all",)
     for t in targets:
-        if t != "verify-all" and t not in TARGETS:
-            raise ConfigError(f"unknown target {t!r}; valid: {', '.join(TARGETS + ('verify-all',))}")
-
-    family = str(get("system", "family", "first"))
-    if family not in ("first", "second"):
-        raise ConfigError(f"family must be 'first' or 'second', got {family!r}")
-    for line_no, (i, j, scale, psi) in couples:
-        if family == "second" and i >= 1 and j == 0 and scale != 0.0:
-            raise ConfigError(
-                f"line {line_no}: the second system family forbids coupling of regular "
-                "rows to the singular column 0"
-            )
-        if not 0 <= psi <= 2:
-            raise ConfigError(f"line {line_no}: psi selector must be 0, 1 or 2")
-
-    res_raw = get("verify", "resolutions", "32, 64, 128")
-    if isinstance(res_raw, (int, float)):
-        resolutions = (int(res_raw),)
-    else:
-        resolutions = tuple(int(x) for x in str(res_raw).split(",") if x.strip())
-    require(len(resolutions) >= 2, "verify", "resolutions",
-            f"need at least two resolutions to compare, got {resolutions}")
-    kind = str(get("background", "kind", "desitter"))
-    require(kind in ("desitter", "constant"), "background", "kind",
-            f"background kind must be 'desitter' or 'constant', got {kind!r}")
-    n_sphere = int(get("lattice", "n", 2))
-    require(n_sphere >= 1, "lattice", "n", f"sphere dimension n must be >= 1, got {n_sphere}")
-    k_min = int(get("partition", "k_min", -8))
-    require(k_min < 0, "partition", "k_min", f"k_min must be negative, got {k_min}")
-    k_max = int(get("partition", "k_max", 12))
-    require(k_max > 0, "partition", "k_max", f"k_max must be positive, got {k_max}")
-    n_draws = int(get("verify", "n_draws", 50))
-    require(n_draws >= 1, "verify", "n_draws", f"n_draws must be >= 1, got {n_draws}")
-
+        if t not in valid:
+            raise ConfigError(f"line {values['scenario']['targets'][1]}: unknown target "
+                              f"{t!r}; valid: {', '.join(valid)}")
     return Scenario(
-        name=str(get("scenario", "name", "default")),
+        name=get("scenario", "name", "default"),
         targets=targets,
-        seed=int(get("scenario", "seed", 0)),
-        out_dir=str(get("scenario", "out", "reports")),
-        n_sphere=n_sphere,
-        l_max=int(get("lattice", "l_max", 32)),
-        background_kind=kind,
-        background_value=float(get("background", "value", 2.0)),
-        k_min=k_min,
-        k_max=k_max,
-        smoothness=int(get("partition", "smoothness", 3)),
-        shift=float(get("partition", "shift", 0.0)),
-        n_regular=int(get("system", "n_regular", 2)),
-        family=family,
-        top_order=int(get("system", "top_order", 2)),
-        tau_seed=float(get("system", "tau_seed", 1e-4)),
-        couplings=tuple(entry for _, entry in couples),
-        n_draws=n_draws,
-        resolutions=resolutions,
-        n_fields=int(get("verify", "n_fields", 500)),
-        gronwall_count=int(get("verify", "gronwall_count", 200)),
+        seed=get("scenario", "seed", 0, int),
+        out_dir=get("scenario", "out", "reports"),
+        n_sphere=get("lattice", "n", 2, int, lambda v: v >= 1,
+                     "sphere dimension n must be >= 1"),
+        l_max=get("lattice", "l_max", 32, int, lambda v: v >= 0, "l_max must be >= 0"),
+        background_kind=get("background", "kind", "desitter", str,
+                            lambda v: v in ("desitter", "constant"),
+                            "background kind must be 'desitter' or 'constant'"),
+        background_value=get("background", "value", 2.0, float, lambda v: v > 0.0,
+                             "background value must be positive"),
+        k_min=get("partition", "k_min", -8, int, lambda v: v < 0, "k_min must be negative"),
+        k_max=get("partition", "k_max", 12, int, lambda v: v > 0, "k_max must be positive"),
+        smoothness=get("partition", "smoothness", 3, int, lambda v: v >= 1,
+                       "smoothness must be >= 1"),
+        shift=get("partition", "shift", 0.0, float, lambda v: abs(v) <= 0.5,
+                  "shift must lie in [-1/2, 1/2]"),
+        n_regular=get("system", "n_regular", 2, int, lambda v: v >= 1,
+                      "n_regular must be >= 1"),
+        family=get("system", "family", "first", str, lambda v: v in ("first", "second"),
+                   "family must be 'first' or 'second'"),
+        top_order=get("system", "top_order", 2, int, lambda v: v >= 0,
+                      "top_order must be >= 0"),
+        tau_seed=get("system", "tau_seed", 1e-4, float, lambda v: 0.0 < v < 1.0,
+                     "tau_seed must lie in (0, 1)"),
+        n_draws=get("verify", "n_draws", 50, int, lambda v: v >= 1, "n_draws must be >= 1"),
+        resolutions=get("verify", "resolutions", "32, 64, 128",
+                        lambda raw: tuple(int(x) for x in split_list(raw)),
+                        lambda r: len(r) >= 2 and min(r) >= 0,
+                        "need at least two resolutions to compare, each >= 0"),
+        n_fields=get("verify", "n_fields", 500, int, lambda v: v >= 1, "n_fields must be >= 1"),
+        gronwall_count=get("verify", "gronwall_count", 200, int, lambda v: v >= 1,
+                           "gronwall_count must be >= 1"),
     )
 
 
@@ -618,6 +592,8 @@ def main(argv=None):
                         help="multiply verification grid densities")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     args = parser.parse_args(argv)
+    if args.grid_refine < 1:
+        parser.error(f"--grid-refine must be >= 1, got {args.grid_refine}")
 
     text = args.config.read_text() if args.config else DEFAULT_CONFIG
     try:

@@ -150,10 +150,6 @@ def bessel_oracle(kind, lam, tau):
 # -------------------------------------------------- even-series utilities
 
 
-def _series_mul(a, b, order):
-    return np.convolve(a, b)[: order + 1]
-
-
 def _series_inv(a, order):
     out = np.zeros(order + 1)
     out[0] = 1.0 / a[0]
@@ -165,24 +161,16 @@ def _series_inv(a, order):
     return out
 
 
-def _pad(a, order):
-    out = np.zeros(order + 1)
-    m = min(order + 1, len(a))
-    out[:m] = np.asarray(a, dtype=float)[:m]
-    return out
-
-
 def _psi_over_f_series(bg, psi_index, order):
     """Even coefficients of psi(tau)/f(tau) for psi in {1, kappa, tau^2 kappa}."""
-    f = _pad(bg.f_even, order)
-    inv_f = _series_inv(f, order)
+    inv_f = _series_inv(bg.f_even, order)
     if psi_index == 0:
         return inv_f
     fpt = np.zeros(order + 1)  # f'(tau)/tau as an even series
     for j in range(1, len(bg.f_even)):
         if j <= order:
             fpt[j - 1] = 2.0 * j * bg.f_even[j]
-    kappa_over_f = _series_mul(fpt, _series_mul(inv_f, inv_f, order), order)
+    kappa_over_f = np.convolve(fpt, np.convolve(inv_f, inv_f)[: order + 1])[: order + 1]
     if psi_index == 1:
         return kappa_over_f
     shifted = np.zeros(order + 1)
@@ -191,14 +179,16 @@ def _psi_over_f_series(bg, psi_index, order):
 
 
 def _q_series(lam0, bg, order, diag_psi=None, diag_scale=0.0):
-    """Even coefficients of the self-equation potential.
+    """Even coefficients of the self-equation potential, shape (order+1,) + lam0.shape.
 
     q(tau) = 4 lam0 / f(tau)^2 minus the diagonal coupling
     diag_scale * psi(tau) * sqrt(lambda(tau)), which is also even.
     """
-    q = 4.0 * lam0 * bg.inv_f_sq_series(order)
-    if diag_scale != 0.0 and lam0 > 0.0:
-        q = q - diag_scale * math.sqrt(lam0) * _psi_over_f_series(bg, diag_psi, order)
+    q = np.multiply.outer(bg.inv_f_sq_series(order), 4.0 * lam0)
+    if diag_scale != 0.0:
+        coupled = q - np.multiply.outer(_psi_over_f_series(bg, diag_psi, order),
+                                        diag_scale * np.sqrt(lam0))
+        q = np.where(lam0 > 0.0, coupled, q)
     return q
 
 
@@ -216,26 +206,28 @@ def _poly_even(coeffs, tau):
 
 @dataclass(frozen=True, eq=False)
 class FrobeniusBasis:
-    """Fundamental system of the per-mode self-equation near tau = 0.
+    """Fundamental systems of the per-mode self-equation near tau = 0.
 
     ``main`` is the branch with value 1 at tau = 0 whose coefficient carries
     the asymptotic datum; ``aux`` is the complementary branch: the log branch
     (main * log tau + correction) when the drag sign is +1, and the tau^2
-    branch when it is -1 (where the log attaches to main instead).
+    branch when it is -1 (where the log attaches to main instead).  With an
+    array of eigenvalues every trailing axis runs over them: the series have
+    shape (order+1, n_degrees) and ``main``/``aux`` take a scalar tau.
     """
 
-    lam0: float
+    lam0: np.ndarray
     drag_sign: int
     order: int
     q: np.ndarray
     main_poly: np.ndarray
     aux_poly: np.ndarray
-    log_coupling: float  # multiplies aux*log(tau) inside main when drag_sign=-1
+    log_coupling: np.ndarray  # multiplies aux*log(tau) inside main when drag_sign=-1
 
     def main(self, tau):
         tau = np.asarray(tau, dtype=float)
         v, dv = _poly_even(self.main_poly, tau)
-        if self.drag_sign == -1 and self.log_coupling != 0.0:
+        if self.drag_sign == -1:
             a, da = _poly_even(self.aux_poly, tau)
             lg = np.log(tau)
             v = v + self.log_coupling * a * lg
@@ -255,29 +247,32 @@ class FrobeniusBasis:
         """Relative size of the last kept series term; small means trustworthy."""
         u = float(tau) * float(tau)
         top = self.order
-        m_last = abs(self.main_poly[top]) * u**top
-        a_last = abs(self.aux_poly[top]) * u**top
-        scale = 1.0 + abs(float(_poly_even(self.main_poly, tau)[0]))
+        m_last = np.abs(self.main_poly[top]) * u**top
+        a_last = np.abs(self.aux_poly[top]) * u**top
+        scale = 1.0 + np.abs(_poly_even(self.main_poly, tau)[0])
         return (m_last + a_last) / scale
 
 
 def frobenius_basis(lam0, bg, order=12, drag_sign=1, diag_psi=None, diag_scale=0.0):
-    """Series fundamental system for u'' + drag_sign u'/tau + q(tau) u = 0.
+    """Series fundamental systems for u'' + drag_sign u'/tau + q(tau) u = 0.
 
     ``q`` is the rescaled-eigenvalue potential 4 lam0/f^2 minus an optional
-    diagonal coupling term (see _q_series).  ``order`` counts the tau^2 powers
-    kept; 2 is the minimum for a meaningful log-branch correction.
+    diagonal coupling term (see _q_series).  ``lam0`` is one eigenvalue or an
+    array of them (one basis per degree, each bit-identical to its scalar
+    basis).  ``order`` counts the tau^2 powers kept; 2 is the minimum for a
+    meaningful log-branch correction.
     """
     if order < 2:
         raise ValueError(f"series order must be >= 2, got {order}")
     if drag_sign not in (1, -1):
         raise ValueError(f"drag sign must be +1 or -1, got {drag_sign}")
-    q = _q_series(float(lam0), bg, order, diag_psi, diag_scale)
+    lam0 = np.asarray(lam0, dtype=float)
+    q = _q_series(lam0, bg, order, diag_psi, diag_scale)
     if drag_sign == 1:
         # main = sum a_m tau^2m (a_0 = 1); aux correction w with
         # aux = main*log(tau) + w, w = sum b_m tau^2m (b_0 = 0).
-        a = np.zeros(order + 1)
-        b = np.zeros(order + 1)
+        a = np.zeros(q.shape)
+        b = np.zeros(q.shape)
         a[0] = 1.0
         for m in range(1, order + 1):
             acc = 0.0
@@ -290,12 +285,12 @@ def frobenius_basis(lam0, bg, order=12, drag_sign=1, diag_psi=None, diag_scale=0
                 acc += q[j] * b[m - 1 - j]
             b[m] = (-4.0 * m * a[m] - acc) / (4.0 * m * m)
         return FrobeniusBasis(
-            lam0=float(lam0), drag_sign=1, order=order, q=q,
-            main_poly=a, aux_poly=b, log_coupling=0.0,
+            lam0=lam0, drag_sign=1, order=order, q=q,
+            main_poly=a, aux_poly=b, log_coupling=np.zeros(lam0.shape),
         )
     # drag_sign == -1: indicial roots 0 and 2; the root-0 branch picks up a
     # resonant aux*log(tau) term with coefficient -q_0/2.
-    e = np.zeros(order + 1)
+    e = np.zeros(q.shape)
     e[1] = 1.0
     for m in range(2, order + 1):
         acc = 0.0
@@ -303,7 +298,7 @@ def frobenius_basis(lam0, bg, order=12, drag_sign=1, diag_psi=None, diag_scale=0
             acc += q[j] * e[m - 1 - j]
         e[m] = -acc / (4.0 * m * (m - 1))
     c = -0.5 * q[0]
-    p = np.zeros(order + 1)
+    p = np.zeros(q.shape)
     p[0] = 1.0
     for m in range(2, order + 1):
         acc = 0.0
@@ -311,7 +306,7 @@ def frobenius_basis(lam0, bg, order=12, drag_sign=1, diag_psi=None, diag_scale=0
             acc += q[j] * p[m - 1 - j]
         p[m] = (-acc - 2.0 * c * (2 * m - 1) * e[m]) / (4.0 * m * (m - 1))
     return FrobeniusBasis(
-        lam0=float(lam0), drag_sign=-1, order=order, q=q,
+        lam0=lam0, drag_sign=-1, order=order, q=q,
         main_poly=p, aux_poly=e, log_coupling=c,
     )
 
@@ -629,37 +624,30 @@ def _eval_taus(tau_from, tau_to, grid, n_default=33):
 # ------------------------------------------------------- seeding/extraction
 
 
-def _column_bases(config, lattice, bg):
-    """Per-degree fundamental systems, one per column, diagonal coupling folded in."""
-    bases = []
+def _branch_table(config, lattice, bg, tau, strict=True):
+    """Every column's fundamental system at tau, over all degrees.
+
+    Returns the (n_columns, 2, 2, n_degrees) table indexed [column, (aux,
+    main), (value, tau-derivative), degree], diagonal coupling folded in,
+    and the worst series remainder per degree.  ``strict`` rejects a tau
+    whose remainder is too large for seeding.
+    """
+    table = np.empty((config.n_columns, 2, 2, lattice.l_max + 1))
+    defect = np.zeros(lattice.l_max + 1)
     for i in range(config.n_columns):
-        sign = 1 if i == 0 or config.system == "first" else -1
-        scale = float(config.coupling_scale[i, i])
-        psi = int(config.coupling_psi[i, i])
-        bases.append(
-            [
-                frobenius_basis(
-                    lam0, bg, order=config.basis_order, drag_sign=sign,
-                    diag_psi=psi, diag_scale=scale,
-                )
-                for lam0 in lattice.lam0
-            ]
+        basis = frobenius_basis(
+            lattice.lam0, bg, order=config.basis_order, drag_sign=int(config.drag_signs[i]),
+            diag_psi=int(config.coupling_psi[i, i]), diag_scale=float(config.coupling_scale[i, i]),
         )
-    return bases
-
-
-def _seed_tolerance_check(config, bases, tau):
-    worst = 0.0
-    for per_degree in bases:
-        for basis in per_degree:
-            worst = max(worst, basis.truncation_defect(tau))
-    limit = max(100.0 * config.rtol, 1e-11)
-    if worst > limit:
+        table[i] = basis.aux(tau), basis.main(tau)
+        defect = np.maximum(defect, basis.truncation_defect(tau))
+    worst, limit = float(np.max(defect)), max(100.0 * config.rtol, 1e-11)
+    if strict and worst > limit:
         raise ValueError(
             f"tau_seed={tau:g} too large: series remainder {worst:.2e} exceeds "
             f"{limit:.2e}; move the seed earlier or raise basis_order"
         )
-    return worst
+    return table, defect
 
 
 def seed_state(config, lattice, bg, data, tau_seed=None):
@@ -675,28 +663,11 @@ def seed_state(config, lattice, bg, data, tau_seed=None):
         raise ValueError(
             f"data carries {data.n_regular} regular columns, config wants {config.n_regular}"
         )
-    bases = _column_bases(config, lattice, bg)
-    _seed_tolerance_check(config, bases, tau)
-    n_cols = config.n_columns
-    values = np.zeros((n_cols, lattice.n_slots))
-    derivs = np.zeros_like(values)
-    mult = lattice.mult
-
-    main_v = np.array([b.main(tau)[0] for b in bases[0]])
-    main_d = np.array([b.main(tau)[1] for b in bases[0]])
-    aux_v = np.array([b.aux(tau)[0] for b in bases[0]])
-    aux_d = np.array([b.aux(tau)[1] for b in bases[0]])
-    oc, hc = data.O_field.coeffs, data.h_field.coeffs
-    values[0] = 2.0 * oc * np.repeat(aux_v, mult) + hc * np.repeat(main_v, mult)
-    derivs[0] = 2.0 * oc * np.repeat(aux_d, mult) + hc * np.repeat(main_d, mult)
-
-    for i in range(1, n_cols):
-        mv = np.array([b.main(tau)[0] for b in bases[i]])
-        md = np.array([b.main(tau)[1] for b in bases[i]])
-        pc = data.phi0_fields[i - 1].coeffs
-        values[i] = pc * np.repeat(mv, mult)
-        derivs[i] = pc * np.repeat(md, mult)
-    return ModeState(tau=tau, values=values, derivs=derivs)
+    branches = _branch_table(config, lattice, bg, tau)[0][..., lattice.slot_l]
+    phis = np.array([p.coeffs for p in data.phi0_fields])
+    col0 = 2.0 * data.O_field.coeffs * branches[0, 0] + data.h_field.coeffs * branches[0, 1]
+    pairs = np.concatenate([col0[None], phis[:, None] * branches[1:, 1]])
+    return ModeState(tau=tau, values=pairs[:, 0], derivs=pairs[:, 1])
 
 
 def extract_asymptotic_data(config, lattice, bg, state, part):
@@ -708,14 +679,8 @@ def extract_asymptotic_data(config, lattice, bg, state, part):
     warning suggesting a smaller extraction time).
     """
     tau = state.tau
-    bases = _column_bases(config, lattice, bg)
-    mult = lattice.mult
-    n_degrees = lattice.l_max + 1
-    flagged = np.zeros(n_degrees, dtype=bool)
-    for per_degree in bases:
-        for l, basis in enumerate(per_degree):
-            if basis.truncation_defect(tau) > 1e-9:
-                flagged[l] = True
+    table, defect = _branch_table(config, lattice, bg, tau, strict=False)
+    flagged = defect > 1e-9
     if np.any(flagged):
         warnings.warn(
             f"{int(np.count_nonzero(flagged))} degrees ill-conditioned for extraction "
@@ -723,39 +688,25 @@ def extract_asymptotic_data(config, lattice, bg, state, part):
             "smaller tau or raise basis_order for full accuracy)",
             RuntimeWarning,
         )
-    flagged_slots = np.repeat(flagged, mult)
+    flagged_slots = flagged[lattice.slot_l]
+    (av, ad), (mv, md) = table[..., lattice.slot_l].transpose(1, 2, 0, 3)
+    det = av * md - mv * ad
+    v, d = state.values, state.derivs
+    c_aux = (md * v - mv * d) / det
+    c_main = (-ad * v + av * d) / det
 
-    def solve_column(i):
-        basis = bases[i]
-        av = np.repeat(np.array([b.aux(tau)[0] for b in basis]), mult)
-        ad = np.repeat(np.array([b.aux(tau)[1] for b in basis]), mult)
-        mv = np.repeat(np.array([b.main(tau)[0] for b in basis]), mult)
-        md = np.repeat(np.array([b.main(tau)[1] for b in basis]), mult)
-        det = av * md - mv * ad
-        v, d = state.values[i], state.derivs[i]
-        c_aux = (md * v - mv * d) / det
-        c_main = (-ad * v + av * d) / det
-        return c_aux, c_main
-
-    c_aux0, c_main0 = solve_column(0)
     # two-term fallback: v' ~ 2 O / tau, v ~ 2 O log tau + h
     crude_o = 0.5 * tau * state.derivs[0]
     crude_h = state.values[0] - 2.0 * crude_o * math.log(tau)
-    o_coeffs = np.where(flagged_slots, crude_o, 0.5 * c_aux0)
-    h_coeffs = np.where(flagged_slots, crude_h, c_main0)
-    o_field = Field(lattice=lattice, coeffs=o_coeffs)
-    h_field = Field(lattice=lattice, coeffs=h_coeffs)
-
-    phis = []
+    o_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_o, 0.5 * c_aux[0]))
+    h_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_h, c_main[0]))
+    phis = [Field(lattice=lattice, coeffs=np.where(flagged_slots, state.values[i], c_main[i]))
+            for i in range(1, config.n_columns)]
     contamination = 0.0
-    for i in range(1, config.n_columns):
-        c_aux, c_main = solve_column(i)
-        phi = np.where(flagged_slots, state.values[i], c_main)
-        phis.append(Field(lattice=lattice, coeffs=phi))
-        if config.system == "first":
-            # with a +1/tau drag the aux branch is the log branch; a clean
-            # regular column should not contain it
-            contamination = max(contamination, float(np.max(np.abs(c_aux), initial=0.0)))
+    if config.system == "first":
+        # with a +1/tau drag the aux branch is the log branch; a clean
+        # regular column should not contain it
+        contamination = float(np.max(np.abs(c_aux[1:]), initial=0.0))
     data = make_asymptotic_data(lattice, part, bg, O=o_field, h=h_field, phis=phis)
     diagnostics = {
         "ill_conditioned_degrees": int(np.count_nonzero(flagged)),
@@ -772,10 +723,14 @@ def _state_to_y(values, derivs, tau):
     return np.concatenate([values.ravel(), (tau * derivs).ravel()])
 
 
-def _y_to_state(y, n_cols, n_slots, tau):
-    v = y[: n_cols * n_slots].reshape(n_cols, n_slots)
-    th = y[n_cols * n_slots :].reshape(n_cols, n_slots)
-    return v, th / tau
+def _unstack(y, n_cols, taus=None):
+    """Split a log-chart solution y, (2 n_cols n, n_times), into values and tau * derivs.
+
+    Both come back C-ordered as (n_times, n_cols, n); given the times, the
+    second is divided through to the tau-derivatives.
+    """
+    stack = np.ascontiguousarray(y.T).reshape(y.shape[1], 2, n_cols, -1)
+    return stack[:, 0].copy(), stack[:, 1] if taus is None else stack[:, 1] / taus[:, None, None]
 
 
 def _forcing_source(config, lattice, rows):
@@ -820,10 +775,7 @@ def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=Tru
             rhs, _state_to_y(state.values, state.derivs, tau_from),
             tau_from, tau_to, taus, config.rtol, config.atol,
         )
-        values = np.empty((len(taus), n_cols, n_slots))
-        derivs = np.empty_like(values)
-        for t in range(len(taus)):
-            values[t], derivs[t] = _y_to_state(sol.y[:, t], n_cols, n_slots, taus[t])
+        values, derivs = _unstack(sol.y, n_cols, taus)
         return Trajectory(taus=taus, values=values, derivs=derivs,
                           config=config, lattice=lattice, bg=bg)
 
@@ -863,13 +815,8 @@ def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=Tru
         rhs0, _state_to_y(state.values[:1], state.derivs[:1], tau_from),
         tau_from, tau_to, taus, config.rtol, config.atol,
     )
-    values = np.empty((len(taus), n_cols, n_slots))
-    derivs = np.empty_like(values)
-    for t in range(len(taus)):
-        v0, d0 = _y_to_state(sol0.y[:, t], 1, n_slots, taus[t])
-        vr, dr = _y_to_state(sol_reg.y[:, t], n_reg, n_slots, taus[t])
-        values[t, 0], derivs[t, 0] = v0[0], d0[0]
-        values[t, 1:], derivs[t, 1:] = vr, dr
+    (v0, d0), (vr, dr) = _unstack(sol0.y, 1, taus), _unstack(sol_reg.y, n_reg, taus)
+    values, derivs = np.concatenate([v0, vr], axis=1), np.concatenate([d0, dr], axis=1)
     return Trajectory(taus=taus, values=values, derivs=derivs,
                       config=config, lattice=lattice, bg=bg)
 
@@ -909,27 +856,17 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
     if part is None:
         raise ValueError("a frequency partition is needed for the log-derivative data")
     tau0 = float(config.tau_seed if tau_seed is None else tau_seed)
-    n_cols, n_slots = config.n_columns, lattice.n_slots
-    bases = _column_bases(config, lattice, bg)
-    _seed_tolerance_check(config, bases, tau0)
-    mult = lattice.mult
-
-    aux_v = np.repeat(np.array([b.aux(tau0)[0] for b in bases[0]]), mult)
-    aux_d = np.repeat(np.array([b.aux(tau0)[1] for b in bases[0]]), mult)
-    main_v = np.repeat(np.array([b.main(tau0)[0] for b in bases[0]]), mult)
-    main_d = np.repeat(np.array([b.main(tau0)[1] for b in bases[0]]), mult)
-
-    lam0_at0 = eigenvalue_at(bg, lattice.lam0_slot, 0.0)
-    ell = log_grad_weights(part, lam0_at0)
+    n_cols = config.n_columns
+    table, _ = _branch_table(config, lattice, bg, tau0)
+    aux, main = table[0][..., lattice.slot_l]
+    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0_slot, 0.0))
     oc = data.O_field.coeffs
-    y_val = 2.0 * oc * aux_v + 2.0 * ell * oc * main_v
-    y_der = 2.0 * oc * aux_d + 2.0 * ell * oc * main_d
-    j_val = data.frak_h.coeffs * main_v
-    j_der = data.frak_h.coeffs * main_d
+    y_seed = 2.0 * oc * aux + 2.0 * ell * oc * main
+    j_seed = data.frak_h.coeffs * main
 
     base = seed_state(config, lattice, bg, data, tau_seed=tau0)
-    values = np.concatenate([base.values, y_val[None], j_val[None]])
-    derivs = np.concatenate([base.derivs, y_der[None], j_der[None]])
+    values = np.concatenate([base.values, y_seed[:1], j_seed[:1]])
+    derivs = np.concatenate([base.derivs, y_seed[1:], j_seed[1:]])
 
     # augmented coupling: the log-branch row is purely self-coupled, the
     # renormalized row keeps the self term plus the original cross terms
@@ -963,10 +900,7 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
     sol = _solve_log(rhs, _state_to_y(values, derivs, tau0), tau0, 1.0, taus,
                      config.rtol, config.atol)
 
-    vals = np.empty((len(taus), c_ext, n_slots))
-    ders = np.empty_like(vals)
-    for t in range(len(taus)):
-        vals[t], ders[t] = _y_to_state(sol.y[:, t], c_ext, n_slots, taus[t])
+    vals, ders = _unstack(sol.y, c_ext, taus)
 
     def one_column(idx):
         return Trajectory(
@@ -1037,8 +971,8 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3, par
     for cut in ladder:
         sol = _solve_log(rhs, np.zeros(2 * n_cols * n_slots), cut, 1.0,
                          np.array([cut, 1.0]), config.rtol, config.atol)
-        v, d = _y_to_state(sol.y[:, -1], n_cols, n_slots, 1.0)
-        ends.append((v, d))
+        v, d = _unstack(sol.y[:, -1:], n_cols, np.ones(1))
+        ends.append((v[0], d[0]))
 
     discrepancies = []
     for (v1, d1), (v2, d2) in zip(ends[:-1], ends[1:]):
@@ -1084,14 +1018,9 @@ def fundamental_matrices(config, lattice, bg, tau_anchor, taus):
     taus = np.asarray(taus, dtype=float)
     sol = _solve_log(rhs, np.concatenate([v0.ravel(), t0.ravel()]),
                      tau_anchor, taus[-1], taus, config.rtol, config.atol)
-    out = np.empty((n_deg, len(taus), d, d))
-    for t in range(len(taus)):
-        y = sol.y[:, t]
-        v = y[: n_cols * n_deg * d].reshape(n_cols, n_deg, d)
-        th = y[n_cols * n_deg * d :].reshape(n_cols, n_deg, d)
-        out[:, t, :n_cols, :] = np.moveaxis(v, 1, 0)
-        out[:, t, n_cols:, :] = np.moveaxis(th, 1, 0)
-    return out
+    # (time, row, degree * d + start) -> (degree, time, row, start)
+    rows = np.concatenate(_unstack(sol.y, n_cols), axis=1).reshape(len(taus), d, n_deg, d)
+    return np.ascontiguousarray(rows.transpose(2, 0, 1, 3))
 
 
 def forced_profile(config, lattice, bg, tau_anchor, taus):
@@ -1116,12 +1045,8 @@ def forced_profile(config, lattice, bg, tau_anchor, taus):
     taus = np.asarray(taus, dtype=float)
     sol = _solve_log(rhs, np.zeros(2 * n_cols * n_deg), tau_anchor, taus[-1], taus,
                      config.rtol, config.atol)
-    out = np.empty((n_deg, len(taus), d))
-    for t in range(len(taus)):
-        y = sol.y[:, t]
-        out[:, t, :n_cols] = y[: n_cols * n_deg].reshape(n_cols, n_deg).T
-        out[:, t, n_cols:] = y[n_cols * n_deg :].reshape(n_cols, n_deg).T
-    return out
+    rows = np.concatenate(_unstack(sol.y, n_cols), axis=1)  # (time, row, degree)
+    return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 
 def data_to_state_maps(config, lattice, bg, tau_seed, part):
@@ -1131,24 +1056,15 @@ def data_to_state_maps(config, lattice, bg, tau_seed, part):
     (values, tau * derivs) seed vector of length 2 n_columns.
     """
     n_cols = config.n_columns
-    d = 2 * n_cols
-    bases = _column_bases(config, lattice, bg)
-    _seed_tolerance_check(config, bases, tau_seed)
-    lam0_at0 = eigenvalue_at(bg, lattice.lam0, 0.0)
-    ell = log_grad_weights(part, lam0_at0)
-    n_deg = lattice.l_max + 1
-    maps = np.zeros((n_deg, d, n_cols + 1))
-    for l in range(n_deg):
-        b0 = bases[0][l]
-        av, ad = b0.aux(tau_seed)
-        mv, md = b0.main(tau_seed)
-        # h = frak_h + 2 ell O, so the O column carries 2(aux + ell*main)
-        maps[l, 0, 0] = 2.0 * (av + ell[l] * mv)
-        maps[l, n_cols, 0] = tau_seed * 2.0 * (ad + ell[l] * md)
-        maps[l, 0, 1] = mv
-        maps[l, n_cols, 1] = tau_seed * md
-        for i in range(1, n_cols):
-            bv, bd = bases[i][l].main(tau_seed)
-            maps[l, i, 1 + i] = bv
-            maps[l, n_cols + i, 1 + i] = tau_seed * bd
+    table = _branch_table(config, lattice, bg, tau_seed)[0]
+    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))
+    maps = np.zeros((lattice.l_max + 1, 2 * n_cols, n_cols + 1))
+    (av, ad), (mv, md) = table[0]
+    # h = frak_h + 2 ell O, so the O column carries 2(aux + ell*main)
+    maps[:, 0, 0] = 2.0 * (av + ell * mv)
+    maps[:, n_cols, 0] = tau_seed * 2.0 * (ad + ell * md)
+    # every column's main branch carries its own datum (frak_h, phi0_1, ...)
+    cols = np.arange(n_cols)
+    maps[:, cols, 1 + cols] = table[:, 1, 0].T
+    maps[:, n_cols + cols, 1 + cols] = tau_seed * table[:, 1, 1].T
     return maps

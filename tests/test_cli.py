@@ -7,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shellwave
 from shellwave import Scenario, parse_config, run_scenario
-from shellwave.cli import DEFAULT_CONFIG, TARGETS, ConfigError, main
+from shellwave.cli import _SECTION_KEYS, DEFAULT_CONFIG, TARGETS, ConfigError, main
 
 GOLDEN = """\
 [scenario]
@@ -37,9 +39,7 @@ shift = 0.5
 n_regular = 3
 family = second
 top_order = 1
-tau_seed = 1e-5
-couple = 0 1 0.25 1   # column 1 drives the singular row
-couple = 2 1 -0.1 2
+tau_seed = 1e-5   # seeding time
 
 [verify]
 n_draws = 12
@@ -61,7 +61,6 @@ def test_parse_golden_config():
     assert (scn.k_min, scn.k_max, scn.smoothness, scn.shift) == (-6, 10, 2, 0.5)
     assert (scn.n_regular, scn.family, scn.top_order) == (3, "second", 1)
     assert scn.tau_seed == 1e-5
-    assert scn.couplings == ((0, 1, 0.25, 1), (2, 1, -0.1, 2))
     assert (scn.n_draws, scn.resolutions) == (12, (8, 16))
     assert (scn.n_fields, scn.gronwall_count) == (40, 15)
 
@@ -89,25 +88,90 @@ def test_expanded_targets_dedup():
         ("[lattice]\njust some words\n", "line 2: expected 'key = value'"),
         ("n = 2\n", "line 1: key outside any section"),
         ("[lattice]\nhue = 3\n", "line 2: unknown key 'hue'"),
-        ("[system]\ncouple = 1 2 0.5\n", "line 2: couple needs"),
-        ("[system]\ncouple = a b 0.5 1\n", "line 2: bad couple entry"),
         ("[lattice]\nn = 2\nn = 3\n", "line 3: repeated key 'n'"),
         ("[scenario]\ntargets = warp\n", "unknown target 'warp'"),
         ("[system]\nfamily = zeroth\n", "family must be"),
-        ("[system]\nfamily = second\ncouple = 1 0 0.5 0\n", "line 3: the second system"),
-        ("[system]\ncouple = 0 1 0.5 9\n", "line 2: psi selector"),
         ("[background]\nkind = banana\n", "line 2: background kind"),
         ("[lattice]\nn = 0\n", "line 2: sphere dimension"),
         ("[partition]\nk_min = 2\n", "line 2: k_min must be negative"),
         ("[partition]\nk_max = 0\n", "line 2: k_max must be positive"),
         ("[verify]\nn_draws = 0\n", "line 2: n_draws must be"),
         ("[verify]\nresolutions = 8\n", "line 2: need at least two resolutions"),
+        ("[scenario]\nname = x\ntargets = gronwall, warp\n", "line 3: unknown target 'warp'"),
+        ("[system]\nn_regular = 1\nfamily = zeroth\n", "line 3: family must be"),
+        ("[system]\ncouple = 0 1 0.5 1\n", "line 2: unknown key 'couple'"),
+        ("[lattice]\nn = abc\n", "line 2: bad value 'abc' for n"),
+        ("[scenario]\nseed = 1e400\n", "line 2: bad value inf for seed"),
+        ("[background]\nkind = constant\nvalue = big\n", "line 3: bad value 'big' for value"),
+        ("[verify]\nresolutions = 8, x\n", "line 2: bad value '8, x' for resolutions"),
+        ("[lattice]\nl_max = -1\n", "line 2: l_max must be >= 0"),
+        ("[partition]\nsmoothness = 0\n", "line 2: smoothness must be >= 1"),
+        ("[partition]\nshift = -0.75\n", "line 2: shift must lie in"),
+        ("[system]\nn_regular = 0\n", "line 2: n_regular must be >= 1"),
+        ("[system]\ntop_order = -1\n", "line 2: top_order must be >= 0"),
+        ("[system]\ntau_seed = 1.0\n", "line 2: tau_seed must lie in (0, 1)"),
+        ("[system]\ntau_seed = 0\n", "line 2: tau_seed must lie in (0, 1)"),
+        ("[verify]\nresolutions = 8, -16\n", "line 2: need at least two resolutions"),
+        ("[verify]\nn_fields = 0\n", "line 2: n_fields must be >= 1"),
+        ("[verify]\ngronwall_count = 0\n", "line 2: gronwall_count must be >= 1"),
+        ("[background]\nvalue = 0\n", "line 2: background value must be positive"),
+        ("[background]\nvalue = nan\n", "line 2: background value must be positive"),
     ],
 )
 def test_parse_rejections(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+# well-formed, out-of-range and unreadable values for every key
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["abc", "", "1e400", "-inf", "nan", "true", "8, 16", "8, x", "3, 0.5",
+                     "-1, 4", "first", "second", "constant", "verify-all", "gronwall, warp"]),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    lines = []
+    for section in draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS)), unique=True)):
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS[section])), unique=True)):
+            lines.append(f"{key} = {draw(_VALUES)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_config_texts())
+def test_parse_config_accepts_or_raises_config_error(text):
+    try:
+        scn = parse_config(text)
+    except ConfigError as exc:
+        assert str(exc).startswith("line "), str(exc)
+        return
+    assert scn.n_sphere >= 1 and scn.l_max >= 0 and scn.n_regular >= 1
+    assert 0.0 < scn.tau_seed < 1.0 and abs(scn.shift) <= 0.5
+    assert len(scn.resolutions) >= 2 and min(scn.resolutions) >= 0
+    assert scn.family in ("first", "second")
+
+
+@pytest.mark.parametrize("text", ["[lattice]\nn = abc\n", "[lattice]\nl_max = -1\n"])
+def test_main_rejects_bad_value_with_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg)])
+    assert err.value.code == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
+def test_main_rejects_grid_refine_below_one(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--target", "gronwall", "--grid-refine", "0"])
+    assert err.value.code == 2
+    assert "--grid-refine must be >= 1" in capsys.readouterr().err
 
 
 def test_config_hash_ignores_output_location():

@@ -179,6 +179,28 @@ def test_frobenius_derivative_consistent(bg):
         assert basis.aux(tau)[1] == pytest.approx((a_p - a_m) / (2 * h), rel=1e-6)
 
 
+@pytest.mark.parametrize("drag", [1, -1])
+@pytest.mark.parametrize("psi", [0, 1, 2])
+def test_vector_basis_matches_scalar(bg, drag, psi):
+    # one basis over every degree (lam0 = 0 included) is the per-degree bases, bit for bit
+    lat = build_lattice(2, 6)
+    for scale in (0.3, -0.2):
+        vec = frobenius_basis(lat.lam0, bg, order=12, drag_sign=drag, diag_psi=psi,
+                              diag_scale=scale)
+        for l, lam0 in enumerate(lat.lam0):
+            one = frobenius_basis(lam0, bg, order=12, drag_sign=drag, diag_psi=psi,
+                                  diag_scale=scale)
+            for name in ("q", "main_poly", "aux_poly"):
+                assert np.array_equal(getattr(vec, name)[:, l], getattr(one, name)), name
+            assert np.array_equal(vec.log_coupling[l], one.log_coupling)
+            for tau in (1e-4, 0.05, 0.3):
+                for branch in ("main", "aux"):
+                    got, want = getattr(vec, branch)(tau), getattr(one, branch)(tau)
+                    assert np.array_equal(got[0][l], want[0]), (branch, tau)
+                    assert np.array_equal(got[1][l], want[1]), (branch, tau)
+                assert np.array_equal(vec.truncation_defect(tau)[l], one.truncation_defect(tau))
+
+
 def test_frobenius_validation(bg):
     with pytest.raises(ValueError):
         frobenius_basis(1.0, bg, order=1)
@@ -442,6 +464,25 @@ def test_extract_pure_regular_has_no_log_branch(part, bg, small_lattice):
     rec, diag = extract_asymptotic_data(cfg, small_lattice, bg, state, part)
     assert np.max(np.abs(rec.O_field.coeffs)) <= 1e-10
     assert diag["singular_contamination"] <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["first", "second"])
+def test_extract_inverts_seed_directly(part, bg, family):
+    # no integration in between, so the 2x2 solves must undo the seed to round-off
+    lat = build_lattice(2, 6)
+    rng = np.random.default_rng(23)
+    cs, cp = random_coupling(2, family, rng, 0.1)
+    cfg = SystemConfig(n_regular=2, system=family, coupling_scale=cs, coupling_psi=cp,
+                       rtol=1e-11, atol=1e-13)
+    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
+                                h=bounded_field(lat, rng),
+                                phis=[bounded_field(lat, rng) for _ in range(2)])
+    rec, diag = extract_asymptotic_data(cfg, lat, bg, seed_state(cfg, lat, bg, data), part)
+    assert diag["ill_conditioned_degrees"] == 0
+    pairs = [(rec.O_field, data.O_field), (rec.h_field, data.h_field),
+             *zip(rec.phi0_fields, data.phi0_fields)]
+    for got, want in pairs:
+        assert np.max(np.abs(got.coeffs - want.coeffs) / np.abs(want.coeffs)) <= 1e-12
 
 
 def test_extract_warns_when_series_cannot_reach(part, bg):
