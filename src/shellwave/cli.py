@@ -170,6 +170,13 @@ def _parse_scalar(raw):
         return raw
 
 
+def _integer(raw):
+    # int() would truncate 2.5 to 2 and read true as 1
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def parse_config(text):
     """Parse sectioned key = value text into a Scenario.
 
@@ -228,37 +235,38 @@ def parse_config(text):
     return Scenario(
         name=get("scenario", "name", "default"),
         targets=targets,
-        seed=get("scenario", "seed", 0, int),
+        seed=get("scenario", "seed", 0, _integer, lambda v: v >= 0, "seed must be >= 0"),
         out_dir=get("scenario", "out", "reports"),
-        n_sphere=get("lattice", "n", 2, int, lambda v: v >= 1,
+        n_sphere=get("lattice", "n", 2, _integer, lambda v: v >= 1,
                      "sphere dimension n must be >= 1"),
-        l_max=get("lattice", "l_max", 32, int, lambda v: v >= 0, "l_max must be >= 0"),
+        l_max=get("lattice", "l_max", 32, _integer, lambda v: v >= 0, "l_max must be >= 0"),
         background_kind=get("background", "kind", "desitter", str,
                             lambda v: v in ("desitter", "constant"),
                             "background kind must be 'desitter' or 'constant'"),
         background_value=get("background", "value", 2.0, float, lambda v: v > 0.0,
                              "background value must be positive"),
-        k_min=get("partition", "k_min", -8, int, lambda v: v < 0, "k_min must be negative"),
-        k_max=get("partition", "k_max", 12, int, lambda v: v > 0, "k_max must be positive"),
-        smoothness=get("partition", "smoothness", 3, int, lambda v: v >= 1,
+        k_min=get("partition", "k_min", -8, _integer, lambda v: v < 0, "k_min must be negative"),
+        k_max=get("partition", "k_max", 12, _integer, lambda v: v > 0, "k_max must be positive"),
+        smoothness=get("partition", "smoothness", 3, _integer, lambda v: v >= 1,
                        "smoothness must be >= 1"),
         shift=get("partition", "shift", 0.0, float, lambda v: abs(v) <= 0.5,
                   "shift must lie in [-1/2, 1/2]"),
-        n_regular=get("system", "n_regular", 2, int, lambda v: v >= 1,
+        n_regular=get("system", "n_regular", 2, _integer, lambda v: v >= 1,
                       "n_regular must be >= 1"),
         family=get("system", "family", "first", str, lambda v: v in ("first", "second"),
                    "family must be 'first' or 'second'"),
-        top_order=get("system", "top_order", 2, int, lambda v: v >= 0,
+        top_order=get("system", "top_order", 2, _integer, lambda v: v >= 0,
                       "top_order must be >= 0"),
         tau_seed=get("system", "tau_seed", 1e-4, float, lambda v: 0.0 < v < 1.0,
                      "tau_seed must lie in (0, 1)"),
-        n_draws=get("verify", "n_draws", 50, int, lambda v: v >= 1, "n_draws must be >= 1"),
+        n_draws=get("verify", "n_draws", 50, _integer, lambda v: v >= 1, "n_draws must be >= 1"),
         resolutions=get("verify", "resolutions", "32, 64, 128",
                         lambda raw: tuple(int(x) for x in split_list(raw)),
                         lambda r: len(r) >= 2 and min(r) >= 0,
                         "need at least two resolutions to compare, each >= 0"),
-        n_fields=get("verify", "n_fields", 500, int, lambda v: v >= 1, "n_fields must be >= 1"),
-        gronwall_count=get("verify", "gronwall_count", 200, int, lambda v: v >= 1,
+        n_fields=get("verify", "n_fields", 500, _integer, lambda v: v >= 1,
+                     "n_fields must be >= 1"),
+        gronwall_count=get("verify", "gronwall_count", 200, _integer, lambda v: v >= 1,
                            "gronwall_count must be >= 1"),
     )
 
@@ -594,6 +602,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.grid_refine < 1:
         parser.error(f"--grid-refine must be >= 1, got {args.grid_refine}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     text = args.config.read_text() if args.config else DEFAULT_CONFIG
     try:

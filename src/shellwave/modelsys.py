@@ -547,7 +547,9 @@ def mode_rhs(config, lattice, bg, tau, values, derivs, include_forcing=True):
     rhs = (amat @ values) * sqrt_lam - 4.0 * lam * values
     rhs -= (config.drag_signs / tau)[:, None] * derivs
     if include_forcing:
-        rhs += _forcing_stack(config, lattice, tau)
+        src = _forcing_source(config, lattice, range(config.n_columns), lattice.slot_l)
+        if src is not None:
+            rhs += src(tau)
     return derivs, rhs
 
 
@@ -556,14 +558,22 @@ def _psi_scalars(bg, tau):
     return np.array([1.0, k, tau * tau * k])
 
 
-def _forcing_stack(config, lattice, tau):
-    """(n_columns, n_slots) forcing values at one time."""
-    out = np.zeros((config.n_columns, lattice.n_slots))
-    for i, f in enumerate(config.forcing_list()):
-        p = f.profile(tau)
-        if p != 0.0:
-            out[i] = p * np.repeat(f.degree_weights(lattice), lattice.mult)
-    return out
+def _forcing_source(config, lattice, rows, entry_degree):
+    """Source closure stacking the given rows' forcing at one time, or None.
+
+    ``entry_degree`` maps each entry of a row to its degree: ``lattice.slot_l``
+    for slot-level runs, ``np.arange(l_max + 1)`` for per-degree ones.
+    """
+    forcings = config.forcing_list()
+    chosen = [forcings[r] for r in rows]
+    if all(f.kind == "zero" or f.amplitude == 0.0 for f in chosen):
+        return None
+    weights = [f.degree_weights(lattice)[entry_degree] for f in chosen]
+
+    def source(tau):
+        return np.stack([f.profile(tau) * w for f, w in zip(chosen, weights)])
+
+    return source
 
 
 def _make_log_rhs(lam0_slot, bg, signs, scale, psi_idx, source_fn):
@@ -733,20 +743,6 @@ def _unstack(y, n_cols, taus=None):
     return stack[:, 0].copy(), stack[:, 1] if taus is None else stack[:, 1] / taus[:, None, None]
 
 
-def _forcing_source(config, lattice, rows):
-    """Source closure returning stacked forcing for the given rows, or None."""
-    forcings = config.forcing_list()
-    chosen = [forcings[r] for r in rows]
-    if all(f.kind == "zero" or f.amplitude == 0.0 for f in chosen):
-        return None
-    weights = [np.repeat(f.degree_weights(lattice), lattice.mult) for f in chosen]
-
-    def source(tau):
-        return np.stack([f.profile(tau) * w for f, w in zip(chosen, weights)])
-
-    return source
-
-
 def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=True):
     """Propagate a state to tau_to; direction follows sign(tau_to - state.tau).
 
@@ -767,9 +763,10 @@ def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=Tru
         raise ValueError("state shape does not match config/lattice")
     taus = _eval_taus(tau_from, tau_to, grid)
     scale, psi = config.coupling_scale, config.coupling_psi
+    slot_l = lattice.slot_l
 
     if config.system == "first":
-        src = _forcing_source(config, lattice, range(n_cols)) if include_forcing else None
+        src = _forcing_source(config, lattice, range(n_cols), slot_l) if include_forcing else None
         rhs = _make_log_rhs(lattice.lam0_slot, bg, config.drag_signs, scale, psi, src)
         sol = _solve_log(
             rhs, _state_to_y(state.values, state.derivs, tau_from),
@@ -781,7 +778,7 @@ def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=Tru
 
     # second family: regular block first, then the singular column
     reg_rows = list(range(1, n_cols))
-    src_reg = _forcing_source(config, lattice, reg_rows) if include_forcing else None
+    src_reg = _forcing_source(config, lattice, reg_rows, slot_l) if include_forcing else None
     rhs_reg = _make_log_rhs(
         lattice.lam0_slot, bg, -np.ones(len(reg_rows)),
         scale[1:, 1:], psi[1:, 1:], src_reg,
@@ -792,8 +789,7 @@ def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=Tru
     )
 
     n_reg = len(reg_rows)
-    row0 = scale[0], psi[0]
-    src_f0 = _forcing_source(config, lattice, [0]) if include_forcing else None
+    src_f0 = _forcing_source(config, lattice, [0], slot_l) if include_forcing else None
 
     def source_col0(tau):
         y = sol_reg.sol(math.log(tau))
@@ -801,7 +797,7 @@ def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=Tru
         f = float(bg.f(tau))
         lam = lattice.lam0_slot / (f * f)
         psi_s = _psi_scalars(bg, tau)
-        coeffs = row0[0][1:] * psi_s[row0[1][1:]]
+        coeffs = scale[0, 1:] * psi_s[psi[0, 1:]]
         drive = (coeffs @ v_reg) * np.sqrt(lam)
         if src_f0 is not None:
             drive = drive + src_f0(tau)[0]
@@ -852,9 +848,14 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
     component solves the full column-0 equation (couplings to the regular
     columns and forcing included) with data frak_h.  Their sum reproduces the
     direct column-0 run; both are returned as single-column trajectories.
+    Both ride along as two extra columns of one augmented first-family run
+    of ``integrate``, so a second-family config, whose regular rows carry the
+    opposite drag, is rejected.
     """
     if part is None:
         raise ValueError("a frequency partition is needed for the log-derivative data")
+    if config.system != "first":
+        raise ValueError("the split runs the first system family only")
     tau0 = float(config.tau_seed if tau_seed is None else tau_seed)
     n_cols = config.n_columns
     table, _ = _branch_table(config, lattice, bg, tau0)
@@ -870,42 +871,24 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
 
     # augmented coupling: the log-branch row is purely self-coupled, the
     # renormalized row keeps the self term plus the original cross terms
-    c_ext = n_cols + 2
-    scale = np.zeros((c_ext, c_ext))
-    psi = np.zeros((c_ext, c_ext), dtype=int)
-    scale[:n_cols, :n_cols] = config.coupling_scale
-    psi[:n_cols, :n_cols] = config.coupling_psi
-    a00, p00 = config.coupling_scale[0, 0], config.coupling_psi[0, 0]
-    scale[n_cols, n_cols], psi[n_cols, n_cols] = a00, p00
-    scale[n_cols + 1, n_cols + 1], psi[n_cols + 1, n_cols + 1] = a00, p00
-    scale[n_cols + 1, 1:n_cols] = config.coupling_scale[0, 1:]
-    psi[n_cols + 1, 1:n_cols] = config.coupling_psi[0, 1:]
-
-    signs = np.ones(c_ext)
-    if config.system == "second":
-        signs[1:n_cols] = -1.0
+    scale, psi = np.pad(config.coupling_scale, (0, 2)), np.pad(config.coupling_psi, (0, 2))
+    for m in (scale, psi):
+        m[n_cols, n_cols] = m[-1, -1] = m[0, 0]
+        m[-1, 1:n_cols] = m[0, 1:n_cols]
 
     forcings = config.forcing_list()
-    aug_forcings = tuple(forcings + [Forcing(), forcings[0]])
     aug = SystemConfig(
-        n_regular=c_ext - 1, system="first", top_order=config.top_order,
-        coupling_scale=scale, coupling_psi=psi, forcings=aug_forcings,
-        tau_seed=tau0, rtol=config.rtol, atol=config.atol,
-        basis_order=config.basis_order,
+        n_regular=n_cols + 1, system="first", top_order=config.top_order,
+        coupling_scale=scale, coupling_psi=psi, forcings=(*forcings, Forcing(), forcings[0]),
+        tau_seed=tau0, rtol=config.rtol, atol=config.atol, basis_order=config.basis_order,
     )
-    # drag signs of the embedded regular block must follow the original family
-    taus = _eval_taus(tau0, 1.0, grid)
-    src = _forcing_source(aug, lattice, range(c_ext))
-    rhs = _make_log_rhs(lattice.lam0_slot, bg, signs, scale, psi, src)
-    sol = _solve_log(rhs, _state_to_y(values, derivs, tau0), tau0, 1.0, taus,
-                     config.rtol, config.atol)
-
-    vals, ders = _unstack(sol.y, c_ext, taus)
+    run = integrate(aug, lattice, bg, ModeState(tau=tau0, values=values, derivs=derivs), 1.0,
+                    grid=grid)
 
     def one_column(idx):
         return Trajectory(
-            taus=taus, values=vals[:, idx : idx + 1, :], derivs=ders[:, idx : idx + 1, :],
-            config=config, lattice=lattice, bg=bg,
+            taus=run.taus, values=run.values[:, idx : idx + 1, :],
+            derivs=run.derivs[:, idx : idx + 1, :], config=config, lattice=lattice, bg=bg,
         )
 
     return one_column(n_cols), one_column(n_cols + 1)
@@ -923,64 +906,51 @@ class EpsilonReport:
     passed: bool
 
 
-def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3, part=None):
-    """Cutoff-stability of the renormalized construction.
+def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
+    """Cutoff-stability of the renormalized construction, first family only.
 
-    Subtracting the leading expansion from column 0 (and the limits from the
-    regular columns) leaves a problem with zero Cauchy data at any small
-    cutoff; runs started at eps, eps/2, ... must agree at tau = 1 up to a
-    discrepancy shrinking like eps^2 log^2 eps, i.e. successive differences
-    contract by at least ~3 per halving at eps = 1e-2.  Differences are
-    measured in the phase-free envelope metric at tau = 1.
+    Each rung starts the full run at a small cutoff from the two-term
+    expansion: values (2 O log tau + h, phi0_1, ...) and tau-derivatives
+    (2 O / tau, 0, ...).  Every column's drag operator annihilates that
+    expansion, so the run is the expansion plus the zero-data run of the
+    subtracted problem, and the expansion cancels between rungs.  Runs
+    started at eps, eps/2, ... must agree at tau = 1 up to a discrepancy
+    shrinking like eps^2 log^2 eps, i.e. successive differences contract by
+    at least ~3 per halving at eps = 1e-2.  Differences are measured in the
+    phase-free envelope metric at tau = 1.
+
+    The second family is rejected.  Its regular rows have the -1/tau drag,
+    whose other branch is tau^2; the expansion misses their derivative by
+    O(eps log eps), which excites that branch at amplitude O(log eps), so
+    successive rungs differ by a nearly constant amount (ratios 1.0000 to
+    1.0001 measured on 10 seeds at eps = 1e-3) and the contraction gate can
+    only fail.
     """
+    if config.system != "first":
+        raise ValueError("the cutoff ladder runs the first system family only")
     if not 0.0 < eps < 0.1:
         raise ValueError(f"cutoff must lie in (0, 0.1), got {eps}")
     if rungs < 2:
         raise ValueError("need at least two rungs to form a ratio")
-    n_cols, n_slots = config.n_columns, lattice.n_slots
     oc, hc = data.O_field.coeffs, data.h_field.coeffs
-    limits = np.zeros((n_cols, n_slots))
-    for i in range(1, n_cols):
-        limits[i] = data.phi0_fields[i - 1].coeffs
-    scale, psi = config.coupling_scale, config.coupling_psi
-    signs = config.drag_signs
-    base_src = _forcing_source(config, lattice, range(n_cols))
-
-    def subtracted(tau):
-        s = limits.copy()
-        s[0] = 2.0 * oc * math.log(tau) + hc
-        return s
-
-    def source(tau):
-        f = float(bg.f(tau))
-        lam = lattice.lam0_slot / (f * f)
-        psi_s = _psi_scalars(bg, tau)
-        amat = scale * psi_s[psi]
-        s = subtracted(tau)
-        drive = (amat @ s) * np.sqrt(lam) - 4.0 * lam * s
-        if base_src is not None:
-            drive = drive + base_src(tau)
-        return drive
-
-    rhs = _make_log_rhs(lattice.lam0_slot, bg, signs, scale, psi, source)
+    phis = [p.coeffs for p in data.phi0_fields]
     lam1 = eigenvalue_at(bg, lattice.lam0_slot, 1.0)
     omega = 2.0 * np.sqrt(np.maximum(lam1, 1.0))
 
     ends = []
     ladder = [eps / 2.0**j for j in range(rungs + 1)]
     for cut in ladder:
-        sol = _solve_log(rhs, np.zeros(2 * n_cols * n_slots), cut, 1.0,
-                         np.array([cut, 1.0]), config.rtol, config.atol)
-        v, d = _unstack(sol.y[:, -1:], n_cols, np.ones(1))
-        ends.append((v[0], d[0]))
+        values = np.array([2.0 * oc * math.log(cut) + hc] + phis)
+        derivs = np.zeros_like(values)
+        derivs[0] = 2.0 * oc / cut
+        run = integrate(config, lattice, bg, ModeState(tau=cut, values=values, derivs=derivs), 1.0)
+        ends.append((run.values[-1], run.derivs[-1]))
 
-    discrepancies = []
-    for (v1, d1), (v2, d2) in zip(ends[:-1], ends[1:]):
-        dv, dd = v1 - v2, d1 - d2
-        discrepancies.append(float(np.sqrt(np.sum(dv * dv) + np.sum((dd / omega) ** 2))))
-    ratios = []
-    for a, b in zip(discrepancies[:-1], discrepancies[1:]):
-        ratios.append(a / b if b > 0.0 else math.inf)
+    discrepancies = [
+        float(np.sqrt(np.sum((v1 - v2) ** 2) + np.sum(((d1 - d2) / omega) ** 2)))
+        for (v1, d1), (v2, d2) in zip(ends[:-1], ends[1:])
+    ]
+    ratios = [a / b if b > 0.0 else math.inf for a, b in zip(discrepancies[:-1], discrepancies[1:])]
     monotone = all(a >= b for a, b in zip(discrepancies[:-1], discrepancies[1:]))
     zero_everything = all(d == 0.0 for d in discrepancies)
     passed = zero_everything or (monotone and all(r >= 3.0 for r in ratios))
@@ -1032,16 +1002,11 @@ def forced_profile(config, lattice, bg, tau_anchor, taus):
     n_cols = config.n_columns
     d = 2 * n_cols
     n_deg = lattice.l_max + 1
-    forcings = config.forcing_list()
-    weights = [f.degree_weights(lattice) for f in forcings]
-    if all(f.kind == "zero" or f.amplitude == 0.0 for f in forcings):
+    src = _forcing_source(config, lattice, range(n_cols), np.arange(n_deg))
+    if src is None:
         return np.zeros((n_deg, len(taus), d))
-
-    def source(tau):
-        return np.stack([f.profile(tau) * w for f, w in zip(forcings, weights)])
-
     rhs = _make_log_rhs(lattice.lam0, bg, config.drag_signs,
-                        config.coupling_scale, config.coupling_psi, source)
+                        config.coupling_scale, config.coupling_psi, src)
     taus = np.asarray(taus, dtype=float)
     sol = _solve_log(rhs, np.zeros(2 * n_cols * n_deg), tau_anchor, taus[-1], taus,
                      config.rtol, config.atol)

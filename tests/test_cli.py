@@ -116,6 +116,11 @@ def test_expanded_targets_dedup():
         ("[verify]\ngronwall_count = 0\n", "line 2: gronwall_count must be >= 1"),
         ("[background]\nvalue = 0\n", "line 2: background value must be positive"),
         ("[background]\nvalue = nan\n", "line 2: background value must be positive"),
+        ("[lattice]\nl_max = 2.5\n", "line 2: bad value 2.5 for l_max"),
+        ("[verify]\nn_draws = 3.9\n", "line 2: bad value 3.9 for n_draws"),
+        ("[lattice]\nn = true\n", "line 2: bad value True for n"),
+        ("[partition]\nk_min = false\n", "line 2: bad value False for k_min"),
+        ("[scenario]\nseed = -1\n", "line 2: seed must be >= 0"),
     ],
 )
 def test_parse_rejections(text, fragment):
@@ -128,36 +133,51 @@ def test_parse_rejections(text, fragment):
 _VALUES = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats(-2.0, 2.0).map(repr),
-    st.sampled_from(["abc", "", "1e400", "-inf", "nan", "true", "8, 16", "8, x", "3, 0.5",
-                     "-1, 4", "first", "second", "constant", "verify-all", "gronwall, warp"]),
+    st.sampled_from(["abc", "", "1e400", "-inf", "nan", "true", "false", "2.5", "3.9", "4.0",
+                     "8, 16", "8, x", "3, 0.5", "-1, 4", "first", "second", "constant",
+                     "verify-all", "gronwall, warp"]),
 )
+
+# integer config key -> Scenario field
+_INT_FIELDS = {"seed": "seed", "n": "n_sphere", "l_max": "l_max", "k_min": "k_min",
+               "k_max": "k_max", "smoothness": "smoothness", "n_regular": "n_regular",
+               "top_order": "top_order", "n_draws": "n_draws", "n_fields": "n_fields",
+               "gronwall_count": "gronwall_count"}
 
 
 @st.composite
 def _config_texts(draw):
-    lines = []
+    lines, given_values = [], {}
     for section in draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS)), unique=True)):
         lines.append(f"[{section}]")
         for key in draw(st.lists(st.sampled_from(sorted(_SECTION_KEYS[section])), unique=True)):
-            lines.append(f"{key} = {draw(_VALUES)}")
-    return "\n".join(lines) + "\n"
+            given_values[key] = draw(_VALUES)
+            lines.append(f"{key} = {given_values[key]}")
+    return "\n".join(lines) + "\n", given_values
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_config_texts())
-def test_parse_config_accepts_or_raises_config_error(text):
+@given(case=_config_texts())
+def test_parse_config_accepts_or_raises_config_error(case):
+    text, given_values = case
     try:
         scn = parse_config(text)
     except ConfigError as exc:
         assert str(exc).startswith("line "), str(exc)
         return
-    assert scn.n_sphere >= 1 and scn.l_max >= 0 and scn.n_regular >= 1
+    assert scn.n_sphere >= 1 and scn.l_max >= 0 and scn.n_regular >= 1 and scn.seed >= 0
     assert 0.0 < scn.tau_seed < 1.0 and abs(scn.shift) <= 0.5
     assert len(scn.resolutions) >= 2 and min(scn.resolutions) >= 0
     assert scn.family in ("first", "second")
+    # an accepted integer key holds exactly the number written, never a
+    # truncated fraction or a boolean read as 0/1
+    for key, raw in given_values.items():
+        if key in _INT_FIELDS:
+            assert float(raw) == getattr(scn, _INT_FIELDS[key]), (key, raw)
 
 
-@pytest.mark.parametrize("text", ["[lattice]\nn = abc\n", "[lattice]\nl_max = -1\n"])
+@pytest.mark.parametrize("text", ["[lattice]\nn = abc\n", "[lattice]\nl_max = -1\n",
+                                  "[lattice]\nl_max = 2.5\n", "[scenario]\nseed = -1\n"])
 def test_main_rejects_bad_value_with_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -172,6 +192,13 @@ def test_main_rejects_grid_refine_below_one(capsys):
         main(["--target", "gronwall", "--grid-refine", "0"])
     assert err.value.code == 2
     assert "--grid-refine must be >= 1" in capsys.readouterr().err
+
+
+def test_main_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--target", "lp-props", "--seed", "-1"])
+    assert err.value.code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def test_config_hash_ignores_output_location():

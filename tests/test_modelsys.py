@@ -8,6 +8,7 @@ import pytest
 from shellwave import (
     Field,
     Forcing,
+    ModeState,
     SystemConfig,
     bessel_oracle,
     build_lattice,
@@ -566,6 +567,52 @@ def test_split_requires_partition(part, bg, small_lattice):
     grid = make_time_grid(1e-3, 1.0, count=9)
     with pytest.raises(ValueError, match="partition"):
         split_singular_component(cfg, small_lattice, bg, data, grid)
+
+
+def test_split_rejects_second_family(part, bg, small_lattice):
+    # one first-family augmented run cannot carry the -1/tau regular drag
+    rng = np.random.default_rng(30)
+    cfg = SystemConfig(n_regular=1, system="second")
+    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
+                                h=bounded_field(small_lattice, rng),
+                                phis=[bounded_field(small_lattice, rng)])
+    grid = make_time_grid(1e-3, 1.0, count=9)
+    with pytest.raises(ValueError, match="first system family"):
+        split_singular_component(cfg, small_lattice, bg, data, grid, part=part)
+
+
+def test_epsilon_check_rejects_second_family(part, bg, small_lattice):
+    # the -1/tau drag keeps successive rung differences near constant there
+    rng = np.random.default_rng(32)
+    cfg = SystemConfig(n_regular=1, system="second")
+    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
+                                h=bounded_field(small_lattice, rng),
+                                phis=[bounded_field(small_lattice, rng)])
+    with pytest.raises(ValueError, match="first system family"):
+        epsilon_construction_check(cfg, small_lattice, bg, data, eps=1e-2)
+
+
+def test_expansion_state_is_exact_at_zero_eigenvalue(part, bg, small_lattice):
+    # Premise of the cutoff ladder: on lambda = 0 slots of a decoupled,
+    # unforced run, 2 O log tau + h and phi0 solve the system exactly, so a
+    # run started from the two-term expansion ends at (h, 2 O) and phi0.
+    lat = small_lattice
+    rng = np.random.default_rng(34)
+    cfg = SystemConfig(n_regular=2, rtol=1e-11, atol=1e-13)
+    oc, hc = bounded_field(lat, rng).coeffs, bounded_field(lat, rng).coeffs
+    phis = [bounded_field(lat, rng).coeffs for _ in range(2)]
+    cut = 1e-3
+    values = np.array([2.0 * oc * math.log(cut) + hc] + phis)
+    derivs = np.zeros_like(values)
+    derivs[0] = 2.0 * oc / cut
+    run = integrate(cfg, lat, bg, ModeState(tau=cut, values=values, derivs=derivs), 1.0)
+    zero = lat.lam0_slot == 0.0
+    assert np.count_nonzero(zero) >= 1 and run.taus[-1] == 1.0
+    assert np.max(np.abs(run.values[-1, 0, zero] - hc[zero])) <= 1e-9
+    assert np.max(np.abs(run.derivs[-1, 0, zero] - 2.0 * oc[zero])) <= 1e-9
+    for i, phi in enumerate(phis, start=1):
+        assert np.max(np.abs(run.values[-1, i, zero] - phi[zero])) <= 1e-9
+        assert np.max(np.abs(run.derivs[-1, i, zero])) <= 1e-9
 
 
 def test_epsilon_check_zero_data(part, bg, small_lattice):
