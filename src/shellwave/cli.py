@@ -239,7 +239,8 @@ def parse_config(text):
         out_dir=get("scenario", "out", "reports"),
         n_sphere=get("lattice", "n", 2, _integer, lambda v: v >= 1,
                      "sphere dimension n must be >= 1"),
-        l_max=get("lattice", "l_max", 32, _integer, lambda v: v >= 0, "l_max must be >= 0"),
+        # a degree-0 lattice has no positive eigenvalue, so no dyadic cell sees it
+        l_max=get("lattice", "l_max", 32, _integer, lambda v: v >= 1, "l_max must be >= 1"),
         background_kind=get("background", "kind", "desitter", str,
                             lambda v: v in ("desitter", "constant"),
                             "background kind must be 'desitter' or 'constant'"),
@@ -262,8 +263,8 @@ def parse_config(text):
         n_draws=get("verify", "n_draws", 50, _integer, lambda v: v >= 1, "n_draws must be >= 1"),
         resolutions=get("verify", "resolutions", "32, 64, 128",
                         lambda raw: tuple(int(x) for x in split_list(raw)),
-                        lambda r: len(r) >= 2 and min(r) >= 0,
-                        "need at least two resolutions to compare, each >= 0"),
+                        lambda r: len(r) >= 2 and min(r) >= 1,
+                        "need at least two resolutions to compare, each >= 1"),
         n_fields=get("verify", "n_fields", 500, _integer, lambda v: v >= 1,
                      "n_fields must be >= 1"),
         gronwall_count=get("verify", "gronwall_count", 200, _integer, lambda v: v >= 1,

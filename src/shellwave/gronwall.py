@@ -136,7 +136,8 @@ def _right_tail(taus, g):
     """T[a] = sum_{i>a} (tau_i - tau_{i-1}) g_i; the base node is excluded."""
     seg = np.diff(taus) * g[..., 1:]
     out = np.zeros_like(g)
-    out[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
+    # running sums from the last node back, written into out[..., :-1]
+    np.cumsum(seg[..., ::-1], axis=-1, out=out[..., -2::-1])
     return out
 
 
@@ -181,16 +182,13 @@ def gronwall_like_bound(inst):
     bc_cum = _right_cum(taus, inst.b[:, None] * inst.c)  # (n_lev, n_t)
     cA = inst.c * inst.A
     bound = inst.A.copy()
-    for a in range(n_t):
-        # product factors relative to the base point tau_a
-        D = 1.0 + bc_cum - bc_cum[:, a : a + 1]  # (n_lev, n_t); only t > a used
-        S = np.zeros(n_t)
-        for lev in range(1, n_lev):
-            # S now holds sum_{l<lev} cA_l prod_{j=l+1}^{lev-1} D_j
-            S = S * D[lev - 1] if lev > 1 else S
-            S = S + cA[lev - 1]
-            tail = _right_tail(taus[a:], S[a:])[0]
-            bound[lev, a] += inst.b[lev] * tail
+    # S[a, t] = sum_{l<lev} cA(l, t) prod_{j=l+1}^{lev-1} D_j(a, t), with the
+    # product factors D_j(a, t) = 1 + int_{tau_a}^t b_j c_j; only t > a is read
+    S = np.zeros((n_t, n_t))
+    for lev in range(1, n_lev):
+        S *= 1.0 + bc_cum[lev - 1] - bc_cum[lev - 1][:, None]
+        S += cA[lev - 1]
+        bound[lev] += inst.b[lev] * np.diagonal(_right_tail(taus, S))
     u_star = saturate_recursion(inst)
     defect = float(np.min(bound - u_star))
     scale = float(np.max(u_star))

@@ -4,8 +4,11 @@ A partition cell k carries the bump M(lambda(tau) 4^-k); the bump is built
 from a polynomial smoothstep fed through sin(pi/2 *), so that the squares of
 neighboring cells sum to one exactly (sin^2 + cos^2) instead of just to
 rounding.  All derived projections (tilde, dot, underline, underline-tilde)
-are closed-form transforms of the same bump, and every operator in this
-module acts on a field as a per-slot weight.
+are closed-form transforms of the same bump.  A bump sees a mode only through
+its degree, so every weight here is a function of the degree.  The operators
+that return a field apply it slot by slot; every shell-summed reduction reads
+two degree-axis arrays instead: the shell table M[k, l] = M(lambda_l 4^-k) and
+the field's per-degree power sum_{slots of l} c^2.
 """
 
 from __future__ import annotations
@@ -96,12 +99,16 @@ class LPPartition:
     def bump(self, mu):
         """M(mu): 1 at the cell center mu = 4^shift, 0 outside [4^(shift-1), 4^(shift+1)]."""
         mu = np.asarray(mu, dtype=float)
-        out = np.zeros_like(mu)
-        pos = mu > 0.0
-        v = np.zeros_like(mu)
-        v[pos] = np.log(mu[pos]) / math.log(4.0) - self.shift
-        inside = pos & (np.abs(v) < 1.0)
-        out[inside] = np.sin(0.5 * math.pi * self._step_eval(1.0 - np.abs(v[inside])))
+        # |log_4 mu - shift| (inf for mu <= 0), overwritten by the bump value;
+        # one array of mu's size, since shell tables pass large ones
+        out = np.full_like(mu, np.inf)
+        np.log(mu, out=out, where=mu > 0.0)
+        out /= math.log(4.0)
+        out -= self.shift
+        np.abs(out, out=out)
+        inside = out < 1.0
+        out[inside] = np.sin(0.5 * math.pi * self._step_eval(1.0 - out[inside]))
+        out[~inside] = 0.0
         return out
 
     def bump_prime(self, mu):
@@ -149,6 +156,21 @@ def make_partition(k_min, k_max, smoothness=3, shift=0.0):
 def _check_k(part, k):
     if not part.k_min <= k <= part.k_max:
         raise ValueError(f"cell index {k} outside [{part.k_min}, {part.k_max}]")
+
+
+def _shell_table(part, lam, prime=False):
+    """M[k - k_min, i] = M(lam_i 4^-k) (or M') over every cell of the partition.
+
+    Each entry is the same float multiply as a single-cell weight, so the
+    table matches multiplier_values bit for bit.
+    """
+    mu = np.asarray(lam, dtype=float) * 4.0 ** (-np.asarray(part.ks)[:, None])
+    return part.bump_prime(mu) if prime else part.bump(mu)
+
+
+def _degree_power(lattice, coeffs):
+    """Per-degree power sum_{slots of l} c^2 along the last axis."""
+    return np.add.reduceat(coeffs * coeffs, lattice.offsets[:-1], axis=-1)
 
 
 def multiplier_values(part, kind, k, lam):
@@ -233,13 +255,11 @@ def lp_sobolev_norm(part, field, a, tau, bg):
     """
     if not 0.0 <= a < 4.0:
         raise ValueError(f"shell exponent must satisfy 0 <= a < 4, got {a}")
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    total = float(np.dot(field.coeffs, field.coeffs))
-    for k in part.ks:
-        m = part.bump(lam * 4.0 ** (-k))
-        pk = m * field.coeffs
-        total += 4.0 ** (a * k) * float(np.dot(pk, pk))
-    return math.sqrt(total)
+    lat = field.lattice
+    power = _degree_power(lat, field.coeffs)
+    shells = _shell_table(part, eigenvalue_at(bg, lat.lam0, tau)) ** 2 @ power
+    weights = 4.0 ** (a * np.asarray(part.ks))
+    return math.sqrt(float(np.sum(power)) + float(np.dot(weights, shells)))
 
 
 def commutator_time_pk(part, k, field, tau, bg, time_vector="e4"):
@@ -274,23 +294,25 @@ def refined_poincare_defect(part, k, delta, field, tau, bg):
       + (1/delta) 2^-4k |F|^2
     and returns LHS / RHS (0 for the zero field).  The returned value is the
     constant the inequality would need, so stability under refinement is the
-    thing to watch, not its absolute size.
+    thing to watch, not its absolute size.  A sequence of deltas gives an
+    array, one constant per delta.
     """
     _check_k(part, k)
-    if delta <= 0.0:
+    deltas = np.asarray(delta, dtype=float)
+    if np.any(deltas <= 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    c2 = field.coeffs * field.coeffs
-    mk = part.bump(lam * 4.0 ** (-k))
-    lhs = float(np.dot(mk * mk, c2))
-    if lhs == 0.0:
-        return 0.0
-    rhs = (1.0 / delta) * 2.0 ** (-2 * k) * float(np.dot(mk * mk * lam, c2))
-    for l in range(0, k):
-        ml = part.bump(lam * 4.0 ** (-l))
-        rhs += delta * 2.0 ** (-9 * k + 7 * l) * float(np.dot(ml * ml * lam, c2))
-    rhs += (1.0 / delta) * 2.0 ** (-4 * k) * float(np.sum(c2))
-    return lhs / rhs
+    lat = field.lattice
+    power = _degree_power(lat, field.coeffs)
+    lam = eigenvalue_at(bg, lat.lam0, tau)
+    # shells l < k with l >= 0 feed the middle term, then shell k itself
+    js = np.arange(min(k, 0), k + 1)
+    w = _shell_table(part, lam)[js - part.k_min] ** 2
+    shell = w[-1] @ power  # |P_k F|^2
+    grad = (w * lam) @ power  # |grad P_j F|^2
+    low = np.dot(2.0 ** (7 * js[:-1] - 9 * k), grad[:-1])
+    rhs = (2.0 ** (-2 * k) * grad[-1] + 2.0 ** (-4 * k) * np.sum(power)) / deltas + deltas * low
+    out = np.divide(shell, rhs, out=np.zeros(rhs.shape), where=shell != 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -347,6 +369,12 @@ def _coverage_mask(part, lam):
     return ok & (u >= part.k_min) & (u <= part.k_max)
 
 
+def _within_roundoff(name, constant, bound):
+    """A check that the empirical constant stays below a computed sup bound."""
+    threshold = bound * (1.0 + 1e-9)
+    return PropertyCheck(name, constant, threshold, constant <= threshold)
+
+
 def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     """Empirical constants for the multiplier-calculus inequalities.
 
@@ -356,128 +384,82 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     staggered-family almost-orthogonality with 2^(4|k-l|) weights, the
     log-derivative smoothing bound with exponent gap 1/10, and uniformity in k
     of the time-commutator norm.  Thresholds are computed support bounds, not
-    tuned numbers.
+    tuned numbers.  Every corpus check reads the per-degree power of the
+    fields (row f of ``power``) against a shell table.
     """
     rng = np.random.default_rng(seed)
-    lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
+    lam = eigenvalue_at(bg, lattice.lam0, tau)
     covered = _coverage_mask(part, lam)
     if not np.any(covered):
         raise ValueError("no lattice mode is covered by the cell range at this tau")
+    ks = np.asarray(part.ks)
     checks = []
 
     # partition of unity on a fine grid spanning the covered window
     grid = np.geomspace(4.0 ** (part.k_min + part.shift), 4.0 ** (part.k_max + part.shift), 4096)
-    pou = np.zeros_like(grid)
-    for k in part.ks:
-        m = part.bump(grid * 4.0 ** (-k))
-        pou += m * m
-    pou_defect = float(np.max(np.abs(pou - 1.0)))
+    pou_defect = float(np.max(np.abs(np.sum(_shell_table(part, grid) ** 2, axis=0) - 1.0)))
     checks.append(
         PropertyCheck("partition_of_unity", pou_defect, 1e-12, pou_defect <= 1e-12)
     )
 
-    fields = []
+    # the corpus restricted to covered modes, kept only as per-degree power
+    power = []
     for _ in range(n_fields):
-        f = random_field(lattice, rng, decay=1.0)
-        c = f.coeffs.copy()
-        c[~covered] = 0.0
-        if not np.any(c):
-            continue
-        fields.append(f.with_coeffs(c))
+        p = _degree_power(lattice, random_field(lattice, rng, decay=1.0).coeffs)
+        p[~covered] = 0.0
+        if np.any(p):
+            power.append(p)
+    power = np.array(power).reshape(-1, lam.size)
+    total = np.sum(power, axis=1)
+    nf = np.sqrt(total)[:, None]
+    w = _shell_table(part, lam) ** 2
 
     # summed shells against the plain square norm
-    bessel_dev = 0.0
-    for f in fields:
-        total = 0.0
-        for k in part.ks:
-            m = part.bump(lam * 4.0 ** (-k))
-            pk = m * f.coeffs
-            total += float(np.dot(pk, pk))
-        bessel_dev = max(bessel_dev, abs(total / float(np.dot(f.coeffs, f.coeffs)) - 1.0))
+    bessel_dev = float(np.max(np.abs(np.einsum("kl,fl->f", w, power) / total - 1.0), initial=0.0))
     checks.append(PropertyCheck("bessel_constant", bessel_dev, 1e-10, bessel_dev <= 1e-10))
 
     # single-shell derivative bound; threshold = sup sqrt(mu) M(mu) over the support
     sup_grid = np.geomspace(4.0 ** (part.shift - 1.0), 4.0 ** (part.shift + 1.0), 4001)
     band_bound = float(np.max(np.sqrt(sup_grid) * part.bump(sup_grid)))
-    band_emp = 0.0
-    for f in fields:
-        nf = f.l2_norm()
-        for k in part.ks:
-            m = part.bump(lam * 4.0 ** (-k))
-            grad = float(np.sqrt(np.dot(lam * m * m, f.coeffs * f.coeffs)))
-            band_emp = max(band_emp, grad / (2.0**k * nf))
-    checks.append(
-        PropertyCheck(
-            "finite_band", band_emp, band_bound * (1.0 + 1e-9), band_emp <= band_bound * (1.0 + 1e-9)
-        )
-    )
+    grad = np.sqrt(np.einsum("kl,fl->fk", w * lam, power))
+    band_emp = float(np.max(grad / (2.0**ks * nf), initial=0.0))
+    checks.append(_within_roundoff("finite_band", band_emp, band_bound))
 
     # staggered second family: shells three or more cells apart must vanish
-    other = make_partition(part.k_min, part.k_max, part.smoothness, shift=part.shift + 0.5 if part.shift <= 0.0 else part.shift - 0.5)
-    ortho_emp = 0.0
-    disjoint_max = 0.0
-    for f in fields:
-        nf = f.l2_norm()
-        m2 = {l: other.bump(lam * 4.0 ** (-l)) for l in other.ks}
-        for k in part.ks:
-            m1 = part.bump(lam * 4.0 ** (-k))
-            for l in other.ks:
-                cross = float(np.sqrt(np.dot((m1 * m2[l]) ** 2, f.coeffs * f.coeffs)))
-                if abs(k - l) >= 3:
-                    disjoint_max = max(disjoint_max, cross)
-                ortho_emp = max(ortho_emp, 2.0 ** (4 * abs(k - l)) * cross / nf)
+    other = make_partition(part.k_min, part.k_max, part.smoothness,
+                           shift=part.shift + 0.5 if part.shift <= 0.0 else part.shift - 0.5)
+    cross = np.sqrt(np.einsum("kd,ld,fd->fkl", w, _shell_table(other, lam) ** 2, power))
+    gap = np.abs(ks[:, None] - ks[None, :])
+    disjoint_max = float(np.max(cross[:, gap >= 3], initial=0.0))
+    ortho_emp = float(np.max(2.0 ** (4 * gap) * cross / nf[:, :, None], initial=0.0))
     ortho_ok = ortho_emp <= 256.0 and disjoint_max == 0.0
-    checks.append(
-        PropertyCheck(
-            "almost_orthogonality",
-            ortho_emp,
-            256.0,
-            ortho_ok,
-            note=f"max separated-shell overlap {disjoint_max:.3e}",
-        )
-    )
+    checks.append(PropertyCheck("almost_orthogonality", ortho_emp, 256.0, ortho_ok,
+                                note=f"max separated-shell overlap {disjoint_max:.3e}"))
 
     # log-derivative smoothing; per-mode bound is attained by concentration
     ell = log_grad_weights(part, lam)
     log_bound = float(np.max(ell / (1.0 + lam) ** (0.5 * LOG_GRAD_ETA)))
-    log_emp = 0.0
-    for f in fields:
-        num = float(np.sqrt(np.dot(ell * ell, f.coeffs * f.coeffs)))
-        den = float(np.sqrt(np.dot((1.0 + lam) ** LOG_GRAD_ETA, f.coeffs * f.coeffs)))
-        log_emp = max(log_emp, num / den)
-    checks.append(
-        PropertyCheck(
-            "log_grad_bound", log_emp, log_bound * (1.0 + 1e-9), log_emp <= log_bound * (1.0 + 1e-9)
-        )
-    )
+    num = np.sqrt(power @ (ell * ell))
+    den = np.sqrt(power @ (1.0 + lam) ** LOG_GRAD_ETA)
+    log_emp = float(np.max(num / den, initial=0.0))
+    checks.append(_within_roundoff("log_grad_bound", log_emp, log_bound))
 
     # time-commutator uniformity in k
-    rate = eigenvalue_rate(bg, lattice.lam0_slot, tau)
-    comm_bound = float(
-        bg.kappa(tau) * np.max(sup_grid * np.abs(part.bump_prime(sup_grid)))
-    )
+    comm_bound = float(bg.kappa(tau) * np.max(sup_grid * np.abs(part.bump_prime(sup_grid))))
     comm_emp = 0.0
     if tau > 0.0:
-        for f in fields:
-            nf = f.l2_norm()
-            for k in part.ks:
-                w = -part.bump_prime(lam * 4.0 ** (-k)) * 4.0 ** (-k) * rate / (2.0 * tau)
-                comm_emp = max(comm_emp, float(np.sqrt(np.dot(w * w, f.coeffs * f.coeffs))) / nf)
-    checks.append(
-        PropertyCheck(
-            "commutator_bound",
-            comm_emp,
-            comm_bound * (1.0 + 1e-9),
-            comm_emp <= comm_bound * (1.0 + 1e-9),
-        )
-    )
+        rate = eigenvalue_rate(bg, lattice.lam0, tau)
+        wc = -_shell_table(part, lam, prime=True) * 4.0 ** (-ks[:, None]) * rate / (2.0 * tau)
+        comm = np.sqrt(np.einsum("kl,fl->fk", wc * wc, power))
+        comm_emp = float(np.max(comm / nf, initial=0.0))
+    checks.append(_within_roundoff("commutator_bound", comm_emp, comm_bound))
 
     meta = {
         "n": lattice.n,
         "l_max": lattice.l_max,
         "tau": float(tau),
         "seed": int(seed),
-        "n_fields": len(fields),
+        "n_fields": len(power),
         "k_min": part.k_min,
         "k_max": part.k_max,
         "smoothness": part.smoothness,
@@ -512,32 +494,27 @@ def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.
         raise ValueError("deltas must be positive")
     if len(resolutions) < 2:
         raise ValueError(f"need at least two resolutions to compare, got {tuple(resolutions)}")
-    constants = {d: [] for d in deltas}
+    constants = []
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
         rng = np.random.default_rng(seed)
-        lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
+        lam = eigenvalue_at(bg, lattice.lam0, tau)
         k_hi = min(part.k_max, int(math.floor(math.log(float(np.max(lam)), 4.0))))
-        worst = {d: 0.0 for d in deltas}
+        # the draws interleave fields and cells; keep only the running maxima
+        worst = np.zeros(len(deltas))
         for _ in range(n_fields):
-            f = random_field(lattice, rng, decay=1.0)
+            field = random_field(lattice, rng, decay=1.0)
             k = int(rng.integers(0, k_hi + 1))
-            for d in deltas:
-                worst[d] = max(worst[d], refined_poincare_defect(part, k, d, f, tau, bg))
-        for d in deltas:
-            constants[d].append(worst[d])
-    drift = []
-    passed = True
-    for d in deltas:
-        row = constants[d]
-        factors = tuple(max(a, b) / min(a, b) for a, b in zip(row[:-1], row[1:]))
-        drift.append(factors)
-        passed = passed and all(np.isfinite(row)) and all(x < 2.0 for x in factors)
+            worst = np.maximum(worst, refined_poincare_defect(part, k, deltas, field, tau, bg))
+        constants.append(worst)
+    constants = np.transpose(constants)  # [delta][resolution]
+    lo, hi = constants[:, :-1], constants[:, 1:]
+    drift = np.maximum(lo, hi) / np.minimum(lo, hi)
     return PoincareReport(
         deltas=tuple(deltas),
         resolutions=tuple(resolutions),
-        constants=tuple(tuple(constants[d]) for d in deltas),
-        drift_factors=tuple(drift),
+        constants=tuple(map(tuple, constants.tolist())),
+        drift_factors=tuple(map(tuple, drift.tolist())),
         n_fields=n_fields,
-        passed=passed,
+        passed=bool(np.all(np.isfinite(constants)) and np.all(drift < 2.0)),
     )

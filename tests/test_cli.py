@@ -104,7 +104,9 @@ def test_expanded_targets_dedup():
         ("[scenario]\nseed = 1e400\n", "line 2: bad value inf for seed"),
         ("[background]\nkind = constant\nvalue = big\n", "line 3: bad value 'big' for value"),
         ("[verify]\nresolutions = 8, x\n", "line 2: bad value '8, x' for resolutions"),
-        ("[lattice]\nl_max = -1\n", "line 2: l_max must be >= 0"),
+        ("[lattice]\nl_max = -1\n", "line 2: l_max must be >= 1"),
+        ("[lattice]\nl_max = 0\n", "line 2: l_max must be >= 1"),
+        ("[verify]\nresolutions = 0, 8\n", "line 2: need at least two resolutions to compare, each >= 1"),
         ("[partition]\nsmoothness = 0\n", "line 2: smoothness must be >= 1"),
         ("[partition]\nshift = -0.75\n", "line 2: shift must lie in"),
         ("[system]\nn_regular = 0\n", "line 2: n_regular must be >= 1"),
@@ -165,9 +167,9 @@ def test_parse_config_accepts_or_raises_config_error(case):
     except ConfigError as exc:
         assert str(exc).startswith("line "), str(exc)
         return
-    assert scn.n_sphere >= 1 and scn.l_max >= 0 and scn.n_regular >= 1 and scn.seed >= 0
+    assert scn.n_sphere >= 1 and scn.l_max >= 1 and scn.n_regular >= 1 and scn.seed >= 0
     assert 0.0 < scn.tau_seed < 1.0 and abs(scn.shift) <= 0.5
-    assert len(scn.resolutions) >= 2 and min(scn.resolutions) >= 0
+    assert len(scn.resolutions) >= 2 and min(scn.resolutions) >= 1
     assert scn.family in ("first", "second")
     # an accepted integer key holds exactly the number written, never a
     # truncated fraction or a boolean read as 0/1
@@ -177,6 +179,7 @@ def test_parse_config_accepts_or_raises_config_error(case):
 
 
 @pytest.mark.parametrize("text", ["[lattice]\nn = abc\n", "[lattice]\nl_max = -1\n",
+                                  "[lattice]\nl_max = 0\n",
                                   "[lattice]\nl_max = 2.5\n", "[scenario]\nseed = -1\n"])
 def test_main_rejects_bad_value_with_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"

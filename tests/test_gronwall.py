@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shellwave import gronwall
 from shellwave import (
     GronwallInstance,
     discrete_gronwall_bound,
@@ -167,3 +168,47 @@ def test_verify_small_ensemble():
 def test_verify_rejects_empty():
     with pytest.raises(ValueError):
         verify_gronwall_lemma(count=0)
+
+
+# ------------------------------------- golden pin, negative control, oracle
+
+# verdict at seed 0, count 5, grid 64, k_max 6, recorded before the majorant
+# ran as one recurrence over levels
+GOLDEN_VERDICT = (0.0, 0.0, 4.0762262890420665e-16)
+
+
+def test_verify_gronwall_golden():
+    v = verify_gronwall_lemma(seed=0, count=5, grid_count=64, k_max=6)
+    got = (v.worst_defect_rel, v.preset_defect_rel, v.worst_discrete_gap)
+    np.testing.assert_allclose(got, GOLDEN_VERDICT, rtol=1e-12, atol=1e-14)
+    assert v.passed
+
+
+def test_verify_fails_without_product_weights(monkeypatch):
+    # with every prod (1 + int b c) set to 1 the majorant drops below the
+    # maximal solution, and the verdict must see it
+    monkeypatch.setattr(gronwall, "_right_cum", lambda taus, g: np.zeros_like(g))
+    v = verify_gronwall_lemma(seed=0, count=5, grid_count=64, k_max=6)
+    assert not v.passed
+    assert v.worst_defect_rel < -1e-10 and v.preset_defect_rel < -1e-10
+
+
+def test_majorant_matches_nested_sum_formula():
+    rng = np.random.default_rng(19)
+    inst = random_instance(rng, k_max=3, grid_count=12)
+    taus, A, b, c = inst.taus, inst.A, inst.b, inst.c
+    dt = np.diff(taus, prepend=taus[0])  # dt[i] = tau_i - tau_{i-1}; dt[0] is never read
+
+    def int_bc(j, a, i):  # right-endpoint int_{tau_a}^{tau_i} b_j c_j
+        return sum(dt[m] * b[j] * c[j, m] for m in range(a + 1, i + 1))
+
+    want = A.copy()
+    for k in range(inst.n_levels):
+        for a in range(taus.size):
+            for i in range(a + 1, taus.size):
+                for l in range(k):
+                    prod = 1.0
+                    for j in range(l + 1, k):
+                        prod *= 1.0 + int_bc(j, a, i)
+                    want[k, a] += b[k] * dt[i] * c[l, i] * A[l, i] * prod
+    np.testing.assert_allclose(gronwall_like_bound(inst).u_bound, want, rtol=1e-13, atol=0.0)

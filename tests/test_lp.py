@@ -5,9 +5,11 @@ import pytest
 
 from shellwave import (
     Field,
+    LPPartition,
     build_lattice,
     constant_background,
     eigenvalue_at,
+    graded_sobolev_norm,
     heat_flow,
     log_grad_weights,
     log_nabla,
@@ -16,6 +18,7 @@ from shellwave import (
     make_partition,
     multiplier_values,
     r_k,
+    random_field,
     refined_poincare_defect,
     check_lp_properties,
     commutator_time_pk,
@@ -238,6 +241,8 @@ def test_refined_poincare_defect_edge_cases(part, small_lattice, bg):
     with pytest.raises(ValueError):
         refined_poincare_defect(part, 3, 0.0, f, 0.5, bg)
     with pytest.raises(ValueError):
+        refined_poincare_defect(part, 3, (1.0, -1.0), f, 0.5, bg)
+    with pytest.raises(ValueError):
         refined_poincare_defect(part, part.k_max + 2, 1.0, f, 0.5, bg)
 
 
@@ -298,3 +303,89 @@ def test_verify_refined_poincare_small(part, bg):
 def test_verify_refined_poincare_needs_two_resolutions(part, bg, resolutions):
     with pytest.raises(ValueError, match="two resolutions"):
         verify_refined_poincare(part, bg, resolutions=resolutions, n_fields=4)
+
+
+# ------------------------------------------- golden pins and negative controls
+
+# constants at l_max 24, 16 fields, tau 0.5, seed 0 and at resolutions 8/16,
+# 40 fields, seed 0, recorded before the shell sums ran on the degree axis
+GOLDEN_LP_PROPS = {
+    "finite_band": 0.7178127445970586,
+    "almost_orthogonality": 7.579250662516074,
+    "log_grad_bound": 1.7388626164294503,
+    "commutator_bound": 4.218733209693327,
+}
+GOLDEN_LP_ROUNDOFF = {"partition_of_unity": 1.1102230246251565e-15,
+                      "bessel_constant": 2.220446049250313e-16}
+GOLDEN_POINCARE = ((0.13524860008776493, 0.13520125614621442),
+                   (1.3451115056221443, 1.3455338045389018),
+                   (9.873195385804921, 9.9145960881033))
+
+
+def test_check_lp_properties_golden(part, bg):
+    rep = check_lp_properties(part, build_lattice(2, 24), bg, tau=0.5, n_fields=16, seed=0)
+    for name, want in GOLDEN_LP_PROPS.items():
+        np.testing.assert_allclose(rep[name].constant, want, rtol=1e-12, atol=0.0)
+    for name, want in GOLDEN_LP_ROUNDOFF.items():
+        np.testing.assert_allclose(rep[name].constant, want, rtol=0.0, atol=1e-14)
+
+
+def test_verify_refined_poincare_golden(part, bg):
+    rep = verify_refined_poincare(part, bg, resolutions=(8, 16), deltas=(0.1, 1.0, 10.0),
+                                  n_fields=40, seed=0)
+    np.testing.assert_allclose(rep.constants, GOLDEN_POINCARE, rtol=1e-12, atol=0.0)
+
+
+def test_lp_props_fail_with_perturbed_bump(part, bg, monkeypatch):
+    # a bump 1e-6 too tall breaks the partition of unity and the shell sums
+    bump = LPPartition.bump
+    monkeypatch.setattr(LPPartition, "bump", lambda self, mu: bump(self, mu) * (1.0 + 1e-6))
+    rep = check_lp_properties(part, build_lattice(2, 24), bg, tau=0.5, n_fields=16, seed=0)
+    assert not rep.all_passed
+    assert not rep["partition_of_unity"].passed
+    assert not rep["bessel_constant"].passed
+
+
+# ------------------------------------------------ slot-level oracles
+
+def _shell_sq(part, k, f, tau, bg):
+    return lp_project(part, "plain", k, f, tau, bg).l2_norm() ** 2
+
+
+def _grad_sq(part, k, f, tau, bg):
+    return graded_sobolev_norm(lp_project(part, "plain", k, f, tau, bg), 1, 0.0, tau, bg) ** 2
+
+
+def test_refined_poincare_defect_matches_slot_sum(part, bg):
+    lat = build_lattice(2, 20)
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        f = random_field(lat, rng, decay=float(rng.uniform(0.0, 2.0)))
+        tau = float(rng.uniform(0.05, 1.0))
+        for k in (-2, 0, 1, 3, 6):
+            deltas = (0.1, 1.0, 10.0)
+            wants = []
+            for delta in deltas:
+                rhs = (_grad_sq(part, k, f, tau, bg) / (delta * 4.0**k)
+                       + delta * sum(2.0 ** (-9 * k + 7 * l) * _grad_sq(part, l, f, tau, bg)
+                                     for l in range(0, k))
+                       + f.l2_norm() ** 2 / (delta * 16.0**k))
+                wants.append(_shell_sq(part, k, f, tau, bg) / rhs)
+                got = refined_poincare_defect(part, k, delta, f, tau, bg)
+                assert isinstance(got, float)
+                assert got == pytest.approx(wants[-1], rel=1e-13, abs=0.0)
+            # a sequence of deltas gives one constant per delta
+            got = refined_poincare_defect(part, k, deltas, f, tau, bg)
+            np.testing.assert_allclose(got, wants, rtol=1e-13, atol=0.0)
+
+
+def test_lp_sobolev_norm_matches_slot_sum(part, bg):
+    lat = build_lattice(3, 12)
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        f = random_field(lat, rng, decay=float(rng.uniform(0.0, 2.0)))
+        tau = float(rng.uniform(0.05, 1.0))
+        for a in (0.0, 1.0, 2.5, 3.9):
+            want = math.sqrt(f.l2_norm() ** 2 + sum(4.0 ** (a * k) * _shell_sq(part, k, f, tau, bg)
+                                                    for k in part.ks))
+            assert lp_sobolev_norm(part, f, a, tau, bg) == pytest.approx(want, rel=1e-13, abs=0.0)
