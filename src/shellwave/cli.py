@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,10 +29,12 @@ from .lattice import (
     build_lattice,
     constant_background,
     desitter_background,
+    eigenvalue_at,
     make_time_grid,
+    sphere_eigenvalue,
     zero_field,
 )
-from .lp import check_lp_properties, make_partition, verify_refined_poincare
+from .lp import _coverage_mask, check_lp_properties, make_partition, verify_refined_poincare
 from .modelsys import (
     Forcing,
     SystemConfig,
@@ -58,34 +61,8 @@ TARGETS = (
     "poincare",
 )
 
-DEFAULT_CONFIG = """\
-[scenario]
-name = default
-targets = verify-all
-seed = 0
-
-[lattice]
-n = 2
-l_max = 32
-
-[background]
-kind = desitter
-
-[partition]
-k_min = -8
-k_max = 12
-smoothness = 3
-
-[system]
-n_regular = 2
-family = first
-top_order = 2
-tau_seed = 1e-4
-
-[verify]
-n_draws = 50
-resolutions = 32, 64, 128
-"""
+# the time slice on which lp-props and poincare read the spectrum
+_SLICE_TAU = 0.5
 
 _SECTION_KEYS = {
     "scenario": {"name", "targets", "seed", "out"},
@@ -185,7 +162,7 @@ def parse_config(text):
     the line number.
     """
     section = None
-    seen_sections = set()
+    section_lines = {}
     values: dict[str, dict] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -195,9 +172,9 @@ def parse_config(text):
             section = line[1:-1].strip()
             if section not in _SECTION_KEYS:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
-            if section in seen_sections:
+            if section in section_lines:
                 raise ConfigError(f"line {line_no}: duplicate section [{section}]")
-            seen_sections.add(section)
+            section_lines[section] = line_no
             values.setdefault(section, {})
             continue
         if "=" not in line:
@@ -232,7 +209,7 @@ def parse_config(text):
         if t not in valid:
             raise ConfigError(f"line {values['scenario']['targets'][1]}: unknown target "
                               f"{t!r}; valid: {', '.join(valid)}")
-    return Scenario(
+    scn = Scenario(
         name=get("scenario", "name", "default"),
         targets=targets,
         seed=get("scenario", "seed", 0, _integer, lambda v: v >= 0, "seed must be >= 0"),
@@ -270,6 +247,33 @@ def parse_config(text):
         gronwall_count=get("verify", "gronwall_count", 200, _integer, lambda v: v >= 1,
                            "gronwall_count must be >= 1"),
     )
+    problem = _spectrum_problem(scn)
+    if problem:
+        # only a set background, lattice or partition can leave a target no mode
+        line_no = next(section_lines[s] for s in ("background", "lattice", "partition")
+                       if s in section_lines)
+        raise ConfigError(f"line {line_no}: {problem}")
+    return scn
+
+
+def _spectrum_problem(scn):
+    """Why lp-props or poincare would have no mode to check, or None."""
+    targets, bg, part = scn.expanded_targets(), scn.background(), scn.partition()
+    if "lp-props" in targets:
+        lam = eigenvalue_at(bg, [sphere_eigenvalue(scn.n_sphere, l) for l in range(scn.l_max + 1)],
+                            _SLICE_TAU)
+        if not np.any(_coverage_mask(part, lam)):
+            return (f"lp-props needs an eigenvalue at tau = {_SLICE_TAU} inside the cell range "
+                    f"[{4.0 ** (part.k_min + part.shift):.3g}, "
+                    f"{4.0 ** (part.k_max + part.shift):.3g}]; this background and lattice "
+                    f"give [{lam[1]:.3g}, {lam[-1]:.3g}]")
+    if "poincare" in targets:
+        r = min(scn.resolutions)
+        top = eigenvalue_at(bg, sphere_eigenvalue(scn.n_sphere, r), _SLICE_TAU)
+        if not 1.0 <= top < math.inf:
+            return (f"poincare needs a finite top eigenvalue >= 1 at tau = {_SLICE_TAU} (a cell "
+                    f"k >= 0) at every resolution; l_max = {r} gives {top:.3g}")
+    return None
 
 
 # ------------------------------------------------------------- the targets
@@ -287,7 +291,7 @@ def _target_lp_props(scn):
     bg = scn.background()
     part = scn.partition()
     lattice = build_lattice(scn.n_sphere, scn.l_max)
-    report = check_lp_properties(part, lattice, bg, tau=0.5, n_fields=32, seed=scn.seed)
+    report = check_lp_properties(part, lattice, bg, tau=_SLICE_TAU, n_fields=32, seed=scn.seed)
     verdict = {
         "passed": report.all_passed,
         "checks": {
@@ -515,7 +519,7 @@ def _target_poincare(scn):
     part = scn.partition()
     rep = verify_refined_poincare(
         part, bg, resolutions=scn.resolutions, deltas=(0.1, 1.0, 10.0),
-        n_fields=scn.n_fields, tau=0.5, seed=scn.seed, n_sphere=scn.n_sphere,
+        n_fields=scn.n_fields, tau=_SLICE_TAU, seed=scn.seed, n_sphere=scn.n_sphere,
     )
     rows = [("delta", "l_max", "constant")]
     for d, row in zip(rep.deltas, rep.constants):
@@ -606,7 +610,7 @@ def main(argv=None):
     if args.seed is not None and args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
 
-    text = args.config.read_text() if args.config else DEFAULT_CONFIG
+    text = args.config.read_text() if args.config else ""
     try:
         scn = parse_config(text)
     except ConfigError as exc:
@@ -625,6 +629,9 @@ def main(argv=None):
         overrides["grid_refine"] = args.grid_refine
     if overrides:
         scn = Scenario(**{**scn.__dict__, **overrides})
+    problem = _spectrum_problem(scn)  # --target may have named a new target
+    if problem:
+        parser.error(problem)
     _, all_passed = run_scenario(scn, quiet=args.quiet)
     return 0 if all_passed else 1
 

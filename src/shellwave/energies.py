@@ -438,7 +438,7 @@ def _ensemble_ratios(config, lattice, bg, part, draws, taus):
 
 def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50,
                          n_regular=2, top_order=2, coupling_scale=0.0, seed=0,
-                         n_sphere=2, with_forcing=True, decay=None):
+                         n_sphere=2):
     """Boundedness of energy / (data + forcing) over random ensembles.
 
     For the forward family draws are asymptotic data at the singular time and
@@ -452,19 +452,15 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
     if len(resolutions) < 2:
         raise ValueError(f"need at least two resolutions to compare, got {tuple(resolutions)}")
     rng = np.random.default_rng(seed)
-    if decay is None:
-        decay = 2.0 * top_order + 3.0
+    decay = 2.0 * top_order + 3.0
     # one coupling draw shared by every resolution, so the doubling comparison
     # sees the same operator
     cs, cp = None, None
     if coupling_scale:
         cs, cp = random_coupling(n_regular, system, rng, coupling_scale)
-    forcings = ()
-    if with_forcing:
-        forcings = tuple(_default_forcing(i) for i in range(n_regular + 1))
     config = SystemConfig(
-        n_regular=n_regular, system=system, top_order=top_order,
-        coupling_scale=cs, coupling_psi=cp, forcings=forcings,
+        n_regular=n_regular, system=system, top_order=top_order, coupling_scale=cs,
+        coupling_psi=cp, forcings=tuple(_default_forcing(i) for i in range(n_regular + 1)),
         rtol=1e-9, atol=1e-11,
     )
     n_cols = config.n_columns

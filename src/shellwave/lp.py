@@ -498,8 +498,11 @@ def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
         rng = np.random.default_rng(seed)
-        lam = eigenvalue_at(bg, lattice.lam0, tau)
-        k_hi = min(part.k_max, int(math.floor(math.log(float(np.max(lam)), 4.0))))
+        top = float(np.max(eigenvalue_at(bg, lattice.lam0, tau)))
+        if not top >= 1.0:
+            raise ValueError(f"l_max={l_max}: the top eigenvalue at tau={tau:g} is {top:.3g} < 1, "
+                             "so no cell k >= 0 holds a mode")
+        k_hi = min(part.k_max, int(math.floor(math.log(top, 4.0))))
         # the draws interleave fields and cells; keep only the running maxima
         worst = np.zeros(len(deltas))
         for _ in range(n_fields):

@@ -385,7 +385,6 @@ class SystemConfig:
     tau_seed: float = 1e-4
     rtol: float = 1e-10
     atol: float = 1e-12
-    basis_order: int = 12
 
     def __post_init__(self):
         if self.n_regular < 1:
@@ -576,39 +575,48 @@ def _forcing_source(config, lattice, rows, entry_degree):
     return source
 
 
-def _make_log_rhs(lam0_slot, bg, signs, scale, psi_idx, source_fn):
-    """RHS in the chart s = log tau for a block of coupled columns.
+def _propagate(lam0, bg, signs, scale, psi_idx, source, values, thetas, tau_from, tau_to,
+               taus, rtol, atol, dense=False):
+    """Solve a block of coupled columns in the chart s = log tau.
 
-    State layout: y = (values.ravel(), theta.ravel()) with theta = tau * v'.
-    The drag term is absorbed: theta_s = (1 - sign) theta
-    + tau^2 (coupling + source - 4 lambda v).
+    ``values`` and ``thetas`` = tau * v' are (n_cols, n) at tau_from, one entry
+    per eigenvalue in ``lam0``.  The drag term is absorbed: theta_s = (1 - sign)
+    theta + tau^2 (coupling + source - 4 lambda v).  Returns values and thetas
+    at ``taus``, each (n_times, n_cols, n); a dense run also returns the values
+    at any tau of the span.
     """
-    n_cols = len(signs)
-    n_slots = lam0_slot.size
+    n_cols, n = values.shape
     one_minus_sign = (1.0 - np.asarray(signs, dtype=float))[:, None]
 
     def rhs(s, y):
         tau = math.exp(s)
         f = float(bg.f(tau))
-        lam = lam0_slot / (f * f)
-        v = y[: n_cols * n_slots].reshape(n_cols, n_slots)
-        th = y[n_cols * n_slots :].reshape(n_cols, n_slots)
+        lam = lam0 / (f * f)
+        v = y[: n_cols * n].reshape(n_cols, n)
+        th = y[n_cols * n :].reshape(n_cols, n)
         psi = _psi_scalars(bg, tau)
         amat = scale * psi[psi_idx]
         drive = (amat @ v) * np.sqrt(lam)
-        if source_fn is not None:
-            drive = drive + source_fn(tau)
+        if source is not None:
+            drive = drive + source(tau)
         dth = one_minus_sign * th + (tau * tau) * (drive - 4.0 * lam * v)
         return np.concatenate([th.ravel(), dth.ravel()])
 
-    return rhs
+    sol = _solve_log(rhs, np.concatenate([values.ravel(), thetas.ravel()]),
+                     tau_from, tau_to, taus, rtol, atol, dense)
+    stack = np.ascontiguousarray(sol.y.T).reshape(len(taus), 2, n_cols, n)
+    if dense:
+        def values_at(tau):
+            return sol.sol(math.log(tau))[: n_cols * n].reshape(n_cols, n)
+
+        return stack[:, 0].copy(), stack[:, 1], values_at
+    return stack[:, 0].copy(), stack[:, 1]
 
 
 def _solve_log(rhs, y0, tau_from, tau_to, tau_eval, rtol, atol, dense=False):
     s_span = (math.log(tau_from), math.log(tau_to))
-    s_eval = np.log(tau_eval) if tau_eval is not None else None
     sol = solve_ivp(
-        rhs, s_span, y0, method="DOP853", t_eval=s_eval,
+        rhs, s_span, y0, method="DOP853", t_eval=np.log(tau_eval),
         rtol=rtol, atol=atol, dense_output=dense,
     )
     if not sol.success:
@@ -619,12 +627,12 @@ def _solve_log(rhs, y0, tau_from, tau_to, tau_eval, rtol, atol, dense=False):
     return sol
 
 
-def _eval_taus(tau_from, tau_to, grid, n_default=33):
+def _eval_taus(tau_from, tau_to, grid):
     lo, hi = min(tau_from, tau_to), max(tau_from, tau_to)
     if grid is not None:
         inner = grid.taus[(grid.taus > lo) & (grid.taus < hi)]
     else:
-        inner = np.geomspace(lo, hi, n_default)[1:-1]
+        inner = np.geomspace(lo, hi, 33)[1:-1]
     taus = np.concatenate([[lo], inner, [hi]])
     if tau_to < tau_from:
         taus = taus[::-1]
@@ -646,7 +654,7 @@ def _branch_table(config, lattice, bg, tau, strict=True):
     defect = np.zeros(lattice.l_max + 1)
     for i in range(config.n_columns):
         basis = frobenius_basis(
-            lattice.lam0, bg, order=config.basis_order, drag_sign=int(config.drag_signs[i]),
+            lattice.lam0, bg, drag_sign=int(config.drag_signs[i]),
             diag_psi=int(config.coupling_psi[i, i]), diag_scale=float(config.coupling_scale[i, i]),
         )
         table[i] = basis.aux(tau), basis.main(tau)
@@ -655,7 +663,7 @@ def _branch_table(config, lattice, bg, tau, strict=True):
     if strict and worst > limit:
         raise ValueError(
             f"tau_seed={tau:g} too large: series remainder {worst:.2e} exceeds "
-            f"{limit:.2e}; move the seed earlier or raise basis_order"
+            f"{limit:.2e}; move the seed earlier"
         )
     return table, defect
 
@@ -695,7 +703,7 @@ def extract_asymptotic_data(config, lattice, bg, state, part):
         warnings.warn(
             f"{int(np.count_nonzero(flagged))} degrees ill-conditioned for extraction "
             f"at tau={tau:g}; using the two-term expansion there (extract from a "
-            "smaller tau or raise basis_order for full accuracy)",
+            "smaller tau for full accuracy)",
             RuntimeWarning,
         )
     flagged_slots = flagged[lattice.slot_l]
@@ -729,21 +737,7 @@ def extract_asymptotic_data(config, lattice, bg, state, part):
 # -------------------------------------------------------------- integration
 
 
-def _state_to_y(values, derivs, tau):
-    return np.concatenate([values.ravel(), (tau * derivs).ravel()])
-
-
-def _unstack(y, n_cols, taus=None):
-    """Split a log-chart solution y, (2 n_cols n, n_times), into values and tau * derivs.
-
-    Both come back C-ordered as (n_times, n_cols, n); given the times, the
-    second is divided through to the tau-derivatives.
-    """
-    stack = np.ascontiguousarray(y.T).reshape(y.shape[1], 2, n_cols, -1)
-    return stack[:, 0].copy(), stack[:, 1] if taus is None else stack[:, 1] / taus[:, None, None]
-
-
-def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=True):
+def integrate(config, lattice, bg, state, tau_to, grid=None):
     """Propagate a state to tau_to; direction follows sign(tau_to - state.tau).
 
     Runs in the log-time chart throughout (so the mandatory substitution below
@@ -762,58 +756,38 @@ def integrate(config, lattice, bg, state, tau_to, grid=None, include_forcing=Tru
     if n_cols != config.n_columns or n_slots != lattice.n_slots:
         raise ValueError("state shape does not match config/lattice")
     taus = _eval_taus(tau_from, tau_to, grid)
+    span = (tau_from, tau_to, taus, config.rtol, config.atol)
     scale, psi = config.coupling_scale, config.coupling_psi
-    slot_l = lattice.slot_l
+    lam0, slot_l = lattice.lam0_slot, lattice.slot_l
+    thetas = tau_from * state.derivs
 
     if config.system == "first":
-        src = _forcing_source(config, lattice, range(n_cols), slot_l) if include_forcing else None
-        rhs = _make_log_rhs(lattice.lam0_slot, bg, config.drag_signs, scale, psi, src)
-        sol = _solve_log(
-            rhs, _state_to_y(state.values, state.derivs, tau_from),
-            tau_from, tau_to, taus, config.rtol, config.atol,
+        values, thetas = _propagate(
+            lam0, bg, config.drag_signs, scale, psi,
+            _forcing_source(config, lattice, range(n_cols), slot_l),
+            state.values, thetas, *span,
         )
-        values, derivs = _unstack(sol.y, n_cols, taus)
-        return Trajectory(taus=taus, values=values, derivs=derivs,
-                          config=config, lattice=lattice, bg=bg)
+    else:
+        # regular block first, then the singular column driven by it
+        vr, tr, regular_at = _propagate(
+            lam0, bg, -np.ones(n_cols - 1), scale[1:, 1:], psi[1:, 1:],
+            _forcing_source(config, lattice, range(1, n_cols), slot_l),
+            state.values[1:], thetas[1:], *span, dense=True,
+        )
+        src_f0 = _forcing_source(config, lattice, [0], slot_l)
 
-    # second family: regular block first, then the singular column
-    reg_rows = list(range(1, n_cols))
-    src_reg = _forcing_source(config, lattice, reg_rows, slot_l) if include_forcing else None
-    rhs_reg = _make_log_rhs(
-        lattice.lam0_slot, bg, -np.ones(len(reg_rows)),
-        scale[1:, 1:], psi[1:, 1:], src_reg,
-    )
-    sol_reg = _solve_log(
-        rhs_reg, _state_to_y(state.values[1:], state.derivs[1:], tau_from),
-        tau_from, tau_to, taus, config.rtol, config.atol, dense=True,
-    )
+        def source_col0(tau):
+            f = float(bg.f(tau))
+            coeffs = scale[0, 1:] * _psi_scalars(bg, tau)[psi[0, 1:]]
+            drive = (coeffs @ regular_at(tau)) * np.sqrt(lam0 / (f * f))
+            if src_f0 is not None:
+                drive = drive + src_f0(tau)[0]
+            return drive[None, :]
 
-    n_reg = len(reg_rows)
-    src_f0 = _forcing_source(config, lattice, [0], slot_l) if include_forcing else None
-
-    def source_col0(tau):
-        y = sol_reg.sol(math.log(tau))
-        v_reg = y[: n_reg * n_slots].reshape(n_reg, n_slots)
-        f = float(bg.f(tau))
-        lam = lattice.lam0_slot / (f * f)
-        psi_s = _psi_scalars(bg, tau)
-        coeffs = scale[0, 1:] * psi_s[psi[0, 1:]]
-        drive = (coeffs @ v_reg) * np.sqrt(lam)
-        if src_f0 is not None:
-            drive = drive + src_f0(tau)[0]
-        return drive[None, :]
-
-    rhs0 = _make_log_rhs(
-        lattice.lam0_slot, bg, np.ones(1),
-        scale[:1, :1], psi[:1, :1], source_col0,
-    )
-    sol0 = _solve_log(
-        rhs0, _state_to_y(state.values[:1], state.derivs[:1], tau_from),
-        tau_from, tau_to, taus, config.rtol, config.atol,
-    )
-    (v0, d0), (vr, dr) = _unstack(sol0.y, 1, taus), _unstack(sol_reg.y, n_reg, taus)
-    values, derivs = np.concatenate([v0, vr], axis=1), np.concatenate([d0, dr], axis=1)
-    return Trajectory(taus=taus, values=values, derivs=derivs,
+        v0, t0 = _propagate(lam0, bg, np.ones(1), scale[:1, :1], psi[:1, :1], source_col0,
+                            state.values[:1], thetas[:1], *span)
+        values, thetas = np.concatenate([v0, vr], axis=1), np.concatenate([t0, tr], axis=1)
+    return Trajectory(taus=taus, values=values, derivs=thetas / taus[:, None, None],
                       config=config, lattice=lattice, bg=bg)
 
 
@@ -821,7 +795,10 @@ def constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=None, rtol=1e-11, ato
     """Integrate the calibration scalar mode u'' + u'/tau + lam u = 0.
 
     Returns (taus, u, du).  This is the toy the dyadic decay measurement runs
-    shell by shell against the Bessel oracle.
+    shell by shell against the Bessel oracle.  It keeps its own two-entry RHS
+    instead of going through _propagate: the toy makes about 817k RHS calls
+    per pass, and the scalar RHS costs about 1.2 us a call against 38 us for
+    the block one, which would add some 30 s.
     """
     lam = float(lam)
     eval_taus = _eval_taus(tau_from, tau_to, None) if taus is None else np.asarray(taus)
@@ -880,7 +857,7 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
     aug = SystemConfig(
         n_regular=n_cols + 1, system="first", top_order=config.top_order,
         coupling_scale=scale, coupling_psi=psi, forcings=(*forcings, Forcing(), forcings[0]),
-        tau_seed=tau0, rtol=config.rtol, atol=config.atol, basis_order=config.basis_order,
+        tau_seed=tau0, rtol=config.rtol, atol=config.atol,
     )
     run = integrate(aug, lattice, bg, ModeState(tau=tau0, values=values, derivs=derivs), 1.0,
                     grid=grid)
@@ -971,25 +948,15 @@ def fundamental_matrices(config, lattice, bg, tau_anchor, taus):
     only depends on the degree, so ensembles over random data reduce to
     matrix multiplication against these.
     """
-    n_cols = config.n_columns
-    d = 2 * n_cols
-    n_deg = lattice.l_max + 1
-    lam0_cols = np.repeat(lattice.lam0, d)
-    rhs = _make_log_rhs(lam0_cols, bg, config.drag_signs,
-                        config.coupling_scale, config.coupling_psi, None)
-    v0 = np.zeros((n_cols, n_deg * d))
-    t0 = np.zeros_like(v0)
-    for j in range(d):
-        cols = np.arange(n_deg) * d + j
-        if j < n_cols:
-            v0[j, cols] = 1.0
-        else:
-            t0[j - n_cols, cols] = 1.0
-    taus = np.asarray(taus, dtype=float)
-    sol = _solve_log(rhs, np.concatenate([v0.ravel(), t0.ravel()]),
-                     tau_anchor, taus[-1], taus, config.rtol, config.atol)
+    n_cols, d, n_deg = config.n_columns, 2 * config.n_columns, lattice.l_max + 1
+    start = np.tile(np.eye(d), n_deg)  # entry degree * d + j starts at unit vector j
+    values, thetas = _propagate(
+        np.repeat(lattice.lam0, d), bg, config.drag_signs, config.coupling_scale,
+        config.coupling_psi, None, start[:n_cols], start[n_cols:],
+        tau_anchor, taus[-1], taus, config.rtol, config.atol,
+    )
     # (time, row, degree * d + start) -> (degree, time, row, start)
-    rows = np.concatenate(_unstack(sol.y, n_cols), axis=1).reshape(len(taus), d, n_deg, d)
+    rows = np.concatenate([values, thetas], axis=1).reshape(len(taus), d, n_deg, d)
     return np.ascontiguousarray(rows.transpose(2, 0, 1, 3))
 
 
@@ -999,18 +966,16 @@ def forced_profile(config, lattice, bg, tau_anchor, taus):
     Returns (n_degrees, n_times, d); every slot of a degree is forced with
     the same profile, so this broadcasts across slots.
     """
-    n_cols = config.n_columns
-    d = 2 * n_cols
-    n_deg = lattice.l_max + 1
+    n_cols, n_deg = config.n_columns, lattice.l_max + 1
     src = _forcing_source(config, lattice, range(n_cols), np.arange(n_deg))
     if src is None:
-        return np.zeros((n_deg, len(taus), d))
-    rhs = _make_log_rhs(lattice.lam0, bg, config.drag_signs,
-                        config.coupling_scale, config.coupling_psi, src)
-    taus = np.asarray(taus, dtype=float)
-    sol = _solve_log(rhs, np.zeros(2 * n_cols * n_deg), tau_anchor, taus[-1], taus,
-                     config.rtol, config.atol)
-    rows = np.concatenate(_unstack(sol.y, n_cols), axis=1)  # (time, row, degree)
+        return np.zeros((n_deg, len(taus), 2 * n_cols))
+    zero = np.zeros((n_cols, n_deg))
+    values, thetas = _propagate(
+        lattice.lam0, bg, config.drag_signs, config.coupling_scale, config.coupling_psi,
+        src, zero, zero, tau_anchor, taus[-1], taus, config.rtol, config.atol,
+    )
+    rows = np.concatenate([values, thetas], axis=1)  # (time, row, degree)
     return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellwave
-from shellwave import Scenario, parse_config, run_scenario
-from shellwave.cli import _SECTION_KEYS, DEFAULT_CONFIG, TARGETS, ConfigError, main
+from shellwave import (
+    Scenario,
+    constant_background,
+    make_partition,
+    parse_config,
+    run_scenario,
+    verify_refined_poincare,
+)
+from shellwave.cli import _SECTION_KEYS, TARGETS, ConfigError, main
 
 GOLDEN = """\
 [scenario]
@@ -66,7 +74,7 @@ def test_parse_golden_config():
 
 
 def test_parse_default_config():
-    scn = parse_config(DEFAULT_CONFIG)
+    scn = parse_config("")
     assert scn.targets == ("verify-all",)
     assert scn.expanded_targets() == TARGETS
     assert scn.l_max == 32
@@ -188,6 +196,72 @@ def test_main_rejects_bad_value_with_exit_2(tmp_path, capsys, text):
         main(["--config", str(cfg)])
     assert err.value.code == 2
     assert "line 2:" in capsys.readouterr().err
+
+
+# constant backgrounds whose eigenvalues at tau = 0.5 (l(l+n-1)/value^2)
+# leave lp-props or poincare no mode: no cell k >= 0, or every mode below or
+# above the partition's cell range
+_NO_MODE = [
+    ("100", "l_max = 8", "poincare", "poincare needs a finite top eigenvalue >= 1"),
+    ("100000", "l_max = 2", "lp-props", "lp-props needs an eigenvalue at tau = 0.5"),
+    ("1e-6", "l_max = 8", "lp-props", "lp-props needs an eigenvalue at tau = 0.5"),
+]
+
+
+def _spectrum_config(path, value, lattice, targets):
+    path.write_text(
+        f"[scenario]\ntargets = {targets}\nout = {path.parent / 'run'}\n"
+        f"[lattice]\n{lattice}\n"
+        f"[background]\nkind = constant\nvalue = {value}\n"
+        "[verify]\nresolutions = 8, 16\nn_fields = 4\ngronwall_count = 2\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("value,lattice,target,fragment", _NO_MODE)
+def test_main_rejects_background_without_modes(tmp_path, capsys, value, lattice, target,
+                                               fragment):
+    cfg = _spectrum_config(tmp_path / "c.cfg", value, lattice, target)
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet"])
+    assert err.value.code == 2
+    assert f"line 6: {fragment}" in capsys.readouterr().err
+    # the same background runs a target that reads no eigenvalue window
+    cfg = _spectrum_config(tmp_path / "g.cfg", value, lattice, "gronwall")
+    assert main(["--config", str(cfg), "--quiet"]) == 0
+    # naming the target on the command line is checked as well
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet", "--target", target])
+    assert err.value.code == 2
+
+
+def test_refined_poincare_names_resolution_without_cells():
+    with pytest.raises(ValueError, match="l_max=8: the top eigenvalue"):
+        verify_refined_poincare(make_partition(-8, 12), constant_background(100.0),
+                                resolutions=(8, 16), n_fields=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), l_max=st.integers(1, 4), resolutions=st.sampled_from(
+           ["1, 2", "2, 4", "3, 6"]), target=st.sampled_from(["lp-props", "poincare"]),
+       kind=st.sampled_from(["constant", "desitter"]), exponent=st.floats(-12.0, 12.0))
+def test_main_runs_or_rejects_spectra(n, l_max, resolutions, target, kind, exponent):
+    # parse, then run: a verdict (exit 0 or 1) or a parse error (exit 2), never
+    # a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text(
+            f"[scenario]\ntargets = {target}\nout = {tmp}/run\n"
+            f"[lattice]\nn = {n}\nl_max = {l_max}\n"
+            f"[background]\nkind = {kind}\nvalue = {10.0 ** exponent!r}\n"
+            f"[verify]\nresolutions = {resolutions}\nn_fields = 4\n"
+        )
+        try:
+            code = main(["--config", str(cfg), "--quiet"])
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert code in (0, 1)
 
 
 def test_main_rejects_grid_refine_below_one(capsys):

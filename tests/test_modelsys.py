@@ -10,6 +10,7 @@ from shellwave import (
     Forcing,
     ModeState,
     SystemConfig,
+    TimeGrid,
     bessel_oracle,
     build_lattice,
     constant_background,
@@ -25,6 +26,7 @@ from shellwave import (
     log_grad_weights,
     make_asymptotic_data,
     make_time_grid,
+    mode_rhs,
     random_coupling,
     renormalize_h,
     seed_state,
@@ -517,8 +519,6 @@ def test_second_family_regulars_ignore_singular_data(part, bg, small_lattice):
 
 
 def test_mode_rhs_forcing_flag(part, bg, small_lattice):
-    from shellwave import mode_rhs
-
     cfg = SystemConfig(
         n_regular=1,
         forcings=(Forcing(kind="tau_bump", amplitude=1.0, center=0.5, width=0.1), Forcing()),
@@ -650,31 +650,45 @@ def test_epsilon_ladder_soft_at_centi(part, bg):
 # ------------------------------------------------------------- propagators
 
 
-def test_fundamental_matrices_match_integrate(part, bg):
+def _end_state(lat, rng, n_cols):
+    """A state at tau = 1, where the backward family starts."""
+    return ModeState(tau=1.0,
+                     values=np.array([bounded_field(lat, rng).coeffs for _ in range(n_cols)]),
+                     derivs=np.array([bounded_field(lat, rng).coeffs for _ in range(n_cols)]))
+
+
+@pytest.mark.parametrize("system", ["first", "second"])
+def test_fundamental_matrices_match_integrate(part, bg, system):
+    # the second family runs coupled and forced from tau = 1 down, so this
+    # checks the two-stage integrate against the one-block propagator
     lat = build_lattice(2, 3)
     rng = np.random.default_rng(41)
-    cs, cp = random_coupling(1, "first", rng, 0.1)
+    cs, cp = random_coupling(1, system, rng, 0.1)
+    bump = Forcing(kind="tau_bump", amplitude=0.3, center=0.5, width=0.1)
+    regular = Forcing() if system == "first" else Forcing(
+        kind="tau_bump", amplitude=0.2, center=0.3, width=0.1)
     cfg = SystemConfig(
-        n_regular=1, coupling_scale=cs, coupling_psi=cp,
-        forcings=(Forcing(kind="tau_bump", amplitude=0.3, center=0.5, width=0.1), Forcing()),
-        rtol=1e-11, atol=1e-13,
+        n_regular=1, system=system, coupling_scale=cs, coupling_psi=cp,
+        forcings=(bump, regular), rtol=1e-11, atol=1e-13,
     )
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-    state = seed_state(cfg, lat, bg, data)
-    taus = np.geomspace(cfg.tau_seed, 1.0, 9)
-    taus[0], taus[-1] = cfg.tau_seed, 1.0
-    props = fundamental_matrices(cfg, lat, bg, cfg.tau_seed, taus)
-    forced = forced_profile(cfg, lat, bg, cfg.tau_seed, taus)
-    direct = integrate(cfg, lat, bg, state, 1.0,
-                       grid=make_time_grid(cfg.tau_seed, 1.0, count=9))
+    if system == "first":
+        data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
+                                    h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
+        state, tau_end = seed_state(cfg, lat, bg, data), 1.0
+    else:
+        state, tau_end = _end_state(lat, rng, cfg.n_columns), 1e-3
+    grid = make_time_grid(min(state.tau, tau_end), max(state.tau, tau_end), count=9)
+    direct = integrate(cfg, lat, bg, state, tau_end, grid=grid)
+    taus = direct.taus
+    props = fundamental_matrices(cfg, lat, bg, state.tau, taus)
+    forced = forced_profile(cfg, lat, bg, state.tau, taus)
 
     n_cols = cfg.n_columns
     worst = 0.0
     for l in range(lat.l_max + 1):
         sl = lat.slots_of_degree(l)
         for s in range(sl.start, sl.stop):
-            y0 = np.concatenate([state.values[:, s], cfg.tau_seed * state.derivs[:, s]])
+            y0 = np.concatenate([state.values[:, s], state.tau * state.derivs[:, s]])
             for t in range(len(taus)):
                 y = props[l, t] @ y0 + forced[l, t]
                 ref_v = direct.values[t, :, s]
@@ -683,6 +697,29 @@ def test_fundamental_matrices_match_integrate(part, bg):
                 worst = max(worst, float(np.max(np.abs(y[n_cols:] - ref_d))))
     scale = np.max(np.abs(direct.values))
     assert worst / scale <= 1e-8
+
+
+@pytest.mark.parametrize("system", ["first", "second"])
+def test_integrate_matches_mode_rhs_by_finite_differences(part, bg, system):
+    # central differences of a log-chart run, in physical time, against the
+    # public physical-time right-hand side, coupled and forced
+    lat = build_lattice(2, 3)
+    rng = np.random.default_rng(47)
+    cs, cp = random_coupling(1, system, rng, 0.1)
+    cfg = SystemConfig(
+        n_regular=1, system=system, coupling_scale=cs, coupling_psi=cp,
+        forcings=(Forcing(kind="tau_bump", amplitude=0.3, center=0.5, width=0.1),
+                  Forcing(kind="tau_bump", amplitude=0.2, center=0.45, width=0.1)),
+        rtol=1e-11, atol=1e-13,
+    )
+    h = 1e-3
+    run = integrate(cfg, lat, bg, _end_state(lat, rng, cfg.n_columns), 0.5 - h,
+                    grid=TimeGrid(taus=[0.5 - h, 0.5, 0.5 + h]))
+    assert np.array_equal(run.taus, [1.0, 0.5 + h, 0.5, 0.5 - h])
+    expected = mode_rhs(cfg, lat, bg, 0.5, run.values[2], run.derivs[2])
+    for series, want in zip((run.values, run.derivs), expected):
+        got = (series[1] - series[3]) / (2.0 * h)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-4
 
 
 def test_data_to_state_maps_match_seed(part, bg):
