@@ -34,7 +34,13 @@ from .lattice import (
     sphere_eigenvalue,
     zero_field,
 )
-from .lp import _coverage_mask, check_lp_properties, make_partition, verify_refined_poincare
+from .lp import (
+    _coverage_mask,
+    _poincare_cells,
+    check_lp_properties,
+    make_partition,
+    verify_refined_poincare,
+)
 from .modelsys import (
     Forcing,
     SystemConfig,
@@ -221,8 +227,11 @@ def parse_config(text):
         background_kind=get("background", "kind", "desitter", str,
                             lambda v: v in ("desitter", "constant"),
                             "background kind must be 'desitter' or 'constant'"),
-        background_value=get("background", "value", 2.0, float, lambda v: v > 0.0,
-                             "background value must be positive"),
+        # eigenvalues scale as 1 / value^2, so that square must not underflow
+        background_value=get("background", "value", 2.0, float,
+                             lambda v: 0.0 < v < math.inf and v * v >= sys.float_info.min,
+                             "background value must be positive and finite, and its "
+                             f"square must not underflow (>= {sys.float_info.min:.4g})"),
         k_min=get("partition", "k_min", -8, _integer, lambda v: v < 0, "k_min must be negative"),
         k_max=get("partition", "k_max", 12, _integer, lambda v: v > 0, "k_max must be positive"),
         smoothness=get("partition", "smoothness", 3, _integer, lambda v: v >= 1,
@@ -259,20 +268,26 @@ def parse_config(text):
 def _spectrum_problem(scn):
     """Why lp-props or poincare would have no mode to check, or None."""
     targets, bg, part = scn.expanded_targets(), scn.background(), scn.partition()
+
+    def spectrum(l_max):
+        return eigenvalue_at(bg, [sphere_eigenvalue(scn.n_sphere, l) for l in range(l_max + 1)],
+                             _SLICE_TAU)
+
     if "lp-props" in targets:
-        lam = eigenvalue_at(bg, [sphere_eigenvalue(scn.n_sphere, l) for l in range(scn.l_max + 1)],
-                            _SLICE_TAU)
+        lam = spectrum(scn.l_max)
         if not np.any(_coverage_mask(part, lam)):
             return (f"lp-props needs an eigenvalue at tau = {_SLICE_TAU} inside the cell range "
                     f"[{4.0 ** (part.k_min + part.shift):.3g}, "
                     f"{4.0 ** (part.k_max + part.shift):.3g}]; this background and lattice "
                     f"give [{lam[1]:.3g}, {lam[-1]:.3g}]")
     if "poincare" in targets:
+        # a finer lattice adds modes, so the coarsest one decides
         r = min(scn.resolutions)
-        top = eigenvalue_at(bg, sphere_eigenvalue(scn.n_sphere, r), _SLICE_TAU)
-        if not 1.0 <= top < math.inf:
-            return (f"poincare needs a finite top eigenvalue >= 1 at tau = {_SLICE_TAU} (a cell "
-                    f"k >= 0) at every resolution; l_max = {r} gives {top:.3g}")
+        try:
+            _poincare_cells(part, spectrum(r))
+        except ValueError as exc:
+            return (f"poincare needs a finite top eigenvalue >= 1 and a mode in a cell k >= 0 "
+                    f"at tau = {_SLICE_TAU} at every resolution; at l_max = {r} {exc}")
     return None
 
 

@@ -481,14 +481,36 @@ class PoincareReport:
     passed: bool
 
 
+def _poincare_cells(part, lam):
+    """The cells k_lo..k_hi a Poincare corpus draws from, each k >= 0.
+
+    k_hi is the top cell whose center the spectrum reaches, capped at k_max;
+    k_lo is the first cell from 0 up that holds a mode, so that every corpus
+    constant is positive.  A spectrum that leaves no such cell (top eigenvalue
+    below 1, or every mode above cell k_hi) raises ValueError.
+    """
+    top = float(np.max(lam))
+    if not 1.0 <= top < math.inf:
+        raise ValueError(f"the top eigenvalue is {top:.3g}, not a finite value >= 1, "
+                         "so no cell k >= 0 holds a mode")
+    k_hi = min(part.k_max, int(math.floor(math.log(top, 4.0))))
+    cells = _shell_table(part, lam)[-part.k_min : k_hi - part.k_min + 1]  # k = 0..k_hi
+    held = np.flatnonzero(np.any(cells > 0.0, axis=1))
+    if held.size == 0:
+        raise ValueError(f"every mode lies above the cells 0..{k_hi}: the lowest positive "
+                         f"eigenvalue is {float(np.min(lam[lam > 0.0])):.3g}")
+    return int(held[0]), k_hi
+
+
 def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.0, 10.0),
                             n_fields=500, tau=0.5, seed=0, n_sphere=2):
     """Corpus sweep of refined_poincare_defect across lattice resolutions.
 
     For each resolution a seeded corpus of rough random fields is paired with
-    random nonnegative cells; the per-delta max constant must stay finite and
-    move by less than a factor 2 between consecutive resolutions, so at least
-    two resolutions are needed.
+    random cells k >= 0 that hold a mode (see _poincare_cells; a spectrum
+    without one raises ValueError).  The per-delta max constant must stay
+    finite and move by less than a factor 2 between consecutive resolutions,
+    so at least two resolutions are needed.
     """
     if any(d <= 0.0 for d in deltas):
         raise ValueError("deltas must be positive")
@@ -498,16 +520,15 @@ def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
         rng = np.random.default_rng(seed)
-        top = float(np.max(eigenvalue_at(bg, lattice.lam0, tau)))
-        if not top >= 1.0:
-            raise ValueError(f"l_max={l_max}: the top eigenvalue at tau={tau:g} is {top:.3g} < 1, "
-                             "so no cell k >= 0 holds a mode")
-        k_hi = min(part.k_max, int(math.floor(math.log(top, 4.0))))
+        try:
+            k_lo, k_hi = _poincare_cells(part, eigenvalue_at(bg, lattice.lam0, tau))
+        except ValueError as exc:
+            raise ValueError(f"l_max={l_max}: {exc} (tau={tau:g})") from None
         # the draws interleave fields and cells; keep only the running maxima
         worst = np.zeros(len(deltas))
         for _ in range(n_fields):
             field = random_field(lattice, rng, decay=1.0)
-            k = int(rng.integers(0, k_hi + 1))
+            k = int(rng.integers(k_lo, k_hi + 1))
             worst = np.maximum(worst, refined_poincare_defect(part, k, deltas, field, tau, bg))
         constants.append(worst)
     constants = np.transpose(constants)  # [delta][resolution]

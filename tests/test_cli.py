@@ -205,6 +205,7 @@ _NO_MODE = [
     ("100", "l_max = 8", "poincare", "poincare needs a finite top eigenvalue >= 1"),
     ("100000", "l_max = 2", "lp-props", "lp-props needs an eigenvalue at tau = 0.5"),
     ("1e-6", "l_max = 8", "lp-props", "lp-props needs an eigenvalue at tau = 0.5"),
+    ("1e-12", "l_max = 8", "poincare", "poincare needs a finite top eigenvalue >= 1 and a mode"),
 ]
 
 
@@ -239,6 +240,36 @@ def test_refined_poincare_names_resolution_without_cells():
     with pytest.raises(ValueError, match="l_max=8: the top eigenvalue"):
         verify_refined_poincare(make_partition(-8, 12), constant_background(100.0),
                                 resolutions=(8, 16), n_fields=2)
+
+
+def test_refined_poincare_names_resolution_with_every_mode_above_cells():
+    # eigenvalues l(l+1) * 1e24 lie above cell 12, so every constant would be 0
+    with pytest.raises(ValueError, match="l_max=2: every mode lies above the cells 0..12"):
+        verify_refined_poincare(make_partition(-8, 12), constant_background(1e-12),
+                                resolutions=(2, 4), n_fields=2)
+    with pytest.raises(ConfigError, match="line 1: .* every mode lies above the cells 0..12"):
+        parse_config("[background]\nkind = constant\nvalue = 1e-12\n"
+                     "[verify]\nresolutions = 2, 4\n[scenario]\ntargets = poincare\n")
+
+
+@pytest.mark.parametrize("target", ["roundtrip", "forward-first"])
+@pytest.mark.parametrize("value", ["1e-200", "1e-155", "inf"])
+def test_main_rejects_background_with_underflowing_square(tmp_path, capsys, target, value):
+    # eigenvalues are l(l+n-1) / value^2; a square below the smallest normal
+    # float made them infinite (roundtrip raised, forward-first did not end)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"[scenario]\ntargets = {target}\nout = {tmp_path / 'run'}\n[lattice]\nl_max = 4\n"
+        f"[background]\nkind = constant\nvalue = {value}\n[verify]\nresolutions = 2, 4\n"
+    )
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet"])
+    assert err.value.code == 2
+    assert ("line 8: background value must be positive and finite, and its square must not "
+            "underflow") in capsys.readouterr().err
+    ok = parse_config(f"[scenario]\ntargets = {target}\n[background]\nkind = constant\n"
+                      "value = 1e-150\n")
+    assert ok.background_value == 1e-150
 
 
 @settings(max_examples=40, deadline=None)

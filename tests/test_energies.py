@@ -124,6 +124,17 @@ def test_shell_decay_short_ladder():
     assert all(a > b for a, b in zip(amps[:-1], amps[1:]))
 
 
+# the default toy's slopes (degrees 4..12, seeded at tau = 0.05); they do
+# not depend on the scenario seed
+GOLDEN_TOY_SLOPES = {"J": -0.498684443277434, "Y": -0.5013374912576504}
+
+
+@pytest.mark.parametrize("branch", list(GOLDEN_TOY_SLOPES))
+def test_shell_decay_slope_golden(branch):
+    rep = shell_decay_check(branch=branch)
+    assert rep.slope == pytest.approx(GOLDEN_TOY_SLOPES[branch], rel=1e-12, abs=0.0)
+
+
 def test_shell_decay_validation():
     with pytest.raises(ValueError):
         shell_decay_check(branch="I")

@@ -1,9 +1,12 @@
+import gc
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from shellwave import (
     Field,
@@ -33,6 +36,8 @@ from shellwave import (
     split_singular_component,
     zero_field,
 )
+from shellwave.energies import _oracle_envelope
+from shellwave.modelsys import _scalar_dop853
 from tests.conftest import bounded_field, zero_like
 
 
@@ -371,6 +376,89 @@ def test_constant_run_matches_oracle(bg):
     for t, u in zip(got[0], got[1]):
         ref = bessel_oracle("J", lam, t)
         assert u == pytest.approx(ref, abs=1e-9), t
+
+
+def _scipy_scalar_run(lam, u0, du0, tau_from, tau_to, taus, rtol=1e-11, atol=1e-13):
+    # the reference: scipy's DOP853 on the same log-chart system
+    def rhs(s, y):
+        tau = math.exp(s)
+        return np.array([y[1], -tau * tau * lam * y[0]])
+
+    sol = solve_ivp(rhs, (math.log(tau_from), math.log(tau_to)), [u0, tau_from * du0],
+                    method="DOP853", t_eval=np.log(taus), rtol=rtol, atol=atol)
+    assert sol.success
+    return sol.y[0], sol.y[1] / taus, sol.nfev
+
+
+def _toy_seed(branch, degree, tau):
+    # the oracle seed shell_decay_check starts member `degree` from
+    omega = 2.0**degree
+    _, u, up = _oracle_envelope(branch, omega, tau)
+    return 4.0**degree, omega, u, omega * up
+
+
+@pytest.mark.parametrize("branch", ["J", "Y"])
+@pytest.mark.parametrize("degree", [4, 8, 12])
+def test_scalar_kernel_takes_scipy_steps(branch, degree):
+    lam, omega, u0, du0 = _toy_seed(branch, degree, 0.05)
+    taus = np.array([0.05, 1.0])
+    ref_u, ref_du, ref_nfev = _scipy_scalar_run(lam, u0, du0, 0.05, 1.0, taus)
+    u, theta, nfev = _scalar_dop853(lam, u0, 0.05 * du0, math.log(0.05), 0.0, np.log(taus),
+                                    1e-11, 1e-13)
+    assert nfev == ref_nfev
+    env = np.hypot(ref_u, ref_du / omega)
+    np.testing.assert_array_less(np.abs(np.array(u) - ref_u) / env, 1e-13)
+    np.testing.assert_array_less(np.abs(np.array(theta) / taus - ref_du) / omega / env, 1e-13)
+
+
+@pytest.mark.parametrize("branch", ["J", "Y"])
+@pytest.mark.parametrize("degree", [3, 7])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("grid", ["default", "interior"])
+def test_constant_run_matches_scipy(branch, degree, backward, grid):
+    lam, omega, u0, du0 = _toy_seed(branch, degree, 1.0 if backward else 0.05)
+    tau_from, tau_to = (1.0, 0.05) if backward else (0.05, 1.0)
+    taus = None if grid == "default" else np.geomspace(tau_from, tau_to, 41)
+    got_taus, u, du = constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=taus)
+    assert len(got_taus) == (33 if taus is None else 41)
+    assert got_taus[0] == tau_from and got_taus[-1] == tau_to
+    ref_u, ref_du, _ = _scipy_scalar_run(lam, u0, du0, tau_from, tau_to, got_taus)
+    env = np.hypot(ref_u, ref_du / omega)
+    np.testing.assert_array_less(np.abs(u - ref_u) / env, 1e-13)
+    np.testing.assert_array_less(np.abs(du - ref_du) / omega / env, 1e-13)
+
+
+def test_constant_run_rejects_times_outside_the_run():
+    with pytest.raises(ValueError, match="evaluation times"):
+        constant_mode_run(4.0, 1.0, 0.0, 0.05, 1.0, taus=np.array([1.0, 0.05]))
+    with pytest.raises(ValueError, match="evaluation times"):
+        constant_mode_run(4.0, 1.0, 0.0, 0.05, 0.5, taus=np.array([0.05, 1.0]))
+
+
+def test_second_family_solution_freed_on_return(part, bg, small_lattice):
+    # the column-0 solve reads the regular block's dense solution; once
+    # integrate returns, no cyclic garbage may still hold it
+    cfg = SystemConfig(n_regular=1, system="second",
+                       forcings=(Forcing("tau_bump", 1.0), Forcing("tau_bump", 0.5)))
+    rng = np.random.default_rng(0)
+    data = make_asymptotic_data(
+        small_lattice, part, bg, O=bounded_field(small_lattice, rng),
+        h=bounded_field(small_lattice, rng), phis=[bounded_field(small_lattice, rng)],
+    )
+    state = seed_state(cfg, small_lattice, bg, data)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        integrate(cfg, small_lattice, bg, state, 1.0)
+        gc.collect()
+        held = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (OdeSolution, Dop853DenseOutput))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert held == []
 
 
 def test_integrate_linearity(part, bg, small_lattice):
