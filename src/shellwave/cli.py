@@ -70,6 +70,18 @@ TARGETS = (
 # the time slice on which lp-props and poincare read the spectrum
 _SLICE_TAU = 0.5
 
+# the largest lattices roundtrip and singular-split build: roundtrip and the
+# split's reconstruction cap the scenario's l_max, the split's blowup and
+# isolation parts and its cutoff ladder use fixed degrees
+_ROUNDTRIP_L_MAX = 16
+_SPLIT_L_MAX = 12
+_SPLIT_FIXED_L_MAX = 8
+_LADDER_L_MAX = 6
+
+# the top frequency 2 sqrt(lambda) the ODE targets may meet: the toy's top
+# shell, so the highest at which the integrator is checked against the oracle
+_MAX_OMEGA = 2.0**12
+
 _SECTION_KEYS = {
     "scenario": {"name", "targets", "seed", "out"},
     "lattice": {"n", "l_max"},
@@ -258,15 +270,17 @@ def parse_config(text):
     )
     problem = _spectrum_problem(scn)
     if problem:
-        # only a set background, lattice or partition can leave a target no mode
-        line_no = next(section_lines[s] for s in ("background", "lattice", "partition")
+        # only a set background, lattice, partition or resolution list can
+        # leave a target no mode or too fast a one
+        line_no = next(section_lines[s] for s in ("background", "lattice", "partition", "verify")
                        if s in section_lines)
         raise ConfigError(f"line {line_no}: {problem}")
     return scn
 
 
 def _spectrum_problem(scn):
-    """Why lp-props or poincare would have no mode to check, or None."""
+    """Why lp-props or poincare would have no mode to check, why an ODE target
+    would meet a frequency above _MAX_OMEGA, or None."""
     targets, bg, part = scn.expanded_targets(), scn.background(), scn.partition()
 
     def spectrum(l_max):
@@ -288,6 +302,22 @@ def _spectrum_problem(scn):
         except ValueError as exc:
             return (f"poincare needs a finite top eigenvalue >= 1 and a mode in a cell k >= 0 "
                     f"at tau = {_SLICE_TAU} at every resolution; at l_max = {r} {exc}")
+    largest = {
+        "forward-first": max(scn.resolutions),
+        "backward-second": max(scn.resolutions),
+        "roundtrip": min(scn.l_max, _ROUNDTRIP_L_MAX),
+        "singular-split": max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX, _LADDER_L_MAX),
+    }
+    ode_targets = [t for t in largest if t in targets]
+    if ode_targets:
+        # lambda(tau) = lambda0 / f(tau)^2 peaks where f is least
+        f_min = float(np.min(bg.f(np.linspace(0.0, 1.0, 257))))
+        for t in ode_targets:
+            omega = 2.0 * math.sqrt(sphere_eigenvalue(scn.n_sphere, largest[t])) / f_min
+            if omega > _MAX_OMEGA:
+                return (f"{t} would integrate frequencies 2 sqrt(lambda) up to {omega:.4g} "
+                        f"(l_max = {largest[t]}, min f = {f_min:.4g} on tau in [0, 1]), above "
+                        f"the {_MAX_OMEGA:g} the integrator is checked at")
     return None
 
 
@@ -331,13 +361,15 @@ def _target_toy_shells(scn):
             "target": rep.slope_target,
             "tolerance": rep.tolerance,
             "max_oracle_deviation": rep.max_oracle_deviation,
+            "deviation_limit": rep.deviation_limit,
             "passed": rep.passed,
         }
         worst_dev = max(worst_dev, rep.max_oracle_deviation)
         passed = passed and rep.passed
         for l, a in zip(rep.degrees, rep.amplitudes):
             rows.append((branch, l, a))
-    verdict = {"passed": passed, "branches": branch_info, "max_oracle_deviation": worst_dev}
+    verdict = {"passed": passed, "branches": branch_info, "max_oracle_deviation": worst_dev,
+               "deviation_limit": rep.deviation_limit}
     return verdict, {"toy_shells": rows}
 
 
@@ -370,7 +402,7 @@ def _theorem_target(scn, system):
 def _target_roundtrip(scn):
     bg = scn.background()
     part = scn.partition()
-    lattice = build_lattice(scn.n_sphere, min(scn.l_max, 16))
+    lattice = build_lattice(scn.n_sphere, min(scn.l_max, _ROUNDTRIP_L_MAX))
     rng = np.random.default_rng(scn.seed)
     runs = {}
     passed = True
@@ -412,6 +444,7 @@ def _target_roundtrip(scn):
                 "tolerance": tol,
                 "frak_h_consistency": frak_defect,
                 "contamination": diag["singular_contamination"],
+                "ill_conditioned_degrees": diag["ill_conditioned_degrees"],
                 "passed": ok,
             }
     verdict = {"passed": passed, "l_max": lattice.l_max, "runs": runs}
@@ -428,7 +461,7 @@ def _target_singular_split(scn):
     series = {}
 
     # (a) reconstruction, with cross couplings and forcing in play
-    lattice = build_lattice(scn.n_sphere, min(scn.l_max, 12))
+    lattice = build_lattice(scn.n_sphere, min(scn.l_max, _SPLIT_L_MAX))
     cs, cp = random_coupling(1, "first", rng, 0.05)
     config = SystemConfig(
         n_regular=1, system="first", top_order=scn.top_order,
@@ -450,7 +483,7 @@ def _target_singular_split(scn):
     sub["reconstruction"] = {"rel_error": recon_err, "tolerance": 1e-9, "passed": recon_err <= 1e-9}
 
     # (b) log-branch growth statistic over >= 20 draws
-    lat_blow = build_lattice(scn.n_sphere, 8)
+    lat_blow = build_lattice(scn.n_sphere, _SPLIT_FIXED_L_MAX)
     blow_cfg = SystemConfig(
         n_regular=1, system="first", top_order=1, tau_seed=1e-7, rtol=1e-10, atol=1e-12,
     )
@@ -477,7 +510,7 @@ def _target_singular_split(scn):
     series["blowup"] = stat_rows
 
     # (c) second-family regular block ignores singular data bit for bit
-    lat2 = build_lattice(scn.n_sphere, 8)
+    lat2 = build_lattice(scn.n_sphere, _SPLIT_FIXED_L_MAX)
     cs2, cp2 = random_coupling(2, "second", rng, 0.1)
     cfg2 = SystemConfig(n_regular=2, system="second", top_order=scn.top_order,
                         coupling_scale=cs2, coupling_psi=cp2, tau_seed=scn.tau_seed)
@@ -495,7 +528,7 @@ def _target_singular_split(scn):
     sub["second_family_isolation"] = {"bit_identical": bit_identical, "passed": bit_identical}
 
     # (d) cutoff-stability ladder
-    lat_eps = build_lattice(scn.n_sphere, 6)
+    lat_eps = build_lattice(scn.n_sphere, _LADDER_L_MAX)
     eps_cfg = SystemConfig(n_regular=1, system="first", top_order=scn.top_order,
                            rtol=1e-11, atol=1e-13)
     eps_data = make_asymptotic_data(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,25 +137,20 @@ class ConformalBackground:
             raise ValueError(f"f(0) must be positive, got {self.f_even[0]}")
 
     def f(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        u = tau * tau
-        out = np.zeros_like(u)
-        for c in reversed(self.f_even):
-            out = out * u + c
-        return out
+        return _even_horner(self.f_even, tau)
 
     def f_prime(self, tau):
-        tau = np.asarray(tau, dtype=float)
+        if not isinstance(tau, float):
+            tau = np.asarray(tau, dtype=float)
         return self.f_prime_over_tau(tau) * tau
 
     def f_prime_over_tau(self, tau):
+        return _even_horner(self._f_prime_over_tau_even, tau)
+
+    @cached_property
+    def _f_prime_over_tau_even(self):
         # d/dtau sum c_j tau^(2j) = tau * sum 2j c_j tau^(2j-2); smooth at 0.
-        tau = np.asarray(tau, dtype=float)
-        u = tau * tau
-        out = np.zeros_like(u)
-        for j in range(len(self.f_even) - 1, 0, -1):
-            out = out * u + 2 * j * self.f_even[j]
-        return out
+        return tuple(2 * j * c for j, c in enumerate(self.f_even))[1:]
 
     def kappa(self, tau):
         """f'(tau) / (tau f(tau)), extended continuously to tau = 0."""
@@ -178,6 +174,24 @@ class ConformalBackground:
         for j in range(1, order + 1):
             g[j] = -np.dot(fsq[1 : j + 1], g[j - 1 :: -1]) / fsq[0]
         return g
+
+
+def _even_horner(coeffs, tau):
+    """sum_j coeffs[j] tau^(2j) by Horner's rule.
+
+    A Python float in gives a float out, with the bits of the numpy path: the
+    log-chart RHS evaluates the background at one float tau per stage, where
+    0-d array overhead would cost more than the state arithmetic.
+    """
+    if isinstance(tau, float):
+        u, out = tau * tau, 0.0
+    else:
+        tau = np.asarray(tau, dtype=float)
+        u = tau * tau
+        out = np.zeros_like(u)
+    for c in reversed(coeffs):
+        out = out * u + c
+    return out
 
 
 def desitter_background():

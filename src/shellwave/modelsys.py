@@ -540,9 +540,9 @@ def mode_rhs(config, lattice, bg, tau, values, derivs, include_forcing=True):
     """
     values = np.asarray(values, dtype=float)
     derivs = np.asarray(derivs, dtype=float)
-    lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
+    f, psi = _background_at(bg, tau)
+    lam = lattice.lam0_slot / (f * f)
     sqrt_lam = np.sqrt(lam)
-    psi = _psi_scalars(bg, tau)
     amat = config.coupling_scale * psi[config.coupling_psi]
     rhs = (amat @ values) * sqrt_lam - 4.0 * lam * values
     rhs -= (config.drag_signs / tau)[:, None] * derivs
@@ -553,9 +553,11 @@ def mode_rhs(config, lattice, bg, tau, values, derivs, include_forcing=True):
     return derivs, rhs
 
 
-def _psi_scalars(bg, tau):
-    k = float(bg.kappa(tau))
-    return np.array([1.0, k, tau * tau * k])
+def _background_at(bg, tau):
+    """f(tau) and the psi profiles (1, kappa, tau^2 kappa), f evaluated once."""
+    f = bg.f(tau)
+    k = bg.f_prime_over_tau(tau) / f  # bg.kappa(tau), bit for bit
+    return f, np.array([1.0, k, tau * tau * k])
 
 
 def _forcing_source(config, lattice, rows, entry_degree):
@@ -568,10 +570,10 @@ def _forcing_source(config, lattice, rows, entry_degree):
     chosen = [forcings[r] for r in rows]
     if all(f.kind == "zero" or f.amplitude == 0.0 for f in chosen):
         return None
-    weights = [f.degree_weights(lattice)[entry_degree] for f in chosen]
+    weights = np.stack([f.degree_weights(lattice)[entry_degree] for f in chosen])
 
     def source(tau):
-        return np.stack([f.profile(tau) * w for f, w in zip(chosen, weights)])
+        return np.array([f.profile(tau) for f in chosen])[:, None] * weights
 
     return source
 
@@ -591,11 +593,10 @@ def _propagate(lam0, bg, signs, scale, psi_idx, source, values, thetas, tau_from
 
     def rhs(s, y):
         tau = math.exp(s)
-        f = float(bg.f(tau))
+        f, psi = _background_at(bg, tau)
         lam = lam0 / (f * f)
         v = y[: n_cols * n].reshape(n_cols, n)
         th = y[n_cols * n :].reshape(n_cols, n)
-        psi = _psi_scalars(bg, tau)
         amat = scale * psi[psi_idx]
         drive = (amat @ v) * np.sqrt(lam)
         if source is not None:
@@ -780,8 +781,8 @@ def integrate(config, lattice, bg, state, tau_to, grid=None):
         src_f0 = _forcing_source(config, lattice, [0], slot_l)
 
         def source_col0(tau):
-            f = float(bg.f(tau))
-            coeffs = scale[0, 1:] * _psi_scalars(bg, tau)[psi[0, 1:]]
+            f, psi0 = _background_at(bg, tau)
+            coeffs = scale[0, 1:] * psi0[psi[0, 1:]]
             drive = (coeffs @ regular_at(tau)) * np.sqrt(lam0 / (f * f))
             if src_f0 is not None:
                 drive = drive + src_f0(tau)[0]

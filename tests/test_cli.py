@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -20,7 +21,9 @@ from shellwave import (
     run_scenario,
     verify_refined_poincare,
 )
+from shellwave import cli
 from shellwave.cli import _SECTION_KEYS, TARGETS, ConfigError, main
+from shellwave.modelsys import make_asymptotic_data
 
 GOLDEN = """\
 [scenario]
@@ -267,9 +270,72 @@ def test_main_rejects_background_with_underflowing_square(tmp_path, capsys, targ
     assert err.value.code == 2
     assert ("line 8: background value must be positive and finite, and its square must not "
             "underflow") in capsys.readouterr().err
-    ok = parse_config(f"[scenario]\ntargets = {target}\n[background]\nkind = constant\n"
+    # gronwall reads no eigenvalue, so only the underflow rule applies to it
+    ok = parse_config("[scenario]\ntargets = gronwall\n[background]\nkind = constant\n"
                       "value = 1e-150\n")
     assert ok.background_value == 1e-150
+
+
+def _ode_config(path, value, target):
+    path.write_text(
+        f"[scenario]\ntargets = {target}\nout = {path.parent / 'run'}\n[lattice]\nl_max = 4\n"
+        f"[background]\nkind = constant\nvalue = {value}\n"
+        "[verify]\nresolutions = 2, 4\nn_draws = 2\ngronwall_count = 2\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("value", ["1e-3", "1e-6"])
+def test_main_rejects_spectra_too_fast_to_integrate(tmp_path, capsys, value):
+    # frequencies 2 sqrt(lambda) grow like 1 / value; at 1e-3 forward-first
+    # ran for 32 s, at 1e-6 it did not finish
+    cfg = _ode_config(tmp_path / "c.cfg", value, "forward-first")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet"])
+    assert err.value.code == 2
+    assert "line 6: forward-first would integrate frequencies" in capsys.readouterr().err
+    # a target that integrates nothing runs; naming an ODE target is checked
+    cfg = _ode_config(tmp_path / "g.cfg", value, "gronwall")
+    assert main(["--config", str(cfg), "--quiet"]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet", "--target", "roundtrip"])
+    assert err.value.code == 2
+    assert "roundtrip would integrate frequencies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["forward-first", "backward-second", "roundtrip",
+                                    "singular-split"])
+def test_frequency_limit_reads_each_targets_largest_lattice(target):
+    # top frequency 2 sqrt(l (l + 1)) / value on the largest lattice the
+    # target builds: max resolution, l_max capped at 16, or at least 8
+    largest = {"forward-first": 64, "backward-second": 64, "roundtrip": 16,
+               "singular-split": 8}[target]
+    value = 2.0 * math.sqrt(largest * (largest + 1)) / 4096.0
+    text = (f"[scenario]\ntargets = {target}\n[lattice]\nl_max = 32\n"
+            "[background]\nkind = constant\nvalue = {value!r}\n"
+            "[verify]\nresolutions = 32, 64\n")
+    if target == "singular-split":
+        text = text.replace("l_max = 32", "l_max = 2")
+    assert parse_config(text.format(value=value * (1.0 + 1e-9))).background_value > value
+    with pytest.raises(ConfigError, match=f"line 5: {target} would integrate"):
+        parse_config(text.format(value=value * (1.0 - 1e-9)))
+
+
+def test_frequency_limit_set_by_resolutions_names_verify_line():
+    # de Sitter at l_max 1200: 4 sqrt(1200 * 1201), about 4802
+    with pytest.raises(ConfigError, match="line 3: forward-first would integrate .* 4802"):
+        parse_config("[scenario]\ntargets = forward-first\n[verify]\nresolutions = 600, 1200\n")
+
+
+def test_bench_scenarios_pass_the_frequency_limit():
+    # the bench's de Sitter scenarios top out at 4 sqrt(128 * 129), about 514
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    for name in workloads.WORKLOADS:
+        parse_config(workloads.scenario_text(name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,3 +482,37 @@ def test_console_script_entry_point():
                     reason="no shellwave console script on PATH")
 def test_installed_console_script_help(tmp_path):
     _check_help(["shellwave", "--help"], cwd=tmp_path)
+
+
+def _roundtrip_scenario(out_dir):
+    return Scenario(name="rt", targets=("roundtrip",), seed=4, out_dir=str(out_dir), l_max=4)
+
+
+def test_roundtrip_records_extraction_fallbacks(tmp_path):
+    verdicts, ok = run_scenario(_roundtrip_scenario(tmp_path), quiet=True)
+    assert ok
+    runs = verdicts["roundtrip"]["runs"]
+    assert len(runs) == 4
+    assert all(run["ill_conditioned_degrees"] == 0 for run in runs.values())
+
+
+def test_roundtrip_fails_with_perturbed_extraction(tmp_path, monkeypatch):
+    # negative control: O recovered off by a relative 1e-5, ten times the
+    # decoupled tolerance, must fail the verdict
+    real = cli.extract_asymptotic_data
+
+    def perturbed(config, lattice, bg, state, part):
+        rec, diag = real(config, lattice, bg, state, part)
+        bad = make_asymptotic_data(lattice, part, bg, O=rec.O_field * (1.0 + 1e-5),
+                                   h=rec.h_field, phis=rec.phi0_fields)
+        return bad, diag
+
+    monkeypatch.setattr(cli, "extract_asymptotic_data", perturbed)
+    verdicts, ok = run_scenario(_roundtrip_scenario(tmp_path), quiet=True)
+    assert not ok
+    assert not verdicts["roundtrip"]["passed"]
+    for family in ("first", "second"):
+        run = verdicts["roundtrip"]["runs"][f"{family}_decoupled"]
+        assert run["max_mode_rel_error"] > 10.0 * run["tolerance"] * 0.99
+        assert run["frak_h_consistency"] <= 1e-10
+        assert not run["passed"]

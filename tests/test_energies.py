@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shellwave import energies
 from shellwave import (
     Field,
     Forcing,
@@ -120,8 +121,26 @@ def test_shell_decay_short_ladder():
     assert rep.passed
     assert rep.slope == pytest.approx(-0.5, abs=rep.tolerance)
     assert rep.max_oracle_deviation < 1e-6
+    assert rep.deviation_limit == 1e-6
     amps = rep.amplitudes
     assert all(a > b for a, b in zip(amps[:-1], amps[1:]))
+
+
+@pytest.mark.parametrize("branch", ["J", "Y"])
+def test_shell_decay_fails_against_the_other_branch(monkeypatch, branch):
+    # negative control: the endpoint reference envelope of the other branch
+    # keeps the slope near -1/2, so only the oracle gate can catch it
+    real = energies._oracle_envelope
+    other = {"J": "Y", "Y": "J"}
+
+    def swapped(kind, omega, tau):
+        return real(other[kind] if tau == 1.0 else kind, omega, tau)
+
+    monkeypatch.setattr(energies, "_oracle_envelope", swapped)
+    rep = shell_decay_check(l_lo=4, l_hi=8, branch=branch)
+    assert abs(rep.slope - rep.slope_target) <= rep.tolerance
+    assert rep.max_oracle_deviation > rep.deviation_limit
+    assert not rep.passed
 
 
 # the default toy's slopes (degrees 4..12, seeded at tau = 0.05); they do

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shellwave import (
+    ConformalBackground,
     Field,
     build_lattice,
     constant_background,
@@ -123,6 +124,43 @@ def test_constant_background_flat():
 def test_background_validation():
     with pytest.raises(ValueError):
         constant_background(0.0)
+
+
+_PROFILES = [desitter_background(), constant_background(1.5),
+             ConformalBackground(name="three", f_even=(0.5, 2.0, -0.3))]
+_FLOAT_TAUS = [0.0, 1e-7, 0.3, 1.0] + [
+    float(t) for t in np.random.default_rng(11).uniform(0.0, 1.0, 16)]
+
+
+@pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.name)
+def test_background_on_a_float_matches_the_array_path(profile):
+    # the log-chart RHS relies on this: a float in, a float out, same bits
+    for tau in _FLOAT_TAUS:
+        arr = np.asarray(tau)
+        for name in ("f", "f_prime_over_tau", "kappa", "f_prime"):
+            on_float = getattr(profile, name)(tau)
+            on_array = getattr(profile, name)(arr)
+            assert type(on_float) is float, name
+            assert on_float.hex() == float(on_array).hex(), (name, tau)
+        on_float, on_array = eigenvalue_at(profile, 6.0, tau), eigenvalue_at(profile, 6.0, arr)
+        assert isinstance(on_float, float)
+        assert float(on_float).hex() == float(on_array).hex()
+
+
+@pytest.mark.parametrize("profile", _PROFILES, ids=lambda p: p.name)
+def test_background_array_path_is_horner(profile):
+    taus = np.array(_FLOAT_TAUS)
+    u = taus * taus
+    f = np.zeros_like(u)
+    for c in reversed(profile.f_even):
+        f = f * u + np.float64(c)
+    fpt = np.zeros_like(u)
+    for j in range(len(profile.f_even) - 1, 0, -1):
+        fpt = fpt * u + np.float64(2 * j * profile.f_even[j])
+    assert np.array_equal(profile.f(taus), f)
+    assert np.array_equal(profile.f_prime_over_tau(taus), fpt)
+    assert np.array_equal(profile.kappa(taus), fpt / f)
+    assert np.array_equal(profile.f_prime(taus), fpt * taus)
 
 
 def test_eigenvalue_at_frozen(bg):
