@@ -3,182 +3,19 @@
 Diagonal wave systems over a fixed spherical-harmonic lattice, with a
 shell-partition calculus, asymptotic-data seeding near the singular end,
 energy/defect verifiers, and an iterated comparison-series bound checker.
+
+Each module's ``__all__`` is its public API; the package exports all of them.
 """
 
-from .lattice import (
-    ConformalBackground,
-    Field,
-    Lattice,
-    TimeGrid,
-    build_lattice,
-    constant_background,
-    desitter_background,
-    eigenvalue_at,
-    eigenvalue_rate,
-    graded_sobolev_norm,
-    make_time_grid,
-    random_field,
-    sobolev_norm,
-    sphere_eigenvalue,
-    sphere_multiplicity,
-    zero_field,
-)
-from .lp import (
-    LPPartition,
-    PoincareReport,
-    PropertyCheck,
-    PropertyReport,
-    check_lp_properties,
-    commutator_time_pk,
-    heat_flow,
-    log_grad_weights,
-    log_nabla,
-    lp_project,
-    lp_sobolev_norm,
-    make_partition,
-    multiplier_values,
-    r_k,
-    refined_poincare_defect,
-    verify_refined_poincare,
-)
-from .modelsys import (
-    AsymptoticData,
-    EpsilonReport,
-    Forcing,
-    FrobeniusBasis,
-    ModeState,
-    SystemConfig,
-    Trajectory,
-    bessel_oracle,
-    constant_mode_run,
-    data_to_state_maps,
-    epsilon_construction_check,
-    extract_asymptotic_data,
-    forced_profile,
-    frobenius_basis,
-    fundamental_matrices,
-    integrate,
-    make_asymptotic_data,
-    mode_rhs,
-    random_coupling,
-    renormalize_h,
-    seed_state,
-    split_singular_component,
-)
-from .energies import (
-    BlowupReport,
-    DecayReport,
-    ShellEnergy,
-    TheoremReport,
-    data_energy_first,
-    data_energy_second,
-    energy_first,
-    energy_second,
-    fit_power_exponent,
-    forcing_energy_first,
-    forcing_energy_second,
-    shell_decay_check,
-    shell_energy,
-    singular_blowup_check,
-    verify_theorem_ratio,
-)
-from .gronwall import (
-    BoundResult,
-    GronwallInstance,
-    GronwallVerdict,
-    discrete_gronwall_bound,
-    discrete_recursion,
-    gronwall_like_bound,
-    make_preset_instance,
-    random_instance,
-    saturate_recursion,
-    verify_gronwall_lemma,
-)
-from .cli import Scenario, parse_config, run_scenario
+from . import cli, energies, gronwall, lattice, lp, modelsys
+from .cli import *  # noqa: F403
+from .energies import *  # noqa: F403
+from .gronwall import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .lp import *  # noqa: F403
+from .modelsys import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticData",
-    "BlowupReport",
-    "BoundResult",
-    "ConformalBackground",
-    "DecayReport",
-    "EpsilonReport",
-    "Field",
-    "Forcing",
-    "FrobeniusBasis",
-    "GronwallInstance",
-    "GronwallVerdict",
-    "LPPartition",
-    "Lattice",
-    "ModeState",
-    "PoincareReport",
-    "PropertyCheck",
-    "PropertyReport",
-    "Scenario",
-    "ShellEnergy",
-    "SystemConfig",
-    "TheoremReport",
-    "TimeGrid",
-    "Trajectory",
-    "bessel_oracle",
-    "build_lattice",
-    "check_lp_properties",
-    "commutator_time_pk",
-    "constant_background",
-    "constant_mode_run",
-    "data_energy_first",
-    "data_energy_second",
-    "data_to_state_maps",
-    "desitter_background",
-    "discrete_gronwall_bound",
-    "discrete_recursion",
-    "eigenvalue_at",
-    "eigenvalue_rate",
-    "energy_first",
-    "energy_second",
-    "epsilon_construction_check",
-    "extract_asymptotic_data",
-    "fit_power_exponent",
-    "forced_profile",
-    "forcing_energy_first",
-    "forcing_energy_second",
-    "frobenius_basis",
-    "fundamental_matrices",
-    "graded_sobolev_norm",
-    "gronwall_like_bound",
-    "heat_flow",
-    "integrate",
-    "log_grad_weights",
-    "log_nabla",
-    "lp_project",
-    "lp_sobolev_norm",
-    "make_asymptotic_data",
-    "make_partition",
-    "make_preset_instance",
-    "make_time_grid",
-    "mode_rhs",
-    "multiplier_values",
-    "parse_config",
-    "r_k",
-    "random_coupling",
-    "random_field",
-    "random_instance",
-    "refined_poincare_defect",
-    "renormalize_h",
-    "run_scenario",
-    "saturate_recursion",
-    "seed_state",
-    "shell_decay_check",
-    "shell_energy",
-    "singular_blowup_check",
-    "sobolev_norm",
-    "sphere_eigenvalue",
-    "sphere_multiplicity",
-    "split_singular_component",
-    "verify_gronwall_lemma",
-    "verify_refined_poincare",
-    "verify_theorem_ratio",
-    "zero_field",
-]
+__all__ = [name for module in (lattice, lp, modelsys, energies, gronwall, cli)
+           for name in module.__all__]

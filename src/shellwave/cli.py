@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +56,6 @@ from .modelsys import (
 
 __all__ = ["Scenario", "parse_config", "run_scenario", "main", "TARGETS"]
 
-TARGETS = (
-    "lp-props",
-    "toy-shells",
-    "forward-first",
-    "backward-second",
-    "roundtrip",
-    "singular-split",
-    "gronwall",
-    "poincare",
-)
-
 # the time slice on which lp-props and poincare read the spectrum
 _SLICE_TAU = 0.5
 
@@ -81,16 +70,6 @@ _LADDER_L_MAX = 6
 # the top frequency 2 sqrt(lambda) the ODE targets may meet: the toy's top
 # shell, so the highest at which the integrator is checked against the oracle
 _MAX_OMEGA = 2.0**12
-
-_SECTION_KEYS = {
-    "scenario": {"name", "targets", "seed", "out"},
-    "lattice": {"n", "l_max"},
-    "background": {"kind", "value"},
-    "partition": {"k_min", "k_max", "smoothness", "shift"},
-    "system": {"n_regular", "family", "top_order", "tau_seed"},
-    "verify": {"n_draws", "resolutions", "n_fields", "gronwall_count"},
-}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -166,10 +145,82 @@ def _parse_scalar(raw):
 
 
 def _integer(raw):
+    value = _parse_scalar(raw)
     # int() would truncate 2.5 to 2 and read true as 1
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ValueError(f"not an integer: {raw!r}")
-    return int(raw)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _real(raw):
+    return float(_parse_scalar(raw))
+
+
+def _split_list(raw):
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
+
+
+def _targets(raw):
+    targets = _split_list(raw)
+    valid = TARGETS + ("verify-all",)
+    for t in targets:
+        if t not in valid:
+            raise ConfigError(f"unknown target {t!r}; valid: {', '.join(valid)}")
+    return targets
+
+
+def _resolutions(raw):
+    return tuple(int(x) for x in _split_list(raw))
+
+
+# section -> key -> (Scenario field, reader of the value's text, range check,
+# message naming the {key} when the check fails); a key left out keeps the
+# Scenario default, which passes every check
+_SECTION_KEYS = {
+    "scenario": {
+        "name": ("name", str, None, None),
+        "targets": ("targets", _targets, bool, "{key} must name at least one target"),
+        "seed": ("seed", _integer, lambda v: v >= 0, "{key} must be >= 0"),
+        "out": ("out_dir", str, None, None),
+    },
+    "lattice": {
+        "n": ("n_sphere", _integer, lambda v: v >= 1, "sphere dimension {key} must be >= 1"),
+        # a degree-0 lattice has no positive eigenvalue, so no dyadic cell sees it
+        "l_max": ("l_max", _integer, lambda v: v >= 1, "{key} must be >= 1"),
+    },
+    "background": {
+        "kind": ("background_kind", str, lambda v: v in ("desitter", "constant"),
+                 "background {key} must be 'desitter' or 'constant'"),
+        # eigenvalues scale as 1 / value^2, so that square must not underflow
+        "value": ("background_value", _real,
+                  lambda v: 0.0 < v < math.inf and v * v >= sys.float_info.min,
+                  "background {key} must be positive and finite, and its square must not "
+                  f"underflow (>= {sys.float_info.min:.4g})"),
+    },
+    "partition": {
+        "k_min": ("k_min", _integer, lambda v: v < 0, "{key} must be negative"),
+        "k_max": ("k_max", _integer, lambda v: v > 0, "{key} must be positive"),
+        "smoothness": ("smoothness", _integer, lambda v: v >= 1, "{key} must be >= 1"),
+        "shift": ("shift", _real, lambda v: abs(v) <= 0.5, "{key} must lie in [-1/2, 1/2]"),
+    },
+    "system": {
+        "n_regular": ("n_regular", _integer, lambda v: v >= 1, "{key} must be >= 1"),
+        "family": ("family", str, lambda v: v in ("first", "second"),
+                   "{key} must be 'first' or 'second'"),
+        "top_order": ("top_order", _integer, lambda v: v >= 0, "{key} must be >= 0"),
+        "tau_seed": ("tau_seed", _real, lambda v: 0.0 < v < 1.0, "{key} must lie in (0, 1)"),
+    },
+    "verify": {
+        "n_draws": ("n_draws", _integer, lambda v: v >= 1, "{key} must be >= 1"),
+        "resolutions": ("resolutions", _resolutions, lambda r: len(r) >= 2 and min(r) >= 1,
+                        "need at least two resolutions to compare, each >= 1"),
+        "n_fields": ("n_fields", _integer, lambda v: v >= 1, "{key} must be >= 1"),
+        "gronwall_count": ("gronwall_count", _integer, lambda v: v >= 1, "{key} must be >= 1"),
+    },
+}
+
+# command-line flag -> the [scenario] key it overrides
+_FLAG_KEYS = {"--seed": "seed", "--out": "out", "--target": "targets"}
 
 
 def parse_config(text):
@@ -179,9 +230,18 @@ def parse_config(text):
     do not read as their type and out-of-range values are all rejected with
     the line number.
     """
+    return _parse(text, {})
+
+
+def _parse(text, flags):
+    """parse_config, with command-line values {flag: text or None} read after the file's.
+
+    A flag's value goes through its key's reader and check, and only then is
+    the spectrum checked, once, on the scenario the run would use.
+    """
     section = None
     section_lines = {}
-    values: dict[str, dict] = {}
+    given = {}  # (section, key) -> (text, message prefix, name)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -193,7 +253,6 @@ def parse_config(text):
             if section in section_lines:
                 raise ConfigError(f"line {line_no}: duplicate section [{section}]")
             section_lines[section] = line_no
-            values.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
@@ -203,71 +262,30 @@ def parse_config(text):
         key = key.strip()
         if key not in _SECTION_KEYS[section]:
             raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{section}]")
-        if key in values[section]:
+        if (section, key) in given:
             raise ConfigError(f"line {line_no}: repeated key {key!r} in [{section}]")
-        values[section][key] = (_parse_scalar(raw_val), line_no)
+        given[section, key] = (raw_val.strip(), f"line {line_no}: ", key)
+    from_flags = {("scenario", _FLAG_KEYS[flag]): (raw, "", flag)
+                  for flag, raw in flags.items() if raw is not None}
 
-    def get(section, key, default, kind=str, ok=None, need=""):
-        # every default passes, so a failing value was read from a line
-        raw, line_no = values.get(section, {}).get(key, (default, None))
-        try:
-            value = kind(raw)
-        except (ValueError, OverflowError):
-            raise ConfigError(f"line {line_no}: bad value {raw!r} for {key}") from None
-        if ok is not None and not ok(value):
-            raise ConfigError(f"line {line_no}: {need}, got {value!r}")
-        return value
-
-    def split_list(raw):
-        return tuple(x.strip() for x in str(raw).split(",") if x.strip())
-
-    targets = get("scenario", "targets", "verify-all", split_list)
-    valid = TARGETS + ("verify-all",)
-    for t in targets:
-        if t not in valid:
-            raise ConfigError(f"line {values['scenario']['targets'][1]}: unknown target "
-                              f"{t!r}; valid: {', '.join(valid)}")
-    scn = Scenario(
-        name=get("scenario", "name", "default"),
-        targets=targets,
-        seed=get("scenario", "seed", 0, _integer, lambda v: v >= 0, "seed must be >= 0"),
-        out_dir=get("scenario", "out", "reports"),
-        n_sphere=get("lattice", "n", 2, _integer, lambda v: v >= 1,
-                     "sphere dimension n must be >= 1"),
-        # a degree-0 lattice has no positive eigenvalue, so no dyadic cell sees it
-        l_max=get("lattice", "l_max", 32, _integer, lambda v: v >= 1, "l_max must be >= 1"),
-        background_kind=get("background", "kind", "desitter", str,
-                            lambda v: v in ("desitter", "constant"),
-                            "background kind must be 'desitter' or 'constant'"),
-        # eigenvalues scale as 1 / value^2, so that square must not underflow
-        background_value=get("background", "value", 2.0, float,
-                             lambda v: 0.0 < v < math.inf and v * v >= sys.float_info.min,
-                             "background value must be positive and finite, and its "
-                             f"square must not underflow (>= {sys.float_info.min:.4g})"),
-        k_min=get("partition", "k_min", -8, _integer, lambda v: v < 0, "k_min must be negative"),
-        k_max=get("partition", "k_max", 12, _integer, lambda v: v > 0, "k_max must be positive"),
-        smoothness=get("partition", "smoothness", 3, _integer, lambda v: v >= 1,
-                       "smoothness must be >= 1"),
-        shift=get("partition", "shift", 0.0, float, lambda v: abs(v) <= 0.5,
-                  "shift must lie in [-1/2, 1/2]"),
-        n_regular=get("system", "n_regular", 2, _integer, lambda v: v >= 1,
-                      "n_regular must be >= 1"),
-        family=get("system", "family", "first", str, lambda v: v in ("first", "second"),
-                   "family must be 'first' or 'second'"),
-        top_order=get("system", "top_order", 2, _integer, lambda v: v >= 0,
-                      "top_order must be >= 0"),
-        tau_seed=get("system", "tau_seed", 1e-4, float, lambda v: 0.0 < v < 1.0,
-                     "tau_seed must lie in (0, 1)"),
-        n_draws=get("verify", "n_draws", 50, _integer, lambda v: v >= 1, "n_draws must be >= 1"),
-        resolutions=get("verify", "resolutions", "32, 64, 128",
-                        lambda raw: tuple(int(x) for x in split_list(raw)),
-                        lambda r: len(r) >= 2 and min(r) >= 1,
-                        "need at least two resolutions to compare, each >= 1"),
-        n_fields=get("verify", "n_fields", 500, _integer, lambda v: v >= 1,
-                     "n_fields must be >= 1"),
-        gronwall_count=get("verify", "gronwall_count", 200, _integer, lambda v: v >= 1,
-                           "gronwall_count must be >= 1"),
-    )
+    fields = {}
+    for source in (given, from_flags):
+        for section, keys in _SECTION_KEYS.items():
+            for key, (field, read, ok, need) in keys.items():
+                if (section, key) not in source:
+                    continue
+                raw, where, name = source[section, key]
+                try:
+                    value = read(raw)
+                except ConfigError as exc:
+                    raise ConfigError(f"{where}{exc}") from None
+                except (ValueError, OverflowError):
+                    bad = _parse_scalar(raw)
+                    raise ConfigError(f"{where}bad value {bad!r} for {name}") from None
+                if ok is not None and not ok(value):
+                    raise ConfigError(f"{where}{need.format(key=name)}, got {value!r}")
+                fields[field] = value
+    scn = Scenario(**fields)
     problem = _spectrum_problem(scn)
     if problem:
         # only a set background, lattice, partition or resolution list can
@@ -595,6 +613,8 @@ _RUNNERS = {
     "poincare": _target_poincare,
 }
 
+TARGETS = tuple(_RUNNERS)
+
 
 def _format_cell(v):
     if isinstance(v, float):
@@ -645,8 +665,8 @@ def main(argv=None):
         description="spectral-shell verification scenarios (config-driven)",
     )
     parser.add_argument("--config", type=Path, default=None, help="scenario file")
-    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    parser.add_argument("--out", type=Path, default=None, help="override output directory")
+    parser.add_argument("--seed", default=None, help="override scenario seed")
+    parser.add_argument("--out", default=None, help="override output directory")
     parser.add_argument("--target", action="append", default=None,
                         help="run this target (repeatable); overrides the config list")
     parser.add_argument("--grid-refine", type=int, default=1,
@@ -655,31 +675,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.grid_refine < 1:
         parser.error(f"--grid-refine must be >= 1, got {args.grid_refine}")
-    if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-
-    text = args.config.read_text() if args.config else ""
     try:
-        scn = parse_config(text)
+        text = args.config.read_text() if args.config else ""
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read --config {args.config}: {exc}")
+    flags = {"--seed": args.seed, "--out": args.out,
+             "--target": None if args.target is None else ",".join(args.target)}
+    try:
+        scn = _parse(text, flags)
     except ConfigError as exc:
         parser.error(str(exc))
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = str(args.out)
-    if args.target:
-        for t in args.target:
-            if t != "verify-all" and t not in TARGETS:
-                parser.error(f"unknown target {t!r}")
-        overrides["targets"] = tuple(args.target)
-    if args.grid_refine != 1:
-        overrides["grid_refine"] = args.grid_refine
-    if overrides:
-        scn = Scenario(**{**scn.__dict__, **overrides})
-    problem = _spectrum_problem(scn)  # --target may have named a new target
-    if problem:
-        parser.error(problem)
+    scn = replace(scn, grid_refine=args.grid_refine)
     _, all_passed = run_scenario(scn, quiet=args.quiet)
     return 0 if all_passed else 1
 

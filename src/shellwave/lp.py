@@ -30,6 +30,7 @@ __all__ = [
     "multiplier_values",
     "heat_flow",
     "lp_project",
+    "log_grad_weights",
     "log_nabla",
     "r_k",
     "lp_sobolev_norm",

@@ -516,3 +516,65 @@ def test_roundtrip_fails_with_perturbed_extraction(tmp_path, monkeypatch):
         assert run["max_mode_rel_error"] > 10.0 * run["tolerance"] * 0.99
         assert run["frak_h_consistency"] <= 1e-10
         assert not run["passed"]
+
+
+def test_main_rejects_unreadable_config_with_exit_2(tmp_path, capsys):
+    # a missing file, a directory and a non-UTF-8 file each name the path
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"[scenario]\nname = \xff\xfe\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, binary):
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(path), "--quiet"])
+        assert err.value.code == 2
+        assert f"cannot read --config {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["targets =", "targets = ,", "targets = , ,"])
+def test_empty_target_list_is_rejected(tmp_path, capsys, line):
+    # an empty list ran nothing and reported overall: PASS
+    with pytest.raises(ConfigError, match="line 3: targets must name at least one target"):
+        parse_config(f"[scenario]\nname = x\n{line}\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--target", "", "--out", str(tmp_path), "--quiet"])
+    assert err.value.code == 2
+    assert "--target must name at least one target" in capsys.readouterr().err
+
+
+def _too_fast_config(path):
+    # forward-first, in the default verify-all, would meet 2 sqrt(20) / 1e-3
+    path.write_text(
+        "[lattice]\nl_max = 4\n[background]\nkind = constant\nvalue = 1e-3\n"
+        "[verify]\nresolutions = 2, 4\ngronwall_count = 2\n"
+        f"[scenario]\nout = {path.parent / 'run'}\n"
+    )
+    return path
+
+
+def test_target_override_rescues_a_file_whose_targets_fail_the_spectrum_check(tmp_path,
+                                                                               capsys):
+    cfg = _too_fast_config(tmp_path / "c.cfg")
+    assert main(["--config", str(cfg), "--quiet", "--target", "gronwall"]) == 0
+    verdicts = json.loads((tmp_path / "run" / "verdicts.json").read_text())
+    assert verdicts["gronwall"]["passed"] and "forward-first" not in verdicts
+    # the file's own target list still fails, naming its [background] line
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet"])
+    assert err.value.code == 2
+    assert "line 3: forward-first would integrate frequencies" in capsys.readouterr().err
+
+
+def test_flags_are_read_like_file_values(tmp_path, capsys):
+    cfg = _too_fast_config(tmp_path / "c.cfg")
+    for flags, message in [(["--seed", "abc"], "bad value 'abc' for --seed"),
+                           (["--seed", "2.5"], "bad value 2.5 for --seed"),
+                           (["--target", "gronwall,warp"], "unknown target 'warp'")]:
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(cfg), "--quiet", "--target", "gronwall", *flags])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+    # a bad file value is not rescued by the flag that overrides it
+    cfg.write_text("[scenario]\nseed = -1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet", "--target", "gronwall", "--seed", "3"])
+    assert err.value.code == 2
+    assert "line 2: seed must be >= 0" in capsys.readouterr().err
