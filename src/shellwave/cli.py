@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -226,11 +227,15 @@ _FLAG_KEYS = {"--seed": "seed", "--out": "out", "--target": "targets"}
 def parse_config(text):
     """Parse sectioned key = value text into a Scenario.
 
-    Unknown sections or keys, duplicate sections, repeated keys, values that
-    do not read as their type and out-of-range values are all rejected with
-    the line number.
+    A ``#`` starts a comment at the start of a line or after whitespace, so
+    ``out = /tmp/a#b`` keeps its ``#``.  Unknown sections or keys, duplicate
+    sections, repeated keys, values that do not read as their type and
+    out-of-range values are all rejected with the line number.
     """
     return _parse(text, {})
+
+
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parse(text, flags):
@@ -243,7 +248,7 @@ def _parse(text, flags):
     section_lines = {}
     given = {}  # (section, key) -> (text, message prefix, name)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 
 from .lattice import Field, eigenvalue_at, zero_field
 from .lp import log_grad_weights
@@ -540,7 +542,8 @@ def mode_rhs(config, lattice, bg, tau, values, derivs, include_forcing=True):
     """
     values = np.asarray(values, dtype=float)
     derivs = np.asarray(derivs, dtype=float)
-    f, psi = _background_at(bg, tau)
+    f = bg.f(tau)
+    psi = _psi_at(bg, tau, f)
     lam = lattice.lam0_slot / (f * f)
     sqrt_lam = np.sqrt(lam)
     amat = config.coupling_scale * psi[config.coupling_psi]
@@ -553,11 +556,10 @@ def mode_rhs(config, lattice, bg, tau, values, derivs, include_forcing=True):
     return derivs, rhs
 
 
-def _background_at(bg, tau):
-    """f(tau) and the psi profiles (1, kappa, tau^2 kappa), f evaluated once."""
-    f = bg.f(tau)
+def _psi_at(bg, tau, f):
+    """The psi profiles (1, kappa, tau^2 kappa) at tau, given f = bg.f(tau)."""
     k = bg.f_prime_over_tau(tau) / f  # bg.kappa(tau), bit for bit
-    return f, np.array([1.0, k, tau * tau * k])
+    return np.array([1.0, k, tau * tau * k])
 
 
 def _forcing_source(config, lattice, rows, entry_degree):
@@ -587,33 +589,63 @@ def _propagate(lam0, bg, signs, scale, psi_idx, source, values, thetas, tau_from
     theta + tau^2 (coupling + source - 4 lambda v).  Returns values and thetas
     at ``taus``, each (n_times, n_cols, n); a dense run also returns the values
     at any tau of the span.
+
+    The solve is ``solve_ivp`` with ``_InPlaceDOP853``: scipy's DOP853 steps,
+    error control, ``nfev`` and dense output, so the output bits are those of
+    ``method="DOP853"``.  What goes is the per-stage allocation and the
+    wrappers: the right-hand side writes each stage's slope straight into the
+    solver's stage row, and skips the coupling and the drag flip when they add
+    exactly 0.  At ``l_max = 16`` (a 1734-entry state) one RHS call costs
+    9-11 us decoupled and about 19 us coupled, against 24-25 us for the
+    allocating form; per benchmark pass (medians of 10 runs) ``ensemble``
+    went from 2.01 to 1.66 s and ``trajectory`` from 3.62 to 3.07 s, on a
+    2-core Xeon VM.
     """
     n_cols, n = values.shape
-    one_minus_sign = (1.0 - np.asarray(signs, dtype=float))[:, None]
+    cn = n_cols * n
+    flip = (1.0 - np.asarray(signs, dtype=float))[:, None]
+    flip = flip if np.any(flip) else None  # every drag sign +1: theta_s gains 0 * theta
+    coupled = bool(np.any(scale != 0.0))  # all-zero coupling adds exactly 0 to the drive
+    lam = np.empty(n)
+
+    def rhs_into(s, y, out):
+        tau = math.exp(s)
+        f = bg.f(tau)
+        v = y[:cn].reshape(n_cols, n)
+        dth = out[cn:].reshape(n_cols, n)
+        out[:cn] = y[cn:]
+        np.divide(lam0, f * f, out=lam)
+        if coupled:
+            amat = scale * _psi_at(bg, tau, f)[psi_idx]
+            drive = (amat @ v) * np.sqrt(lam)
+            if source is not None:
+                drive += source(tau)
+        else:
+            drive = 0.0 if source is None else source(tau)
+        np.multiply(lam, 4.0, out=lam)
+        np.multiply(lam, v, out=dth)
+        np.subtract(drive, dth, out=dth)
+        dth *= tau * tau
+        if flip is not None:
+            dth += flip * y[cn:].reshape(n_cols, n)
+
+    # The solver reaches the RHS only through ``held``, emptied after the
+    # solve.  So what the RHS holds (for column 0 of the second family: the
+    # regular block's dense solution) is freed on return even if the solver
+    # object is left in a reference cycle, as scipy's own solvers are.
+    held = [rhs_into]
 
     def rhs(s, y):
-        tau = math.exp(s)
-        f, psi = _background_at(bg, tau)
-        lam = lam0 / (f * f)
-        v = y[: n_cols * n].reshape(n_cols, n)
-        th = y[n_cols * n :].reshape(n_cols, n)
-        amat = scale * psi[psi_idx]
-        drive = (amat @ v) * np.sqrt(lam)
-        if source is not None:
-            drive = drive + source(tau)
-        dth = one_minus_sign * th + (tau * tau) * (drive - 4.0 * lam * v)
-        return np.concatenate([th.ravel(), dth.ravel()])
+        out = np.empty_like(y)
+        held[0](s, y, out)
+        return out
 
-    # scipy's solver object is a reference cycle.  It reaches the RHS only
-    # through ``held``, emptied after the solve, so what the RHS holds (for
-    # column 0 of the second family: the regular block's dense solution) is
-    # freed on return, not at the next run of the cyclic garbage collector.
-    held = [rhs]
     try:
         sol = solve_ivp(
-            lambda s, y: held[0](s, y), (math.log(tau_from), math.log(tau_to)),
-            np.concatenate([values.ravel(), thetas.ravel()]), method="DOP853",
+            rhs, (math.log(tau_from), math.log(tau_to)),
+            np.concatenate([values.ravel(), thetas.ravel()]), method=_InPlaceDOP853,
             t_eval=np.log(taus), rtol=rtol, atol=atol, dense_output=dense,
+            rhs_into=lambda s, y, out: held[0](s, y, out),
         )
     finally:
         held.clear()
@@ -625,10 +657,113 @@ def _propagate(lam0, bg, signs, scale, psi_idx, source, values, thetas, tau_from
     stack = np.ascontiguousarray(sol.y.T).reshape(len(taus), 2, n_cols, n)
     if dense:
         def values_at(tau):
-            return sol.sol(math.log(tau))[: n_cols * n].reshape(n_cols, n)
+            return sol.sol(math.log(tau))[:cn].reshape(n_cols, n)
 
         return stack[:, 0].copy(), stack[:, 1], values_at
     return stack[:, 0].copy(), stack[:, 1]
+
+
+# DOP853's stage rows A[s, :s], contiguous, with their nodes C[s]: the stages
+# of a step, then the three extra stages of its dense output.
+_STEP_STAGES = tuple((np.ascontiguousarray(DOP853.A[s, :s]), DOP853.C[s])
+                     for s in range(1, DOP853.n_stages))
+_DENSE_STAGES = tuple((np.ascontiguousarray(a[:s]), c) for s, (a, c) in
+                      enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1))
+
+
+class _InPlaceDOP853(DOP853):
+    """scipy's DOP853, its stages written in place by ``rhs_into(t, y, out)``.
+
+    ``_step_impl`` is scipy's ``RungeKutta._step_impl`` and
+    ``_dense_output_impl`` is ``DOP853._dense_output_impl`` (scipy 1.17),
+    line for line except for the stages: each stage input is formed in one
+    buffer with scipy's operations (``y + h * (K[:s].T @ a)``) and the slope
+    lands in its row of ``K``.  So steps, ``nfev`` and output bits are
+    scipy's.  ``fun`` serves the two evaluations scipy's constructor makes.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rhs_into, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._rhs_into = rhs_into
+        self._buf = np.empty(self.n)
+        # scipy's fun and fun_vectorized close over the solver.  Nothing calls
+        # them after the constructor, and without them the solver is acyclic,
+        # so its stage rows are freed when solve_ivp returns.
+        del self.fun, self.fun_vectorized
+
+    def _stages(self, t, y, h, stages, first):
+        K, buf, rhs_into = self.K_extended, self._buf, self._rhs_into
+        for s, (a, c) in enumerate(stages, start=first):
+            np.dot(K[:s].T, a, out=buf)
+            buf *= h
+            buf += y
+            rhs_into(t + c * h, buf, K[s])
+        self.nfev += len(stages)
+
+    def _step_impl(self):
+        t = self.t
+        y = self.y
+        max_step = self.max_step
+        rtol = self.rtol
+        atol = self.atol
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > max_step:
+            h_abs = max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        step_accepted = False
+        step_rejected = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K = self.K
+            K[0] = self.f
+            self._stages(t, y, h, _STEP_STAGES, 1)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            self._rhs_into(t + h, y_new, K[-1])
+            self.nfev += 1
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = self._estimate_error_norm(K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = K[-1].copy()  # K[-1] is the next step's last stage
+        return True, None
+
+    def _dense_output_impl(self):
+        K = self.K_extended
+        h = self.h_previous
+        self._stages(self.t_old, self.y_old, h, _DENSE_STAGES, self.n_stages + 1)
+        F = np.empty((INTERPOLATOR_POWER, self.n), dtype=self.y_old.dtype)
+        f_old = K[0]
+        delta_y = self.y - self.y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * np.dot(self.D, K)
+        return Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
 
 
 def _eval_taus(tau_from, tau_to, grid):
@@ -781,8 +916,8 @@ def integrate(config, lattice, bg, state, tau_to, grid=None):
         src_f0 = _forcing_source(config, lattice, [0], slot_l)
 
         def source_col0(tau):
-            f, psi0 = _background_at(bg, tau)
-            coeffs = scale[0, 1:] * psi0[psi[0, 1:]]
+            f = bg.f(tau)
+            coeffs = scale[0, 1:] * _psi_at(bg, tau, f)[psi[0, 1:]]
             drive = (coeffs @ regular_at(tau)) * np.sqrt(lam0 / (f * f))
             if src_f0 is not None:
                 drive = drive + src_f0(tau)[0]

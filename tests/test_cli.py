@@ -84,6 +84,15 @@ def test_parse_default_config():
     assert scn.background().name == "desitter"
 
 
+def test_hash_inside_a_value_is_not_a_comment():
+    scn = parse_config("[scenario]\nout = /tmp/a#b\nname = run#1\n")
+    assert (scn.out_dir, scn.name) == ("/tmp/a#b", "run#1")
+    # after whitespace a # starts a comment, as in the golden config's tau_seed line
+    scn = parse_config("# header\n[scenario]\n  # indented\nname = run #1\nout = /tmp/a\t#b\n")
+    assert (scn.out_dir, scn.name) == ("/tmp/a", "run")
+    assert scn.config_hash() == parse_config("[scenario]\nname = run\n").config_hash()
+
+
 def test_expanded_targets_dedup():
     scn = Scenario(targets=("gronwall", "verify-all", "gronwall"))
     expanded = scn.expanded_targets()

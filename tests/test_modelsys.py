@@ -9,6 +9,7 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from shellwave import (
+    ConformalBackground,
     Field,
     Forcing,
     ModeState,
@@ -36,8 +37,9 @@ from shellwave import (
     split_singular_component,
     zero_field,
 )
+from shellwave import modelsys
 from shellwave.energies import _oracle_envelope
-from shellwave.modelsys import _scalar_dop853
+from shellwave.modelsys import _InPlaceDOP853, _scalar_dop853
 from tests.conftest import bounded_field, zero_like
 
 
@@ -453,7 +455,7 @@ def test_second_family_solution_freed_on_return(part, bg, small_lattice):
         integrate(cfg, small_lattice, bg, state, 1.0)
         gc.collect()
         held = [type(o).__name__ for o in gc.garbage
-                if isinstance(o, (OdeSolution, Dop853DenseOutput))]
+                if isinstance(o, (OdeSolution, Dop853DenseOutput, _InPlaceDOP853))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -786,6 +788,135 @@ def test_fundamental_matrices_match_integrate(part, bg, system):
     scale = np.max(np.abs(direct.values))
     assert worst / scale <= 1e-8
 
+
+# ------------------------------------------------------------ block solver
+
+
+def _reference_propagate(nfevs):
+    """The log-chart kernel with an allocating RHS under plain DOP853.
+
+    The same formula and operation order as ``modelsys._propagate``, each
+    stage's arrays allocated anew and stepped by scipy's own ``rk_step``;
+    every solve appends its ``nfev`` to ``nfevs``.
+    """
+
+    def propagate(lam0, bg, signs, scale, psi_idx, source, values, thetas, tau_from, tau_to,
+                  taus, rtol, atol, dense=False):
+        n_cols, n = values.shape
+        one_minus_sign = (1.0 - np.asarray(signs, dtype=float))[:, None]
+
+        def rhs(s, y):
+            tau = math.exp(s)
+            f = bg.f(tau)
+            k = bg.f_prime_over_tau(tau) / f
+            lam = lam0 / (f * f)
+            v = y[: n_cols * n].reshape(n_cols, n)
+            th = y[n_cols * n :].reshape(n_cols, n)
+            amat = scale * np.array([1.0, k, tau * tau * k])[psi_idx]
+            drive = (amat @ v) * np.sqrt(lam)
+            if source is not None:
+                drive = drive + source(tau)
+            dth = one_minus_sign * th + (tau * tau) * (drive - 4.0 * lam * v)
+            return np.concatenate([th.ravel(), dth.ravel()])
+
+        sol = solve_ivp(rhs, (math.log(tau_from), math.log(tau_to)),
+                        np.concatenate([values.ravel(), thetas.ravel()]), method="DOP853",
+                        t_eval=np.log(taus), rtol=rtol, atol=atol, dense_output=dense)
+        assert sol.success
+        nfevs.append(sol.nfev)
+        stack = sol.y.T.reshape(len(taus), 2, n_cols, n)
+        if not dense:
+            return stack[:, 0], stack[:, 1]
+        return stack[:, 0], stack[:, 1], lambda tau: sol.sol(math.log(tau))[: n_cols * n].reshape(
+            n_cols, n)
+
+    return propagate
+
+
+def _count_solves(monkeypatch):
+    """Wrap the ``solve_ivp`` name modelsys calls; returns the list of nfevs."""
+    nfevs, solve = [], modelsys.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(modelsys, "solve_ivp", counting)
+    return nfevs
+
+
+def _solver_case(case, part, bg):
+    """The arrays one kind of block solve returns, for the reference comparison."""
+    lat = build_lattice(2, 4)
+    rng = np.random.default_rng(53)
+    system = "first" if case in ("forward", "backward") else "second"
+    cs, cp = random_coupling(1, system, rng, 0.0 if case == "propagators" else 0.1)
+    cfg = SystemConfig(
+        n_regular=1, system=system, coupling_scale=cs, coupling_psi=cp,
+        forcings=(Forcing(kind="tau_bump", amplitude=0.3, center=0.5, width=0.1),
+                  Forcing(kind="tau_bump", amplitude=-0.2, center=0.3, width=0.1)),
+    )
+    if case == "propagators":
+        # decoupled: the drive is 0 for the propagators and the source alone
+        # for the forced response, with the second family's drag flip in both
+        taus = make_time_grid(cfg.tau_seed, 1.0, count=9).taus
+        return (fundamental_matrices(cfg, lat, bg, cfg.tau_seed, taus),
+                forced_profile(cfg, lat, bg, cfg.tau_seed, taus))
+    if case == "backward":
+        run = integrate(cfg, lat, bg, _end_state(lat, rng, cfg.n_columns), 1e-2)
+    else:
+        data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
+                                    h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
+        run = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0)
+    return run.values, run.derivs
+
+
+@pytest.mark.parametrize("case", ["forward", "backward", "second", "propagators"])
+def test_block_solver_matches_scipy_dop853_bit_for_bit(monkeypatch, part, bg, case):
+    # the in-place stages take scipy's steps with scipy's arithmetic: equal
+    # arrays and equal RHS counts.  "second" reads the regular block through
+    # the dense interpolant.
+    nfevs = _count_solves(monkeypatch)
+    got = _solver_case(case, part, bg)
+    ref_nfevs = []
+    monkeypatch.setattr(modelsys, "_propagate", _reference_propagate(ref_nfevs))
+    want = _solver_case(case, part, bg)
+    assert nfevs == ref_nfevs and nfevs
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_propagate_reports_a_failed_solve(small_lattice):
+    # f = 0.5 - tau^2 vanishes at tau = 0.71, where lambda = lam0 / f^2 blows
+    # up: the step size collapses below the spacing of floats
+    vanishing = ConformalBackground(name="vanishing", f_even=(0.5, -1.0))
+    taus = np.geomspace(1e-3, 1.0, 5)
+    with pytest.raises(RuntimeError, match=r"integration failed between tau=0\.001 and 1: "
+                       r"Required step size .*; try a larger tau_seed"):
+        fundamental_matrices(SystemConfig(n_regular=1), small_lattice, vanishing, 1e-3, taus)
+
+
+def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_lattice):
+    # the benchmark's modelsys.solves, rhs_evals and solve_s wrap this name
+    nfevs = _count_solves(monkeypatch)
+    cfg = SystemConfig(n_regular=1, forcings=(Forcing("tau_bump", 0.3), Forcing()))
+    rng = np.random.default_rng(59)
+    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
+                                h=bounded_field(small_lattice, rng),
+                                phis=[bounded_field(small_lattice, rng)])
+    taus = np.geomspace(cfg.tau_seed, 1.0, 5)
+    calls = {
+        "integrate": lambda: integrate(cfg, small_lattice, bg,
+                                       seed_state(cfg, small_lattice, bg, data), 1.0),
+        "fundamental_matrices": lambda: fundamental_matrices(cfg, small_lattice, bg,
+                                                             cfg.tau_seed, taus),
+        "forced_profile": lambda: forced_profile(cfg, small_lattice, bg, cfg.tau_seed, taus),
+    }
+    for name, call in calls.items():
+        before = len(nfevs)
+        call()
+        assert len(nfevs) == before + 1 and nfevs[-1] > 0, name
 
 @pytest.mark.parametrize("system", ["first", "second"])
 def test_integrate_matches_mode_rhs_by_finite_differences(part, bg, system):
