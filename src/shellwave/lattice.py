@@ -121,10 +121,10 @@ def build_lattice(n, l_max):
 class ConformalBackground:
     """Conformal factor profile f(tau) = sum_j f_even[j] tau^(2j).
 
-    Only even profiles with f(0) > 0 are admitted so that f'(tau)/tau extends
-    smoothly to tau = 0; kappa(tau) = f'(tau)/(tau f(tau)) is then finite on
-    the closed interval and the three coupling weights {1, kappa, tau^2 kappa}
-    are well defined everywhere.
+    Only even profiles that stay positive on [0, 1] are admitted, so that
+    f'(tau)/tau extends smoothly to tau = 0; kappa(tau) = f'(tau)/(tau f(tau))
+    and lambda = lam0 / f^2 are then finite on the closed interval and the
+    three coupling weights {1, kappa, tau^2 kappa} are well defined everywhere.
     """
 
     name: str
@@ -133,8 +133,16 @@ class ConformalBackground:
     def __post_init__(self):
         if not self.f_even:
             raise ValueError("f_even must have at least the constant term")
-        if self.f_even[0] <= 0.0:
-            raise ValueError(f"f(0) must be positive, got {self.f_even[0]}")
+        # f is a polynomial in u = tau^2; its minimum on [0, 1] sits at an end
+        # or at a real critical point inside, and lambda = lam0 / f^2 needs it > 0
+        poly = np.polynomial.Polynomial(self.f_even)
+        crit = poly.deriv().roots()
+        inner = crit.real[(crit.imag == 0.0) & (crit.real > 0.0) & (crit.real < 1.0)]
+        u = np.concatenate([[0.0, 1.0], inner])
+        at = int(np.argmin(poly(u)))
+        if poly(u[at]) <= 0.0:
+            raise ValueError(f"f must stay positive on [0, 1], but it reaches "
+                             f"{poly(u[at]):.3g} at tau = {math.sqrt(u[at]):.3g}")
 
     def f(self, tau):
         return _even_horner(self.f_even, tau)

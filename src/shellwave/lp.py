@@ -496,11 +496,11 @@ def _poincare_cells(part, lam):
                          "so no cell k >= 0 holds a mode")
     k_hi = min(part.k_max, int(math.floor(math.log(top, 4.0))))
     cells = _shell_table(part, lam)[-part.k_min : k_hi - part.k_min + 1]  # k = 0..k_hi
-    held = np.flatnonzero(np.any(cells > 0.0, axis=1))
-    if held.size == 0:
+    occupied = np.flatnonzero(np.any(cells > 0.0, axis=1))
+    if occupied.size == 0:
         raise ValueError(f"every mode lies above the cells 0..{k_hi}: the lowest positive "
                          f"eigenvalue is {float(np.min(lam[lam > 0.0])):.3g}")
-    return int(held[0]), k_hi
+    return int(occupied[0]), k_hi
 
 
 def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.0, 10.0),

@@ -550,7 +550,7 @@ def mode_rhs(config, lattice, bg, tau, values, derivs, include_forcing=True):
     rhs = (amat @ values) * sqrt_lam - 4.0 * lam * values
     rhs -= (config.drag_signs / tau)[:, None] * derivs
     if include_forcing:
-        src = _forcing_source(config, lattice, range(config.n_columns), lattice.slot_l)
+        src = _forcing_source(config, lattice, lattice.slot_l)
         if src is not None:
             rhs += src(tau)
     return derivs, rhs
@@ -562,48 +562,44 @@ def _psi_at(bg, tau, f):
     return np.array([1.0, k, tau * tau * k])
 
 
-def _forcing_source(config, lattice, rows, entry_degree):
-    """Source closure stacking the given rows' forcing at one time, or None.
+def _forcing_source(config, lattice, entry_degree):
+    """Source closure stacking every column's forcing at one time, or None.
 
     ``entry_degree`` maps each entry of a row to its degree: ``lattice.slot_l``
-    for slot-level runs, ``np.arange(l_max + 1)`` for per-degree ones.
+    for ``mode_rhs``, ``np.arange(l_max + 1)`` for the per-degree response.
     """
     forcings = config.forcing_list()
-    chosen = [forcings[r] for r in rows]
-    if all(f.kind == "zero" or f.amplitude == 0.0 for f in chosen):
+    if all(f.kind == "zero" or f.amplitude == 0.0 for f in forcings):
         return None
-    weights = np.stack([f.degree_weights(lattice)[entry_degree] for f in chosen])
+    weights = np.stack([f.degree_weights(lattice)[entry_degree] for f in forcings])
 
     def source(tau):
-        return np.array([f.profile(tau) for f in chosen])[:, None] * weights
+        return np.array([f.profile(tau) for f in forcings])[:, None] * weights
 
     return source
 
 
-def _propagate(lam0, bg, signs, scale, psi_idx, source, values, thetas, tau_from, tau_to,
-               taus, rtol, atol, dense=False):
+def _propagate(config, lam0, bg, source, start, tau_from, taus):
     """Solve a block of coupled columns in the chart s = log tau.
 
-    ``values`` and ``thetas`` = tau * v' are (n_cols, n) at tau_from, one entry
-    per eigenvalue in ``lam0``.  The drag term is absorbed: theta_s = (1 - sign)
-    theta + tau^2 (coupling + source - 4 lambda v).  Returns values and thetas
-    at ``taus``, each (n_times, n_cols, n); a dense run also returns the values
-    at any tau of the span.
+    ``start`` is the stacked (values, thetas = tau * v') state at tau_from,
+    shape (2 n_columns, n), one entry per eigenvalue in ``lam0``; the run ends
+    at taus[-1].  The drag term is absorbed: theta_s = (1 - sign) theta +
+    tau^2 (coupling + source - 4 lambda v).  Returns the stacked state at
+    ``taus``, shape (n_times, 2 n_columns, n).  Its callers are the two
+    per-degree builders, ``fundamental_matrices`` and ``forced_profile``.
 
     The solve is ``solve_ivp`` with ``_InPlaceDOP853``: scipy's DOP853 steps,
-    error control, ``nfev`` and dense output, so the output bits are those of
-    ``method="DOP853"``.  What goes is the per-stage allocation and the
-    wrappers: the right-hand side writes each stage's slope straight into the
-    solver's stage row, and skips the coupling and the drag flip when they add
-    exactly 0.  At ``l_max = 16`` (a 1734-entry state) one RHS call costs
-    9-11 us decoupled and about 19 us coupled, against 24-25 us for the
-    allocating form; per benchmark pass (medians of 10 runs) ``ensemble``
-    went from 2.01 to 1.66 s and ``trajectory`` from 3.62 to 3.07 s, on a
-    2-core Xeon VM.
+    error control, ``nfev`` and dense output at ``taus``, so the output bits
+    are those of ``method="DOP853"``.  What goes is the per-stage allocation
+    and the wrappers: the right-hand side writes each stage's slope straight
+    into the solver's stage row, and skips the coupling and the drag flip
+    when they add exactly 0.
     """
-    n_cols, n = values.shape
+    n_cols, n = config.n_columns, start.shape[1]
     cn = n_cols * n
-    flip = (1.0 - np.asarray(signs, dtype=float))[:, None]
+    scale, psi_idx = config.coupling_scale, config.coupling_psi
+    flip = (1.0 - config.drag_signs)[:, None]
     flip = flip if np.any(flip) else None  # every drag sign +1: theta_s gains 0 * theta
     coupled = bool(np.any(scale != 0.0))  # all-zero coupling adds exactly 0 to the drive
     lam = np.empty(n)
@@ -629,38 +625,20 @@ def _propagate(lam0, bg, signs, scale, psi_idx, source, values, thetas, tau_from
         if flip is not None:
             dth += flip * y[cn:].reshape(n_cols, n)
 
-    # The solver reaches the RHS only through ``held``, emptied after the
-    # solve.  So what the RHS holds (for column 0 of the second family: the
-    # regular block's dense solution) is freed on return even if the solver
-    # object is left in a reference cycle, as scipy's own solvers are.
-    held = [rhs_into]
-
     def rhs(s, y):
         out = np.empty_like(y)
-        held[0](s, y, out)
+        rhs_into(s, y, out)
         return out
 
-    try:
-        sol = solve_ivp(
-            rhs, (math.log(tau_from), math.log(tau_to)),
-            np.concatenate([values.ravel(), thetas.ravel()]), method=_InPlaceDOP853,
-            t_eval=np.log(taus), rtol=rtol, atol=atol, dense_output=dense,
-            rhs_into=lambda s, y, out: held[0](s, y, out),
-        )
-    finally:
-        held.clear()
+    sol = solve_ivp(rhs, (math.log(tau_from), math.log(taus[-1])), start.ravel(),
+                    method=_InPlaceDOP853, t_eval=np.log(taus), rtol=config.rtol,
+                    atol=config.atol, rhs_into=rhs_into)
     if not sol.success:
         raise RuntimeError(
-            f"integration failed between tau={tau_from:g} and {tau_to:g}: {sol.message}; "
+            f"integration failed between tau={tau_from:g} and {taus[-1]:g}: {sol.message}; "
             "try a larger tau_seed or looser tolerances"
         )
-    stack = np.ascontiguousarray(sol.y.T).reshape(len(taus), 2, n_cols, n)
-    if dense:
-        def values_at(tau):
-            return sol.sol(math.log(tau))[:cn].reshape(n_cols, n)
-
-        return stack[:, 0].copy(), stack[:, 1], values_at
-    return stack[:, 0].copy(), stack[:, 1]
+    return np.ascontiguousarray(sol.y.T).reshape(len(taus), 2 * n_cols, n)
 
 
 # DOP853's stage rows A[s, :s], contiguous, with their nodes C[s]: the stages
@@ -879,11 +857,15 @@ def extract_asymptotic_data(config, lattice, bg, state, part):
 def integrate(config, lattice, bg, state, tau_to, grid=None):
     """Propagate a state to tau_to; direction follows sign(tau_to - state.tau).
 
-    Runs in the log-time chart throughout (so the mandatory substitution below
-    tau = 1e-3 is always active).  For the second family the regular block is
-    integrated on its own and column 0 afterwards, reading the regular columns
-    through the dense interpolant; the regular trajectories therefore do not
-    depend on the singular data in any way, bit for bit.
+    Every slot of degree l obeys the same linear system, so the trajectory is
+    composed per degree: the stacked (values, tau * derivs) vector of a slot
+    is P[l] @ y0 + F[l], with P from ``fundamental_matrices`` and F from
+    ``forced_profile``, both anchored at state.tau.  So a run costs those two
+    solves in the log-time chart whatever the number of slots.  For the
+    second family the regular rows of P started from column 0 are exactly 0
+    (its regular rows do not couple back to column 0) and F does not read the
+    data, so the regular trajectories do not depend on the singular data in
+    any way, bit for bit.
     """
     tau_from = state.tau
     tau_to = float(tau_to)
@@ -895,38 +877,15 @@ def integrate(config, lattice, bg, state, tau_to, grid=None):
     if n_cols != config.n_columns or n_slots != lattice.n_slots:
         raise ValueError("state shape does not match config/lattice")
     taus = _eval_taus(tau_from, tau_to, grid)
-    span = (tau_from, tau_to, taus, config.rtol, config.atol)
-    scale, psi = config.coupling_scale, config.coupling_psi
-    lam0, slot_l = lattice.lam0_slot, lattice.slot_l
-    thetas = tau_from * state.derivs
-
-    if config.system == "first":
-        values, thetas = _propagate(
-            lam0, bg, config.drag_signs, scale, psi,
-            _forcing_source(config, lattice, range(n_cols), slot_l),
-            state.values, thetas, *span,
-        )
-    else:
-        # regular block first, then the singular column driven by it
-        vr, tr, regular_at = _propagate(
-            lam0, bg, -np.ones(n_cols - 1), scale[1:, 1:], psi[1:, 1:],
-            _forcing_source(config, lattice, range(1, n_cols), slot_l),
-            state.values[1:], thetas[1:], *span, dense=True,
-        )
-        src_f0 = _forcing_source(config, lattice, [0], slot_l)
-
-        def source_col0(tau):
-            f = bg.f(tau)
-            coeffs = scale[0, 1:] * _psi_at(bg, tau, f)[psi[0, 1:]]
-            drive = (coeffs @ regular_at(tau)) * np.sqrt(lam0 / (f * f))
-            if src_f0 is not None:
-                drive = drive + src_f0(tau)[0]
-            return drive[None, :]
-
-        v0, t0 = _propagate(lam0, bg, np.ones(1), scale[:1, :1], psi[:1, :1], source_col0,
-                            state.values[:1], thetas[:1], *span)
-        values, thetas = np.concatenate([v0, vr], axis=1), np.concatenate([t0, tr], axis=1)
-    return Trajectory(taus=taus, values=values, derivs=thetas / taus[:, None, None],
+    props = fundamental_matrices(config, lattice, bg, tau_from, taus)
+    forced = forced_profile(config, lattice, bg, tau_from, taus)
+    start = np.concatenate([state.values, tau_from * state.derivs])
+    rows = np.empty((len(taus), 2 * n_cols, n_slots))
+    for l in range(lattice.l_max + 1):
+        sl = lattice.slots_of_degree(l)
+        rows[:, :, sl] = props[l] @ start[:, sl] + forced[l][:, :, None]
+    return Trajectory(taus=taus, values=rows[:, :n_cols],
+                      derivs=rows[:, n_cols:] / taus[:, None, None],
                       config=config, lattice=lattice, bg=bg)
 
 
@@ -1113,8 +1072,10 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
     columns and forcing included) with data frak_h.  Their sum reproduces the
     direct column-0 run; both are returned as single-column trajectories.
     Both ride along as two extra columns of one augmented first-family run
-    of ``integrate``, so a second-family config, whose regular rows carry the
-    opposite drag, is rejected.
+    of ``integrate``, which composes that system's per-degree propagators,
+    so the split costs two solves whatever the number of slots.  A
+    second-family config, whose regular rows carry the opposite drag, is
+    rejected.
     """
     if part is None:
         raise ValueError("a frequency partition is needed for the log-derivative data")
@@ -1232,19 +1193,15 @@ def fundamental_matrices(config, lattice, bg, tau_anchor, taus):
 
     Returns (n_degrees, n_times, d, d) with d = 2 n_columns, acting on the
     stacked (values, tau * derivs) vector of one slot.  The per-mode system
-    only depends on the degree, so ensembles over random data reduce to
-    matrix multiplication against these.
+    only depends on the degree, so ``integrate`` and the ensembles over random
+    data reduce to matrix multiplication against these.  One solve carries
+    all d unit starts of every degree.
     """
-    n_cols, d, n_deg = config.n_columns, 2 * config.n_columns, lattice.l_max + 1
+    d, n_deg = 2 * config.n_columns, lattice.l_max + 1
     start = np.tile(np.eye(d), n_deg)  # entry degree * d + j starts at unit vector j
-    values, thetas = _propagate(
-        np.repeat(lattice.lam0, d), bg, config.drag_signs, config.coupling_scale,
-        config.coupling_psi, None, start[:n_cols], start[n_cols:],
-        tau_anchor, taus[-1], taus, config.rtol, config.atol,
-    )
+    rows = _propagate(config, np.repeat(lattice.lam0, d), bg, None, start, tau_anchor, taus)
     # (time, row, degree * d + start) -> (degree, time, row, start)
-    rows = np.concatenate([values, thetas], axis=1).reshape(len(taus), d, n_deg, d)
-    return np.ascontiguousarray(rows.transpose(2, 0, 1, 3))
+    return np.ascontiguousarray(rows.reshape(len(taus), d, n_deg, d).transpose(2, 0, 1, 3))
 
 
 def forced_profile(config, lattice, bg, tau_anchor, taus):
@@ -1253,17 +1210,12 @@ def forced_profile(config, lattice, bg, tau_anchor, taus):
     Returns (n_degrees, n_times, d); every slot of a degree is forced with
     the same profile, so this broadcasts across slots.
     """
-    n_cols, n_deg = config.n_columns, lattice.l_max + 1
-    src = _forcing_source(config, lattice, range(n_cols), np.arange(n_deg))
+    d, n_deg = 2 * config.n_columns, lattice.l_max + 1
+    src = _forcing_source(config, lattice, np.arange(n_deg))
     if src is None:
-        return np.zeros((n_deg, len(taus), 2 * n_cols))
-    zero = np.zeros((n_cols, n_deg))
-    values, thetas = _propagate(
-        lattice.lam0, bg, config.drag_signs, config.coupling_scale, config.coupling_psi,
-        src, zero, zero, tau_anchor, taus[-1], taus, config.rtol, config.atol,
-    )
-    rows = np.concatenate([values, thetas], axis=1)  # (time, row, degree)
-    return np.ascontiguousarray(rows.transpose(2, 0, 1))
+        return np.zeros((n_deg, len(taus), d))
+    rows = _propagate(config, lattice.lam0, bg, src, np.zeros((d, n_deg)), tau_anchor, taus)
+    return np.ascontiguousarray(rows.transpose(2, 0, 1))  # (time, row, degree) -> degree first
 
 
 def data_to_state_maps(config, lattice, bg, tau_seed, part):

@@ -403,12 +403,13 @@ def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
 
 
 # energies at the five grid times of a coupled, forced run on S^2 with
-# l_max 4, recorded before both functionals read one weight table
+# l_max 4, recorded from the per-degree composition in integrate; a
+# slot-level solve at the same tolerances reads within 2.1e-10 relative
 GOLDEN_ENERGIES = {
-    "first": (2221.8254512551284, 2233.080094333579, 2402.899053206721,
-              5006.370333880313, 5.4505479713708045),
-    "second": (3523.8754179355437, 5606161.300470197, 5028091.816203686,
-               4590581.819412816, 4539842.881233678),
+    "first": (2221.8254512551284, 2233.0800943557106, 2402.8990527118026,
+              5006.370334315143, 5.450547971385824),
+    "second": (3523.8754179355437, 5606161.300657268, 5028091.816304992,
+               4590581.819530005, 4539842.881366106),
 }
 
 

@@ -126,6 +126,18 @@ def test_background_validation():
         constant_background(0.0)
 
 
+@pytest.mark.parametrize("f_even", [(0.5, -1.0), (0.5, -0.5), (1.0, -4.0, 4.0)],
+                         ids=["inside", "at_one", "touching"])
+def test_background_rejects_f_vanishing_on_the_interval(f_even):
+    # lambda = lam0 / f^2 is infinite where f = 0: 0.5 - tau^2 vanishes at
+    # tau = 0.71, 0.5 - 0.5 tau^2 at tau = 1, where a solve only crawls, and
+    # (1 - 2 tau^2)^2 touches 0 at its interior minimum, tau = 0.71
+    with pytest.raises(ValueError, match=r"f must stay positive on \[0, 1\]"):
+        ConformalBackground(name="vanishing", f_even=f_even)
+    assert desitter_background().f_even == (0.5, 2.0)
+    assert constant_background(1.3).f_even == (1.3,)
+
+
 _PROFILES = [desitter_background(), constant_background(1.5),
              ConformalBackground(name="three", f_even=(0.5, 2.0, -0.3))]
 _FLOAT_TAUS = [0.0, 1e-7, 0.3, 1.0] + [
