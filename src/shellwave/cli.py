@@ -171,7 +171,7 @@ def _targets(raw):
 
 
 def _resolutions(raw):
-    return tuple(int(x) for x in _split_list(raw))
+    return tuple(_integer(x) for x in _split_list(raw))
 
 
 # section -> key -> (Scenario field, reader of the value's text, range check,
@@ -213,8 +213,11 @@ _SECTION_KEYS = {
     },
     "verify": {
         "n_draws": ("n_draws", _integer, lambda v: v >= 1, "{key} must be >= 1"),
-        "resolutions": ("resolutions", _resolutions, lambda r: len(r) >= 2 and min(r) >= 1,
-                        "need at least two resolutions to compare, each >= 1"),
+        "resolutions": ("resolutions", _resolutions,
+                        lambda r: len(r) >= 2 and r[0] >= 1
+                        and all(a < b for a, b in zip(r, r[1:])),
+                        "need at least two resolutions to compare, each >= 1, in strictly "
+                        "increasing order"),
         "n_fields": ("n_fields", _integer, lambda v: v >= 1, "{key} must be >= 1"),
         "gronwall_count": ("gronwall_count", _integer, lambda v: v >= 1, "{key} must be >= 1"),
     },
@@ -489,7 +492,7 @@ def _target_singular_split(scn):
     config = SystemConfig(
         n_regular=1, system="first", top_order=scn.top_order,
         coupling_scale=cs, coupling_psi=cp,
-        forcings=(Forcing(kind="tau_bump", amplitude=0.2, center=0.4, width=0.1), Forcing()),
+        forcings=(Forcing(amplitude=0.2, center=0.4, width=0.1), Forcing()),
         tau_seed=scn.tau_seed, rtol=1e-11, atol=1e-13,
     )
     data = make_asymptotic_data(

@@ -7,10 +7,10 @@ draws and several lattice resolutions.
 Each energy functional is defined once, in the weight tables
 ``_energy_weights`` (per column, weights on value^2 and derivative^2, plus the
 backward family's integrand accumulated from tau up to 1) and
-``_data_weights``; trajectory energies, data and forcing norms and the one
-ensemble kernel of both families read them.  Ensembles never re-integrate
-per draw: per degree a draw reduces to its Gram matrix and slot sum against
-the propagators of :mod:`.modelsys`.
+``_data_weights``; the forcing budgets and the one ensemble kernel of both
+families read them.  Ensembles never re-integrate per draw: per degree a draw
+reduces to its Gram matrix and slot sum against the propagators of
+:mod:`.modelsys`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import build_lattice, eigenvalue_at
-from .lp import lp_project
+from .lattice import _check_resolutions, build_lattice, eigenvalue_at
 from .modelsys import (
     Forcing,
     SystemConfig,
@@ -34,82 +33,35 @@ from .modelsys import (
 )
 
 __all__ = [
-    "ShellEnergy",
     "DecayReport",
     "BlowupReport",
     "TheoremReport",
-    "shell_energy",
     "fit_power_exponent",
     "shell_decay_check",
     "singular_blowup_check",
-    "energy_first",
-    "data_energy_first",
     "forcing_energy_first",
-    "energy_second",
-    "data_energy_second",
     "forcing_energy_second",
     "verify_theorem_ratio",
 ]
 
-REGIME_SPLIT_X = 32.0
-
-
-# ------------------------------------------------------------ shell energy
-
-
-@dataclass(frozen=True)
-class ShellEnergy:
-    """One dyadic shell's energy at one time, with its propagation regime."""
-
-    k: int
-    tau: float
-    value: float
-    regime: str  # "low" while 2^k tau < X, "high" after
-
-
-def shell_energy(part, k, field, deriv_field, tau, bg, split_x=REGIME_SPLIT_X):
-    """a_k(tau) = tau ||P_k dfield||^2 + ||P_k field||^2 / tau + tau ||grad P_k field||^2."""
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    pk_f = lp_project(part, "plain", k, field, tau, bg)
-    pk_d = lp_project(part, "plain", k, deriv_field, tau, bg)
-    grad_sq = float(np.sum(lam * pk_f.coeffs**2))
-    val = tau * pk_d.l2_norm() ** 2 + pk_f.l2_norm() ** 2 / tau + tau * grad_sq
-    regime = "high" if (2.0**k) * tau >= split_x else "low"
-    return ShellEnergy(k=k, tau=float(tau), value=float(val), regime=regime)
-
 
 # ------------------------------------------------------------------ fitting
 
-_FIT_MODELS = ("power", "dyadic", "log_square")
 
+def fit_power_exponent(xs, ys):
+    """Least-squares dyadic rate a of y ~ C 2^(a x) over shell indices x.
 
-def fit_power_exponent(xs, ys, model="power"):
-    """Least-squares exponent (or scale) and relative residual.
-
-    ``power``: y ~ C x^a, returns a.  ``dyadic``: x are shell indices,
-    y ~ C 2^(a x), returns a.  ``log_square``: y ~ C (1 + log^2 x), returns C.
-    Requires at least four samples and positive ordinates; a fit through
-    fewer shells says nothing about a rate.
+    Returns a and the largest residual in log y.  Requires at least four
+    samples and positive ordinates; a fit through fewer shells says nothing
+    about a rate.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if model not in _FIT_MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {_FIT_MODELS}")
     if xs.size < 4:
         raise ValueError(f"need at least 4 samples for a rate fit, got {xs.size}")
     if np.any(ys <= 0.0):
         raise ValueError("ordinates must be positive")
-    if model == "log_square":
-        basis = 1.0 + np.log(xs) ** 2
-        scale = float(np.dot(basis, ys) / np.dot(basis, basis))
-        resid = float(np.max(np.abs(ys - scale * basis)) / np.max(ys))
-        return scale, resid
-    if model == "power":
-        if np.any(xs <= 0.0):
-            raise ValueError("abscissae must be positive for a power fit")
-        lx = np.log(xs)
-    else:
-        lx = xs * math.log(2.0)
+    lx = xs * math.log(2.0)
     ly = np.log(ys)
     a = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
@@ -152,11 +104,11 @@ def _oracle_envelope(kind, omega, tau):
 _ORACLE_DEVIATION_LIMIT = 1e-6
 
 
-def shell_decay_check(l_lo=4, l_hi=12, branch="J", tau_seed=0.05,
+def shell_decay_check(l_lo=4, l_hi=12, branch="J",
                       slope_target=-0.5, tolerance=0.025):
     """Dyadic decay of the calibration mode family u'' + u'/tau + 4^l u = 0.
 
-    Each member is seeded from the oracle at tau_seed and integrated to
+    Each member is seeded from the oracle at tau = 0.05 and integrated to
     tau = 1; the phase-free amplitude there must fall off like 2^(-l/2).
     The integrator endpoints are also checked against the oracle envelope:
     each amplitude must lie within a relative 1e-6 of it.
@@ -166,6 +118,7 @@ def shell_decay_check(l_lo=4, l_hi=12, branch="J", tau_seed=0.05,
     degrees = list(range(l_lo, l_hi + 1))
     if len(degrees) < 4:
         raise ValueError("need at least four dyadic members for a slope")
+    tau_seed = 0.05
     amps, devs = [], []
     for l in degrees:
         lam = 4.0**l  # equation coefficient; solutions oscillate at omega = 2^l
@@ -178,7 +131,7 @@ def shell_decay_check(l_lo=4, l_hi=12, branch="J", tau_seed=0.05,
         ref, _, _ = _oracle_envelope(branch, omega, 1.0)
         amps.append(amp)
         devs.append(abs(amp - ref) / ref)
-    slope, _ = fit_power_exponent(np.array(degrees, dtype=float), np.array(amps), "dyadic")
+    slope, _ = fit_power_exponent(np.array(degrees, dtype=float), np.array(amps))
     worst = float(max(devs))
     passed = abs(slope - slope_target) <= tolerance and worst <= _ORACLE_DEVIATION_LIMIT
     return DecayReport(
@@ -319,41 +272,17 @@ def _cumtrapz(taus, integrand):
                           axis=-1)
 
 
-def _trajectory_energy(traj, system):
-    taus = traj.taus
-    lam = eigenvalue_at(traj.bg, traj.lattice.lam0_slot[None, :], taus[:, None])
-    weights, _ = _energy_weights(system, traj.config.top_order, traj.config.n_columns,
-                                 lam, taus[:, None])
-    sq = np.stack([traj.values**2, traj.derivs**2])  # (2, n_times, n_cols, n_slots)
-    point, integrand = np.einsum("jkcts,ktcs->jt", weights, sq)
-    return taus, point + _cumtrapz(taus, integrand)
-
-
 def _forcing_budget(config, lattice, bg, taus, system):
     """Time-integrated forcing squares along the grid from its first time."""
     taus = np.asarray(taus, dtype=float)
     lam = eigenvalue_at(bg, lattice.lam0[None, :], taus[:, None])
     _, weight = _energy_weights(system, config.top_order, config.n_columns,
                                 lam, taus[:, None])
-    forcing_sq = np.zeros_like(lam)  # sum over columns, per (time, degree)
+    # summed over columns per time; every slot of every degree is forced alike
+    forcing_sq = np.zeros(len(taus))
     for f in config.forcing_list():
-        profile = np.array([f.profile(tau) for tau in taus])
-        forcing_sq += np.outer(profile**2, f.degree_weights(lattice) ** 2)
-    return _cumtrapz(taus, (weight * forcing_sq) @ lattice.mult)
-
-
-def energy_first(traj):
-    """Forward-family energy along a trajectory; returns (taus, energies)."""
-    return _trajectory_energy(traj, "first")
-
-
-def data_energy_first(data, bg, top_order):
-    """Data norm: O, renormalized finite part and the regular limits in H^(M+1)."""
-    entries = np.stack([data.O_field.coeffs, data.frak_h.coeffs]
-                       + [phi.coeffs for phi in data.phi0_fields])
-    weights = _data_weights("first", top_order, data.n_regular + 1, bg,
-                            data.O_field.lattice.lam0_slot)
-    return float(np.sum(weights * entries**2))
+        forcing_sq += np.array([f.profile(tau) for tau in taus]) ** 2
+    return _cumtrapz(taus, (weight * forcing_sq[:, None]) @ lattice.mult)
 
 
 def forcing_energy_first(config, lattice, bg, taus):
@@ -363,22 +292,6 @@ def forcing_energy_first(config, lattice, bg, taus):
     the tau-weighted H^(1/2) square at the top order, both time-integrated.
     """
     return _forcing_budget(config, lattice, bg, taus, "first")
-
-
-def energy_second(traj):
-    """Backward-family energy; expects taus descending from 1."""
-    if traj.taus[0] < traj.taus[-1]:
-        raise ValueError("backward energy expects a trajectory integrated from tau = 1 down")
-    return _trajectory_energy(traj, "second")
-
-
-def data_energy_second(state, bg, lattice, top_order):
-    """Endpoint norm at tau = 1 over all columns."""
-    if abs(state.tau - 1.0) > 1e-12:
-        raise ValueError("backward data norm is defined at tau = 1")
-    entries = np.concatenate([state.values, state.derivs])
-    weights = _data_weights("second", top_order, state.values.shape[0], bg, lattice.lam0_slot)
-    return float(np.sum(weights * entries**2))
 
 
 def forcing_energy_second(config, lattice, bg, taus):
@@ -452,12 +365,11 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
     the energy runs from tau = 1e-4 to 1; for the backward family draws are
     endpoint states at tau = 1 evolved down to 1e-3.  The max ratio must be
     finite and move by less than a factor 2 between consecutive resolution
-    doublings, so at least two resolutions are needed.
+    doublings, so at least two strictly increasing resolutions are needed.
     """
     if system not in ("first", "second"):
         raise ValueError(f"system must be 'first' or 'second', got {system!r}")
-    if len(resolutions) < 2:
-        raise ValueError(f"need at least two resolutions to compare, got {tuple(resolutions)}")
+    _check_resolutions(resolutions)
     rng = np.random.default_rng(seed)
     decay = 2.0 * top_order + 3.0
     # one coupling draw shared by every resolution, so the doubling comparison
@@ -500,5 +412,5 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
 
 def _default_forcing(column):
     if column == 0:
-        return Forcing(kind="tau_bump", amplitude=0.3, center=0.5, width=0.15)
-    return Forcing(kind="tau_bump", amplitude=0.2, center=0.3 + 0.1 * column, width=0.1)
+        return Forcing(amplitude=0.3, center=0.5, width=0.15)
+    return Forcing(amplitude=0.2, center=0.3 + 0.1 * column, width=0.1)

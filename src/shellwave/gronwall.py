@@ -70,10 +70,6 @@ class GronwallInstance:
         if np.any(A < 0.0) or np.any(b < 0.0) or np.any(c < 0.0):
             raise ValueError("A, b, c must be nonnegative")
 
-    @property
-    def n_levels(self):
-        return self.k_max - self.x + 1
-
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
@@ -149,12 +145,13 @@ def _right_cum(taus, g):
     return out
 
 
-def saturate_recursion(inst, tol=1e-12, max_sweeps=None):
+def saturate_recursion(inst, max_sweeps=None):
     """Maximal solution of the inequality, by monotone in-place sweeps.
 
     Level x never feeds from below, so an ascending sweep finalizes levels in
     order and the iteration converges in at most n_levels sweeps; the loop
-    guards against that bound regardless.
+    guards against that bound regardless.  A sweep that moves u by at most
+    1e-12 of its scale ends it.
     """
     n_lev, n_t = inst.A.shape
     u = inst.A.copy()
@@ -166,7 +163,7 @@ def saturate_recursion(inst, tol=1e-12, max_sweeps=None):
             u[lev] = inst.A[lev] + inst.b[lev] * _right_tail(inst.taus, integrand)
         gap = float(np.max(np.abs(u - prev)))
         scale = float(np.max(np.abs(u)))
-        if gap <= tol * max(scale, 1.0):
+        if gap <= 1e-12 * max(scale, 1.0):
             return u
     raise RuntimeError("saturation failed to settle; inspect the instance data")
 
@@ -198,15 +195,15 @@ def gronwall_like_bound(inst):
 # ----------------------------------------------------- instances & verdict
 
 
-def make_preset_instance(k_max=12, grid_count=256, tau_min=None):
+def make_preset_instance(k_max=12, grid_count=256):
     """The shell-weighted family b_k = 2^(-8k)/10 with cutoff sources.
 
     c(k, tau) = tau^-3 2^(6k) on {2^k tau >= 1} makes every int b c order one
     despite c spanning thirty decades, which is exactly the regime the mixed
-    bound is for.
+    bound is for.  The grid is geometric from tau = 2^-(k_max+1), below where
+    any level's source switches on, to 1.
     """
-    if tau_min is None:
-        tau_min = 2.0 ** (-(k_max + 1))
+    tau_min = 2.0 ** (-(k_max + 1))
     taus = np.geomspace(tau_min, 1.0, grid_count)
     taus[-1] = 1.0
     levels = np.arange(0, k_max + 1)
@@ -227,9 +224,12 @@ def _piecewise_positive(rng, taus, scale_lo, scale_hi):
     return np.interp(taus, knots, vals)
 
 
-def random_instance(rng, k_max=12, grid_count=256, tau_min=1e-3):
-    """Positive piecewise-linear A and c with log-uniform scales, log-uniform b."""
-    taus = np.geomspace(tau_min, 1.0, grid_count)
+def random_instance(rng, k_max=12, grid_count=256):
+    """Positive piecewise-linear A and c with log-uniform scales, log-uniform b.
+
+    The grid is geometric from tau = 1e-3 to 1.
+    """
+    taus = np.geomspace(1e-3, 1.0, grid_count)
     taus[-1] = 1.0
     n_lev = k_max + 1
     A = np.stack([_piecewise_positive(rng, taus, -2.0, 2.0) for _ in range(n_lev)])

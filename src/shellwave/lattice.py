@@ -25,8 +25,6 @@ __all__ = [
     "constant_background",
     "eigenvalue_at",
     "eigenvalue_rate",
-    "sobolev_norm",
-    "graded_sobolev_norm",
     "sphere_eigenvalue",
     "sphere_multiplicity",
     "zero_field",
@@ -64,7 +62,6 @@ class Lattice:
 
     n: int
     l_max: int
-    degrees: np.ndarray
     lam0: np.ndarray
     mult: np.ndarray
     slot_l: np.ndarray
@@ -75,14 +72,18 @@ class Lattice:
     def n_slots(self):
         return int(self.offsets[-1])
 
-    def modes(self):
-        """Yield (l, lam0, mult) per degree."""
-        for l in range(self.l_max + 1):
-            yield int(self.degrees[l]), float(self.lam0[l]), int(self.mult[l])
-
     def slots_of_degree(self, l):
         """Slice of the slot axis belonging to degree l."""
         return slice(int(self.offsets[l]), int(self.offsets[l + 1]))
+
+
+def _check_resolutions(resolutions):
+    """Reject a list of l_max values that cannot show drift under refinement."""
+    res = tuple(resolutions)
+    if len(res) < 2:
+        raise ValueError(f"need at least two resolutions to compare, got {res}")
+    if any(a >= b for a, b in zip(res[:-1], res[1:])):
+        raise ValueError(f"resolutions must strictly increase, got {res}")
 
 
 def build_lattice(n, l_max):
@@ -108,7 +109,6 @@ def build_lattice(n, l_max):
     return Lattice(
         n=int(n),
         l_max=int(l_max),
-        degrees=degrees,
         lam0=lam0,
         mult=mult,
         slot_l=slot_l,
@@ -163,12 +163,6 @@ class ConformalBackground:
     def kappa(self, tau):
         """f'(tau) / (tau f(tau)), extended continuously to tau = 0."""
         return self.f_prime_over_tau(tau) / self.f(tau)
-
-    def psi_weights(self, tau):
-        """The three scalar coupling profiles (1, kappa, tau^2 kappa)."""
-        tau = np.asarray(tau, dtype=float)
-        k = self.kappa(tau)
-        return np.ones_like(k), k, tau * tau * k
 
     def inv_f_sq_series(self, order):
         """Even Taylor coefficients of 1/f(tau)^2 through tau^(2*order)."""
@@ -228,8 +222,8 @@ def eigenvalue_rate(bg, lam0, tau):
 class Field:
     """One real coefficient per lattice slot.
 
-    Treated as immutable: operations return new fields and never write into
-    ``coeffs`` in place.
+    Treated as immutable: ``with_coeffs`` returns a new field, and nothing
+    writes into ``coeffs`` in place.
     """
 
     lattice: Lattice
@@ -243,67 +237,19 @@ class Field:
                 f"{self.lattice.n_slots} lattice slots"
             )
 
-    def l2_norm(self):
-        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
-
     def with_coeffs(self, coeffs):
         return Field(lattice=self.lattice, coeffs=np.asarray(coeffs, dtype=float))
-
-    def __add__(self, other):
-        _check_same_lattice(self, other)
-        return self.with_coeffs(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_same_lattice(self, other)
-        return self.with_coeffs(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return self.with_coeffs(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _check_same_lattice(a, b):
-    if a.lattice is not b.lattice and (
-        a.lattice.n != b.lattice.n or a.lattice.l_max != b.lattice.l_max
-    ):
-        raise ValueError("fields live on different lattices")
 
 
 def zero_field(lattice):
     return Field(lattice=lattice, coeffs=np.zeros(lattice.n_slots))
 
 
-def random_field(lattice, rng, decay=1.0, exclude_l0=False):
-    """Gaussian coefficients damped by (1 + lam0)^(-decay/2) per slot.
-
-    ``decay`` controls how fast the spectrum falls off; ``exclude_l0`` zeroes
-    the constant mode, which has lambda = 0 and is invisible to any dyadic
-    frequency window.
-    """
+def random_field(lattice, rng, decay=1.0):
+    """Gaussian coefficients damped by (1 + lam0)^(-decay/2) per slot."""
     c = rng.standard_normal(lattice.n_slots)
     c *= (1.0 + lattice.lam0_slot) ** (-0.5 * decay)
-    if exclude_l0:
-        c[lattice.slots_of_degree(0)] = 0.0
     return Field(lattice=lattice, coeffs=c)
-
-
-def sobolev_norm(field, s, tau, bg):
-    """Fractional norm  sqrt( sum (1 + lambda(tau))^s |c|^2 ).
-
-    The weight uses the tau-rescaled eigenvalues, so the same coefficients
-    measure differently on different slices.
-    """
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    w = (1.0 + lam) ** s
-    return float(np.sqrt(np.dot(w, field.coeffs * field.coeffs)))
-
-
-def graded_sobolev_norm(field, grad_order, s, tau, bg):
-    """Norm of the grad_order-fold derivative: weights lambda^m (1+lambda)^s."""
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    w = lam**grad_order * (1.0 + lam) ** s
-    return float(np.sqrt(np.dot(w, field.coeffs * field.coeffs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,22 +268,14 @@ class TimeGrid:
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
 
-    def __len__(self):
-        return len(self.taus)
 
-
-def make_time_grid(tau_min, tau_max=1.0, count=33, spacing="log"):
-    """Convenience grid builder; log spacing suits the collapsing end."""
+def make_time_grid(tau_min, tau_max=1.0, count=33):
+    """Log-spaced grid, which suits the collapsing end."""
     if not 0.0 < tau_min < tau_max <= 1.0:
         raise ValueError(f"need 0 < tau_min < tau_max <= 1, got [{tau_min}, {tau_max}]")
     if count < 2:
         raise ValueError("count must be at least 2")
-    if spacing == "log":
-        taus = np.geomspace(tau_min, tau_max, count)
-    elif spacing == "linear":
-        taus = np.linspace(tau_min, tau_max, count)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+    taus = np.geomspace(tau_min, tau_max, count)
     # guard the endpoints against geomspace rounding
     taus[0], taus[-1] = tau_min, tau_max
     return TimeGrid(taus=taus)

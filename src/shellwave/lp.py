@@ -3,23 +3,26 @@
 A partition cell k carries the bump M(lambda(tau) 4^-k); the bump is built
 from a polynomial smoothstep fed through sin(pi/2 *), so that the squares of
 neighboring cells sum to one exactly (sin^2 + cos^2) instead of just to
-rounding.  All derived projections (tilde, dot, underline, underline-tilde)
-are closed-form transforms of the same bump.  A bump sees a mode only through
-its degree, so every weight here is a function of the degree.  The operators
-that return a field apply it slot by slot; every shell-summed reduction reads
-two degree-axis arrays instead: the shell table M[k, l] = M(lambda_l 4^-k) and
-the field's per-degree power sum_{slots of l} c^2.
+rounding.  A bump sees a mode only through its degree, so every weight here
+is a function of the degree, and every shell-summed reduction reads two
+degree-axis arrays: the shell table M[k, l] = M(lambda_l 4^-k) (or M', for
+the time commutator) and the field's per-degree power sum_{slots of l} c^2.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .lattice import build_lattice, eigenvalue_at, eigenvalue_rate, random_field
+from .lattice import (
+    _check_resolutions,
+    build_lattice,
+    eigenvalue_at,
+    eigenvalue_rate,
+    random_field,
+)
 
 __all__ = [
     "LPPartition",
@@ -27,21 +30,12 @@ __all__ = [
     "PropertyReport",
     "PoincareReport",
     "make_partition",
-    "multiplier_values",
-    "heat_flow",
-    "lp_project",
     "log_grad_weights",
-    "log_nabla",
-    "r_k",
-    "lp_sobolev_norm",
-    "commutator_time_pk",
     "refined_poincare_defect",
     "check_lp_properties",
     "verify_refined_poincare",
     "LOG_GRAD_ETA",
 ]
-
-PROJECTION_KINDS = ("plain", "tilde", "dot", "underline", "underline_tilde")
 
 # Exponent gap in the log-derivative smoothing bound; fixed, not tunable.
 LOG_GRAD_ETA = 0.1
@@ -162,8 +156,8 @@ def _check_k(part, k):
 def _shell_table(part, lam, prime=False):
     """M[k - k_min, i] = M(lam_i 4^-k) (or M') over every cell of the partition.
 
-    Each entry is the same float multiply as a single-cell weight, so the
-    table matches multiplier_values bit for bit.
+    Each entry is the same float multiply as the single-cell weight
+    M(lam_i 4^-k), bit for bit.
     """
     mu = np.asarray(lam, dtype=float) * 4.0 ** (-np.asarray(part.ks)[:, None])
     return part.bump_prime(mu) if prime else part.bump(mu)
@@ -174,51 +168,6 @@ def _degree_power(lattice, coeffs):
     return np.add.reduceat(coeffs * coeffs, lattice.offsets[:-1], axis=-1)
 
 
-def multiplier_values(part, kind, k, lam):
-    """Per-eigenvalue weight of the kind-projection at cell k.
-
-    plain            M(mu)
-    tilde            -M'(mu)            (the z m(z) symbol; sign-indefinite)
-    dot              M(mu)/mu           (so 4^k P_k = (-Lap) P-dot_k exactly)
-    underline        sqrt(M(mu))
-    underline_tilde  sqrt(|M'(mu)|)
-    with mu = lam 4^-k.
-    """
-    _check_k(part, k)
-    lam = np.asarray(lam, dtype=float)
-    mu = lam * 4.0 ** (-k)
-    if kind == "plain":
-        return part.bump(mu)
-    if kind == "tilde":
-        return -part.bump_prime(mu)
-    if kind == "dot":
-        m = part.bump(mu)
-        out = np.zeros_like(m)
-        nz = mu > 0.0
-        out[nz] = m[nz] / mu[nz]
-        return out
-    if kind == "underline":
-        return np.sqrt(part.bump(mu))
-    if kind == "underline_tilde":
-        return np.sqrt(np.abs(part.bump_prime(mu)))
-    raise ValueError(f"unknown projection kind {kind!r}; expected one of {PROJECTION_KINDS}")
-
-
-def lp_project(part, kind, k, field, tau, bg):
-    """Apply the kind-projection of cell k to a field on the tau-slice."""
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    w = multiplier_values(part, kind, k, lam)
-    return field.with_coeffs(w * field.coeffs)
-
-
-def heat_flow(field, z, tau, bg):
-    """Heat semigroup weight exp(-z lambda(tau)) per slot; z >= 0."""
-    if z < 0.0:
-        raise ValueError(f"heat time must be nonnegative, got {z}")
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    return field.with_coeffs(np.exp(-z * lam) * field.coeffs)
-
-
 def log_grad_weights(part, lam):
     """ell(lambda) = sum_{k>=0} M(lambda 4^-k)^2 log 2^k."""
     lam = np.asarray(lam, dtype=float)
@@ -227,63 +176,6 @@ def log_grad_weights(part, lam):
         m = part.bump(lam * 4.0 ** (-k))
         out += m * m * (k * math.log(2.0))
     return out
-
-
-def log_nabla(part, field, tau, bg):
-    """Logarithmic-derivative multiplier; kills lambda = 0 and cell-0 centers."""
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    return field.with_coeffs(log_grad_weights(part, lam) * field.coeffs)
-
-
-def r_k(part, k, field, tau, bg):
-    """Cross term 2 M(lambda 4^-k) (ell(lambda) - log 2^k).
-
-    Vanishes on a mode sitting exactly at the center of cell k, where the
-    local value of ell is log 2^k.
-    """
-    _check_k(part, k)
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
-    m = part.bump(lam * 4.0 ** (-k))
-    w = 2.0 * m * (log_grad_weights(part, lam) - k * math.log(2.0))
-    return field.with_coeffs(w * field.coeffs)
-
-
-def lp_sobolev_norm(part, field, a, tau, bg):
-    """Shell-summed norm  sqrt( sum_k 4^(a k) |P_k F|^2 + |F|^2 ).
-
-    Equivalent to the spectral fractional norm only for 0 <= a < 4 (the cell
-    width eats larger exponents), so larger a is rejected.
-    """
-    if not 0.0 <= a < 4.0:
-        raise ValueError(f"shell exponent must satisfy 0 <= a < 4, got {a}")
-    lat = field.lattice
-    power = _degree_power(lat, field.coeffs)
-    shells = _shell_table(part, eigenvalue_at(bg, lat.lam0, tau)) ** 2 @ power
-    weights = 4.0 ** (a * np.asarray(part.ks))
-    return math.sqrt(float(np.sum(power)) + float(np.dot(weights, shells)))
-
-
-def commutator_time_pk(part, k, field, tau, bg, time_vector="e4"):
-    """Commutator of cell-k projection with a time derivative, exactly.
-
-    The projection weight M(lambda(tau) 4^-k) is the only tau-dependence, so
-    the commutator is the weight  -M'(mu) 4^-k dlambda/dtau  (orientation:
-    projection outermost).  ``time_vector`` chooses between d/dtau ("tau") and
-    the rescaled direction (1/(2 tau)) d/dtau ("e4"); the latter needs tau > 0.
-    Identically zero on constant-f backgrounds.
-    """
-    _check_k(part, k)
-    lat = field.lattice
-    lam = eigenvalue_at(bg, lat.lam0_slot, tau)
-    rate = eigenvalue_rate(bg, lat.lam0_slot, tau)
-    w = -part.bump_prime(lam * 4.0 ** (-k)) * 4.0 ** (-k) * rate
-    if time_vector == "e4":
-        if tau <= 0.0:
-            raise ValueError("the rescaled time direction degenerates at tau = 0")
-        w = w / (2.0 * tau)
-    elif time_vector != "tau":
-        raise ValueError(f"unknown time vector {time_vector!r}; expected 'tau' or 'e4'")
-    return field.with_coeffs(w * field.coeffs)
 
 
 def refined_poincare_defect(part, k, delta, field, tau, bg):
@@ -333,29 +225,6 @@ class PropertyReport:
     @property
     def all_passed(self):
         return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_json(self):
-        payload = {
-            "meta": self.meta,
-            "checks": [
-                {
-                    "name": c.name,
-                    "constant": c.constant,
-                    "threshold": c.threshold,
-                    "passed": c.passed,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
-            "all_passed": self.all_passed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def csv_rows(self):
         """One row per check: (name, constant, threshold, passed)."""
@@ -410,7 +279,9 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
         p[~covered] = 0.0
         if np.any(p):
             power.append(p)
-    power = np.array(power).reshape(-1, lam.size)
+    if not power:
+        raise ValueError(f"none of the {n_fields} corpus fields has power on a covered mode")
+    power = np.array(power)
     total = np.sum(power, axis=1)
     nf = np.sqrt(total)[:, None]
     w = _shell_table(part, lam) ** 2
@@ -511,12 +382,11 @@ def verify_refined_poincare(part, bg, resolutions=(32, 64, 128), deltas=(0.1, 1.
     random cells k >= 0 that hold a mode (see _poincare_cells; a spectrum
     without one raises ValueError).  The per-delta max constant must stay
     finite and move by less than a factor 2 between consecutive resolutions,
-    so at least two resolutions are needed.
+    so at least two strictly increasing resolutions are needed.
     """
     if any(d <= 0.0 for d in deltas):
         raise ValueError("deltas must be positive")
-    if len(resolutions) < 2:
-        raise ValueError(f"need at least two resolutions to compare, got {tuple(resolutions)}")
+    _check_resolutions(resolutions)
     constants = []
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)

@@ -44,7 +44,6 @@ __all__ = [
     "frobenius_basis",
     "make_asymptotic_data",
     "renormalize_h",
-    "mode_rhs",
     "seed_state",
     "integrate",
     "constant_mode_run",
@@ -316,49 +315,27 @@ def frobenius_basis(lam0, bg, order=12, drag_sign=1, diag_psi=None, diag_scale=0
 
 # ------------------------------------------------------------ configuration
 
-_FORCING_KINDS = ("zero", "tau_bump", "mode_pulse")
-
 
 @dataclass(frozen=True)
 class Forcing:
-    """Scalar time-profile forcing for one column.
+    """Gaussian bump in tau forcing one column, equally on every slot.
 
-    ``tau_bump`` applies a gaussian bump in tau uniformly across all slots;
-    ``mode_pulse`` restricts the same bump to the slots of one degree.
+    ``amplitude`` 0 (the default) leaves the column unforced.
     """
 
-    kind: str = "zero"
     amplitude: float = 0.0
     center: float = 0.5
     width: float = 0.1
-    degree: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _FORCING_KINDS:
-            raise ValueError(f"unknown forcing kind {self.kind!r}; expected {_FORCING_KINDS}")
-        if self.kind != "zero" and self.width <= 0.0:
+        if self.width <= 0.0:
             raise ValueError(f"forcing width must be positive, got {self.width}")
-        if self.kind == "mode_pulse" and self.degree is None:
-            raise ValueError("mode_pulse forcing needs a degree")
 
     def profile(self, tau):
-        if self.kind == "zero" or self.amplitude == 0.0:
+        if self.amplitude == 0.0:
             return 0.0
         z = (tau - self.center) / self.width
         return self.amplitude * math.exp(-z * z)
-
-    def degree_weights(self, lattice):
-        """Per-degree indicator (every slot of a degree is forced equally)."""
-        w = np.zeros(lattice.l_max + 1)
-        if self.kind == "zero":
-            return w
-        if self.kind == "tau_bump":
-            w[:] = 1.0
-        else:
-            if not 0 <= self.degree <= lattice.l_max:
-                raise ValueError(f"forced degree {self.degree} outside lattice range")
-            w[self.degree] = 1.0
-        return w
 
 
 _SECOND_DECOUPLING_MSG = (
@@ -449,8 +426,9 @@ class AsymptoticData:
     """Data at the singular time.
 
     O_field multiplies the logarithmic branch of column 0, h_field is its
-    finite part, frak_h the renormalized finite part (h - 2 log_nabla O), and
-    phi0_fields are the limits of the regular columns.
+    finite part, frak_h the renormalized finite part (h - 2 ell O, with ell
+    the log-derivative weights), and phi0_fields are the limits of the
+    regular columns.
     """
 
     O_field: Field
@@ -463,19 +441,19 @@ class AsymptoticData:
         return len(self.phi0_fields)
 
 
-def renormalize_h(h, O, part, bg, tau0=0.0):
-    """Renormalized finite part h - 2 (log-derivative weights at tau0) O."""
-    lam = eigenvalue_at(bg, O.lattice.lam0_slot, tau0)
+def renormalize_h(h, O, part, bg):
+    """Renormalized finite part h - 2 (log-derivative weights at tau = 0) O."""
+    lam = eigenvalue_at(bg, O.lattice.lam0_slot, 0.0)
     ell = log_grad_weights(part, lam)
     return h.with_coeffs(h.coeffs - 2.0 * ell * O.coeffs)
 
 
-def make_asymptotic_data(lattice, part, bg, O=None, h=None, frak_h=None, phis=(), tau0=0.0):
+def make_asymptotic_data(lattice, part, bg, O=None, h=None, frak_h=None, phis=()):
     """Assemble data, deriving whichever of h / frak_h was not given."""
     O = O if O is not None else zero_field(lattice)
     if (h is None) == (frak_h is None):
         raise ValueError("give exactly one of h and frak_h")
-    lam = eigenvalue_at(bg, lattice.lam0_slot, tau0)
+    lam = eigenvalue_at(bg, lattice.lam0_slot, 0.0)
     ell = log_grad_weights(part, lam)
     if h is None:
         h = frak_h.with_coeffs(frak_h.coeffs + 2.0 * ell * O.coeffs)
@@ -519,41 +497,8 @@ class Trajectory:
             derivs=self.derivs[index],
         )
 
-    def column(self, i):
-        return self.values[:, i, :]
-
-    def column_deriv(self, i):
-        return self.derivs[:, i, :]
-
-    def __len__(self):
-        return len(self.taus)
-
 
 # ----------------------------------------------------------------- the RHS
-
-
-def mode_rhs(config, lattice, bg, tau, values, derivs, include_forcing=True):
-    """Right-hand side in physical time: returns (d values, d derivs).
-
-    Row i:  v_i'' = -sign_i v_i'/tau - 4 lambda(tau) v_i
-                    + sum_j scale[i,j] psi_{ij}(tau) sqrt(lambda) v_j + F_i.
-    The integrator itself runs in the log-time chart; this form exists as the
-    public definition and for finite-difference consistency checks.
-    """
-    values = np.asarray(values, dtype=float)
-    derivs = np.asarray(derivs, dtype=float)
-    f = bg.f(tau)
-    psi = _psi_at(bg, tau, f)
-    lam = lattice.lam0_slot / (f * f)
-    sqrt_lam = np.sqrt(lam)
-    amat = config.coupling_scale * psi[config.coupling_psi]
-    rhs = (amat @ values) * sqrt_lam - 4.0 * lam * values
-    rhs -= (config.drag_signs / tau)[:, None] * derivs
-    if include_forcing:
-        src = _forcing_source(config, lattice, lattice.slot_l)
-        if src is not None:
-            rhs += src(tau)
-    return derivs, rhs
 
 
 def _psi_at(bg, tau, f):
@@ -562,19 +507,18 @@ def _psi_at(bg, tau, f):
     return np.array([1.0, k, tau * tau * k])
 
 
-def _forcing_source(config, lattice, entry_degree):
-    """Source closure stacking every column's forcing at one time, or None.
+def _forcing_source(config):
+    """Source closure giving every column's forcing at one time, or None.
 
-    ``entry_degree`` maps each entry of a row to its degree: ``lattice.slot_l``
-    for ``mode_rhs``, ``np.arange(l_max + 1)`` for the per-degree response.
+    The forcing is the same on every entry of a row, so the source is one
+    (n_columns, 1) column that broadcasts across the row.
     """
     forcings = config.forcing_list()
-    if all(f.kind == "zero" or f.amplitude == 0.0 for f in forcings):
+    if all(f.amplitude == 0.0 for f in forcings):
         return None
-    weights = np.stack([f.degree_weights(lattice)[entry_degree] for f in forcings])
 
     def source(tau):
-        return np.array([f.profile(tau) for f in forcings])[:, None] * weights
+        return np.array([f.profile(tau) for f in forcings])[:, None]
 
     return source
 
@@ -785,15 +729,15 @@ def _branch_table(config, lattice, bg, tau, strict=True):
     return table, defect
 
 
-def seed_state(config, lattice, bg, data, tau_seed=None):
-    """Cauchy data at tau_seed built from the fundamental systems.
+def seed_state(config, lattice, bg, data):
+    """Cauchy data at config.tau_seed built from the fundamental systems.
 
     Column 0 combines the log branch (coefficient 2 * O) with the bounded
     branch (coefficient h); regular columns use their bounded branch with
     coefficient phi0.  As tau -> 0 this reduces to the defining expansions
     2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
     """
-    tau = float(config.tau_seed if tau_seed is None else tau_seed)
+    tau = float(config.tau_seed)
     if data.n_regular != config.n_regular:
         raise ValueError(
             f"data carries {data.n_regular} regular columns, config wants {config.n_regular}"
@@ -889,11 +833,12 @@ def integrate(config, lattice, bg, state, tau_to, grid=None):
                       config=config, lattice=lattice, bg=bg)
 
 
-def constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=None, rtol=1e-11, atol=1e-13):
+def constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=None):
     """Integrate the calibration scalar mode u'' + u'/tau + lam u = 0.
 
     Returns (taus, u, du) at ``taus`` (default: 33 geometric times spanning
-    the run), which must run from tau_from toward tau_to.  This is the toy
+    the run), which must run from tau_from toward tau_to, at rtol 1e-11 and
+    atol 1e-13.  This is the toy
     the dyadic decay measurement runs shell by shell against the Bessel
     oracle; at omega = 4096 one run takes about 190k RHS evaluations.  It
     runs on ``_scalar_dop853``, which takes the steps of scipy's DOP853 in
@@ -903,7 +848,7 @@ def constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=None, rtol=1e-11, ato
     eval_taus = _eval_taus(tau_from, tau_to, None) if taus is None else np.asarray(taus, float)
     u, theta, _ = _scalar_dop853(float(lam), float(u0), tau_from * float(du0),
                                  math.log(tau_from), math.log(tau_to), np.log(eval_taus),
-                                 rtol, atol)
+                                 1e-11, 1e-13)
     return eval_taus, np.array(u), np.array(theta) / eval_taus
 
 
@@ -1063,11 +1008,11 @@ def _scalar_dop853(lam, u, theta, s_from, s_to, s_eval, rtol, atol):
 # --------------------------------------------------- singular/regular split
 
 
-def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, part=None):
+def split_singular_component(config, lattice, bg, data, grid, part=None):
     """Evolve the log-branch and renormalized components of column 0.
 
     The log-branch component solves the homogeneous self-coupled column-0
-    equation with data (2 O log tau + 2 log_nabla O); the renormalized
+    equation with data (2 O log tau + 2 ell O); the renormalized
     component solves the full column-0 equation (couplings to the regular
     columns and forcing included) with data frak_h.  Their sum reproduces the
     direct column-0 run; both are returned as single-column trajectories.
@@ -1081,7 +1026,7 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
         raise ValueError("a frequency partition is needed for the log-derivative data")
     if config.system != "first":
         raise ValueError("the split runs the first system family only")
-    tau0 = float(config.tau_seed if tau_seed is None else tau_seed)
+    tau0 = float(config.tau_seed)
     n_cols = config.n_columns
     table, _ = _branch_table(config, lattice, bg, tau0)
     aux, main = table[0][..., lattice.slot_l]
@@ -1090,7 +1035,7 @@ def split_singular_component(config, lattice, bg, data, grid, tau_seed=None, par
     y_seed = 2.0 * oc * aux + 2.0 * ell * oc * main
     j_seed = data.frak_h.coeffs * main
 
-    base = seed_state(config, lattice, bg, data, tau_seed=tau0)
+    base = seed_state(config, lattice, bg, data)
     values = np.concatenate([base.values, y_seed[:1], j_seed[:1]])
     derivs = np.concatenate([base.derivs, y_seed[1:], j_seed[1:]])
 
@@ -1142,7 +1087,8 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
     started at eps, eps/2, ... must agree at tau = 1 up to a discrepancy
     shrinking like eps^2 log^2 eps, i.e. successive differences contract by
     at least ~3 per halving at eps = 1e-2.  Differences are measured in the
-    phase-free envelope metric at tau = 1.
+    phase-free envelope metric at tau = 1.  Identically zero data is
+    rejected: every discrepancy would be 0 and the gate would pass on nothing.
 
     The second family is rejected.  Its regular rows have the -1/tau drag,
     whose other branch is tau^2; the expansion misses their derivative by
@@ -1159,6 +1105,8 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
         raise ValueError("need at least two rungs to form a ratio")
     oc, hc = data.O_field.coeffs, data.h_field.coeffs
     phis = [p.coeffs for p in data.phi0_fields]
+    if not any(np.any(c) for c in (oc, hc, *phis)):
+        raise ValueError("asymptotic data is identically zero")
     lam1 = eigenvalue_at(bg, lattice.lam0_slot, 1.0)
     omega = 2.0 * np.sqrt(np.maximum(lam1, 1.0))
 
@@ -1177,8 +1125,7 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
     ]
     ratios = [a / b if b > 0.0 else math.inf for a, b in zip(discrepancies[:-1], discrepancies[1:])]
     monotone = all(a >= b for a, b in zip(discrepancies[:-1], discrepancies[1:]))
-    zero_everything = all(d == 0.0 for d in discrepancies)
-    passed = zero_everything or (monotone and all(r >= 3.0 for r in ratios))
+    passed = monotone and all(r >= 3.0 for r in ratios)
     return EpsilonReport(
         eps_ladder=tuple(ladder), discrepancies=tuple(discrepancies),
         ratios=tuple(ratios), monotone=monotone, passed=passed,
@@ -1211,7 +1158,7 @@ def forced_profile(config, lattice, bg, tau_anchor, taus):
     the same profile, so this broadcasts across slots.
     """
     d, n_deg = 2 * config.n_columns, lattice.l_max + 1
-    src = _forcing_source(config, lattice, np.arange(n_deg))
+    src = _forcing_source(config)
     if src is None:
         return np.zeros((n_deg, len(taus), d))
     rows = _propagate(config, lattice.lam0, bg, src, np.zeros((d, n_deg)), tau_anchor, taus)

@@ -1,0 +1,94 @@
+"""Slot-level references that the tests hold the package's kernels against.
+
+No target runs these.  Each one computes, slot by slot, a quantity that the
+package reaches another way: the energies through the per-degree ensemble
+kernel, the right-hand side through the log-chart solver, and the shell and
+gradient norms through the degree-axis shell table.
+"""
+
+import numpy as np
+
+from shellwave.energies import _cumtrapz, _data_weights, _energy_weights
+from shellwave.lattice import eigenvalue_at
+
+
+# ------------------------------------------------------------ energies
+
+
+def trajectory_energy(traj, system):
+    """Energy of ``system``'s functional along a trajectory; returns (taus, energies)."""
+    taus = traj.taus
+    lam = eigenvalue_at(traj.bg, traj.lattice.lam0_slot[None, :], taus[:, None])
+    weights, _ = _energy_weights(system, traj.config.top_order, traj.config.n_columns,
+                                 lam, taus[:, None])
+    sq = np.stack([traj.values**2, traj.derivs**2])  # (2, n_times, n_cols, n_slots)
+    point, integrand = np.einsum("jkcts,ktcs->jt", weights, sq)
+    return taus, point + _cumtrapz(taus, integrand)
+
+
+def energy_first(traj):
+    """Forward-family energy along a trajectory; returns (taus, energies)."""
+    return trajectory_energy(traj, "first")
+
+
+def energy_second(traj):
+    """Backward-family energy; expects taus descending from 1."""
+    if traj.taus[0] < traj.taus[-1]:
+        raise ValueError("backward energy expects a trajectory integrated from tau = 1 down")
+    return trajectory_energy(traj, "second")
+
+
+def data_energy_first(data, bg, top_order):
+    """Data norm: O, renormalized finite part and the regular limits in H^(M+1)."""
+    entries = np.stack([data.O_field.coeffs, data.frak_h.coeffs]
+                       + [phi.coeffs for phi in data.phi0_fields])
+    weights = _data_weights("first", top_order, data.n_regular + 1, bg,
+                            data.O_field.lattice.lam0_slot)
+    return float(np.sum(weights * entries**2))
+
+
+def data_energy_second(state, bg, lattice, top_order):
+    """Endpoint norm at tau = 1 over all columns."""
+    if abs(state.tau - 1.0) > 1e-12:
+        raise ValueError("backward data norm is defined at tau = 1")
+    entries = np.concatenate([state.values, state.derivs])
+    weights = _data_weights("second", top_order, state.values.shape[0], bg, lattice.lam0_slot)
+    return float(np.sum(weights * entries**2))
+
+
+# ------------------------------------------------------- right-hand side
+
+
+def mode_rhs(config, lattice, bg, tau, values, derivs):
+    """Right-hand side in physical time: returns (d values, d derivs).
+
+    Row i:  v_i'' = -sign_i v_i'/tau - 4 lambda(tau) v_i
+                    + sum_j scale[i,j] psi_{ij}(tau) sqrt(lambda) v_j + F_i,
+    with psi in {1, kappa, tau^2 kappa} and F_i the column's forcing profile.
+    """
+    values = np.asarray(values, dtype=float)
+    derivs = np.asarray(derivs, dtype=float)
+    lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
+    kappa = bg.kappa(tau)
+    psi = np.array([1.0, kappa, tau * tau * kappa])
+    amat = config.coupling_scale * psi[config.coupling_psi]
+    rhs = (amat @ values) * np.sqrt(lam) - 4.0 * lam * values
+    rhs -= (config.drag_signs / tau)[:, None] * derivs
+    rhs += np.array([f.profile(tau) for f in config.forcing_list()])[:, None]
+    return derivs, rhs
+
+
+# ------------------------------------------------------------ shell norms
+
+
+def shell_project(part, k, field, tau, bg):
+    """P_k F: every coefficient times the plain bump of cell k at its eigenvalue."""
+    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
+    return field.with_coeffs(part.bump(lam * 4.0**-k) * field.coeffs)
+
+
+def graded_sobolev_norm(field, grad_order, s, tau, bg):
+    """Norm of the grad_order-fold derivative: weights lambda^m (1+lambda)^s."""
+    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
+    w = lam**grad_order * (1.0 + lam) ** s
+    return float(np.sqrt(np.dot(w, field.coeffs * field.coeffs)))

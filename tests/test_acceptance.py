@@ -137,9 +137,11 @@ def test_criterion_6_lp_property_suite(part, bg):
         report = check_lp_properties(part, build_lattice(2, l_max), bg,
                                      tau=0.5, n_fields=32, seed=5)
         assert report.all_passed
+        checks = {c.name: c for c in report.checks}
+        assert tuple(checks) == names
         for name in names:
-            assert report[name].passed, (l_max, name)
-        constants[l_max] = {n: report[n].constant for n in names}
+            assert checks[name].passed, (l_max, name)
+        constants[l_max] = {n: checks[n].constant for n in names}
     # the ensemble constants must not blow up when the lattice doubles
     for name in ("almost_orthogonality", "log_grad_bound"):
         lo, hi = constants[16][name], constants[32][name]

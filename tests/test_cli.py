@@ -134,6 +134,11 @@ def test_expanded_targets_dedup():
         ("[system]\ntau_seed = 1.0\n", "line 2: tau_seed must lie in (0, 1)"),
         ("[system]\ntau_seed = 0\n", "line 2: tau_seed must lie in (0, 1)"),
         ("[verify]\nresolutions = 8, -16\n", "line 2: need at least two resolutions"),
+        # a repeated lattice gives drift factors of exactly 1: nothing compared
+        ("[verify]\nresolutions = 32, 32\n",
+         "line 2: need at least two resolutions to compare, each >= 1, in strictly increasing"),
+        ("[verify]\nresolutions = 16, 32, 8\n", "line 2: need at least two resolutions"),
+        ("[verify]\nresolutions = 32, 64.5\n", "line 2: bad value '32, 64.5' for resolutions"),
         ("[verify]\nn_fields = 0\n", "line 2: n_fields must be >= 1"),
         ("[verify]\ngronwall_count = 0\n", "line 2: gronwall_count must be >= 1"),
         ("[background]\nvalue = 0\n", "line 2: background value must be positive"),
@@ -151,13 +156,20 @@ def test_parse_rejections(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_resolutions_read_as_integers():
+    # each entry goes through the integer reader, like l_max
+    scn = parse_config("[verify]\nresolutions = 32, 64.0\n")
+    assert scn.resolutions == (32, 64)
+    assert all(type(r) is int for r in scn.resolutions)
+
+
 # well-formed, out-of-range and unreadable values for every key
 _VALUES = st.one_of(
     st.integers(-3, 40).map(str),
     st.floats(-2.0, 2.0).map(repr),
     st.sampled_from(["abc", "", "1e400", "-inf", "nan", "true", "false", "2.5", "3.9", "4.0",
-                     "8, 16", "8, x", "3, 0.5", "-1, 4", "first", "second", "constant",
-                     "verify-all", "gronwall, warp"]),
+                     "8, 16", "8, x", "3, 0.5", "-1, 4", "16, 8", "8, 8", "8, 16.0", "first",
+                     "second", "constant", "verify-all", "gronwall, warp"]),
 )
 
 # integer config key -> Scenario field
@@ -189,7 +201,9 @@ def test_parse_config_accepts_or_raises_config_error(case):
         return
     assert scn.n_sphere >= 1 and scn.l_max >= 1 and scn.n_regular >= 1 and scn.seed >= 0
     assert 0.0 < scn.tau_seed < 1.0 and abs(scn.shift) <= 0.5
-    assert len(scn.resolutions) >= 2 and min(scn.resolutions) >= 1
+    res = scn.resolutions
+    assert len(res) >= 2 and min(res) >= 1 and all(type(r) is int for r in res)
+    assert all(a < b for a, b in zip(res, res[1:]))
     assert scn.family in ("first", "second")
     # an accepted integer key holds exactly the number written, never a
     # truncated fraction or a boolean read as 0/1
@@ -512,8 +526,8 @@ def test_roundtrip_fails_with_perturbed_extraction(tmp_path, monkeypatch):
 
     def perturbed(config, lattice, bg, state, part):
         rec, diag = real(config, lattice, bg, state, part)
-        bad = make_asymptotic_data(lattice, part, bg, O=rec.O_field * (1.0 + 1e-5),
-                                   h=rec.h_field, phis=rec.phi0_fields)
+        off = rec.O_field.with_coeffs(rec.O_field.coeffs * (1.0 + 1e-5))
+        bad = make_asymptotic_data(lattice, part, bg, O=off, h=rec.h_field, phis=rec.phi0_fields)
         return bad, diag
 
     monkeypatch.setattr(cli, "extract_asymptotic_data", perturbed)

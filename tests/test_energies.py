@@ -11,11 +11,6 @@ from shellwave import (
     SystemConfig,
     TimeGrid,
     build_lattice,
-    data_energy_first,
-    data_energy_second,
-    eigenvalue_at,
-    energy_first,
-    energy_second,
     fit_power_exponent,
     forcing_energy_first,
     forcing_energy_second,
@@ -26,91 +21,32 @@ from shellwave import (
     random_field,
     seed_state,
     shell_decay_check,
-    shell_energy,
     singular_blowup_check,
     split_singular_component,
     verify_theorem_ratio,
-    zero_field,
 )
 from shellwave.energies import _default_forcing, _ensemble_ratios
 from tests.conftest import bounded_field, zero_like
-
-
-# ------------------------------------------------------------ shell energy
-
-
-def test_shell_energies_sum_to_total(part, bg, small_lattice):
-    # squared multipliers sum to one on the covered range, so shell energies
-    # tile the full energy; the zero mode sits outside every dyadic cell and
-    # must be excluded
-    rng = np.random.default_rng(5)
-    sl0 = small_lattice.slots_of_degree(0)
-
-    def no_zero_mode(field):
-        c = field.coeffs.copy()
-        c[sl0] = 0.0
-        return field.with_coeffs(c)
-
-    f = no_zero_mode(bounded_field(small_lattice, rng))
-    d = no_zero_mode(bounded_field(small_lattice, rng))
-    tau = 0.5
-    total = 0.0
-    for k in part.ks:
-        total += shell_energy(part, k, f, d, tau, bg).value
-    lam = eigenvalue_at(bg, small_lattice.lam0_slot, tau)
-    expect = (tau * d.l2_norm() ** 2 + f.l2_norm() ** 2 / tau
-              + tau * float(np.sum(lam * f.coeffs**2)))
-    assert total == pytest.approx(expect, rel=1e-12)
-
-    # a pure zero-mode field projects to nothing in every shell
-    only0 = zero_field(small_lattice).coeffs.copy()
-    only0[sl0] = 1.0
-    g = Field(lattice=small_lattice, coeffs=only0)
-    assert all(shell_energy(part, k, g, g, tau, bg).value == 0.0 for k in part.ks)
-
-
-def test_shell_energy_regime_label(part, bg, small_lattice):
-    f = zero_like(small_lattice)
-    assert shell_energy(part, 5, f, f, 0.5, bg).regime == "low"  # 32 * 0.5 < 32
-    assert shell_energy(part, 6, f, f, 0.5, bg).regime == "high"  # 64 * 0.5 >= 32
-    assert shell_energy(part, 5, f, f, 0.5, bg, split_x=8.0).regime == "high"
+from tests.oracles import data_energy_first, data_energy_second, energy_first, energy_second
 
 
 # ----------------------------------------------------------------- fitting
 
 
-def test_fit_power_exact():
-    xs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    slope, resid = fit_power_exponent(xs, 3.0 * xs**-1.7, "power")
-    assert slope == pytest.approx(-1.7, abs=1e-12)
-    assert resid < 1e-12
-
-
 def test_fit_dyadic_exact():
     ks = np.arange(4, 10, dtype=float)
-    slope, resid = fit_power_exponent(ks, 5.0 * 2.0 ** (0.5 * ks), "dyadic")
+    slope, resid = fit_power_exponent(ks, 5.0 * 2.0 ** (0.5 * ks))
     assert slope == pytest.approx(0.5, abs=1e-12)
-    assert resid < 1e-12
-
-
-def test_fit_log_square_exact():
-    xs = np.array([0.01, 0.1, 0.5, 0.9])
-    scale, resid = fit_power_exponent(xs, 2.5 * (1.0 + np.log(xs) ** 2), "log_square")
-    assert scale == pytest.approx(2.5, rel=1e-12)
     assert resid < 1e-12
 
 
 def test_fit_validation():
     xs = np.array([1.0, 2.0, 3.0, 4.0])
     ys = np.ones(4)
-    with pytest.raises(ValueError):
-        fit_power_exponent(xs, ys, "spline")
-    with pytest.raises(ValueError):
-        fit_power_exponent(xs[:3], ys[:3], "power")
-    with pytest.raises(ValueError):
-        fit_power_exponent(xs, np.array([1.0, -1.0, 1.0, 1.0]), "power")
-    with pytest.raises(ValueError):
-        fit_power_exponent(np.array([0.0, 1.0, 2.0, 3.0]), ys, "power")
+    with pytest.raises(ValueError, match="at least 4 samples"):
+        fit_power_exponent(xs[:3], ys[:3])
+    with pytest.raises(ValueError, match="positive"):
+        fit_power_exponent(xs, np.array([1.0, -1.0, 1.0, 1.0]))
 
 
 # --------------------------------------------------------------- toy decay
@@ -231,8 +167,9 @@ def test_data_energy_first_quadratic(part, bg, small_lattice):
     h = bounded_field(small_lattice, rng)
     phi = bounded_field(small_lattice, rng)
     d1 = make_asymptotic_data(small_lattice, part, bg, O=O, h=h, phis=[phi])
-    d2 = make_asymptotic_data(small_lattice, part, bg, O=2.0 * O, h=2.0 * h,
-                              phis=[2.0 * phi])
+    d2 = make_asymptotic_data(small_lattice, part, bg, O=O.with_coeffs(2.0 * O.coeffs),
+                              h=h.with_coeffs(2.0 * h.coeffs),
+                              phis=[phi.with_coeffs(2.0 * phi.coeffs)])
     assert data_energy_first(d2, bg, 2) == pytest.approx(4.0 * data_energy_first(d1, bg, 2),
                                                          rel=1e-12)
 
@@ -261,7 +198,7 @@ def test_forcing_energy_first_budget(bg, small_lattice):
     assert np.all(forcing_energy_first(quiet, small_lattice, bg, taus) == 0.0)
     loud = SystemConfig(
         n_regular=1,
-        forcings=(Forcing(kind="tau_bump", amplitude=0.5, center=0.4, width=0.1), Forcing()),
+        forcings=(Forcing(amplitude=0.5, center=0.4, width=0.1), Forcing()),
     )
     budget = forcing_energy_first(loud, small_lattice, bg, taus)
     assert budget[0] == 0.0
@@ -323,8 +260,7 @@ def test_forcing_energy_second_budget(bg, small_lattice):
     taus = np.linspace(1.0, 1e-3, 21)
     loud = SystemConfig(
         n_regular=1, system="second",
-        forcings=(Forcing(kind="mode_pulse", amplitude=0.4, center=0.5, width=0.1,
-                          degree=2), Forcing()),
+        forcings=(Forcing(amplitude=0.4, center=0.5, width=0.1), Forcing()),
     )
     budget = forcing_energy_second(loud, small_lattice, bg, taus)
     assert budget[0] == 0.0
@@ -461,4 +397,11 @@ def test_theorem_ratios_golden(part, bg, system, scale):
 @pytest.mark.parametrize("resolutions", [(8,), ()])
 def test_theorem_ratio_needs_two_resolutions(part, bg, resolutions):
     with pytest.raises(ValueError, match="two resolutions"):
+        verify_theorem_ratio("first", part, bg, resolutions=resolutions, n_draws=2)
+
+
+@pytest.mark.parametrize("resolutions", [(8, 8), (16, 8), (4, 8, 8)])
+def test_theorem_ratio_needs_increasing_resolutions(part, bg, resolutions):
+    # a repeated lattice has doubling factor exactly 1, which says nothing
+    with pytest.raises(ValueError, match="resolutions must strictly increase"):
         verify_theorem_ratio("first", part, bg, resolutions=resolutions, n_draws=2)

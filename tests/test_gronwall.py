@@ -203,7 +203,7 @@ def test_majorant_matches_nested_sum_formula():
         return sum(dt[m] * b[j] * c[j, m] for m in range(a + 1, i + 1))
 
     want = A.copy()
-    for k in range(inst.n_levels):
+    for k in range(A.shape[0]):
         for a in range(taus.size):
             for i in range(a + 1, taus.size):
                 for l in range(k):

@@ -9,22 +9,20 @@ from shellwave import (
     build_lattice,
     constant_background,
     eigenvalue_at,
-    graded_sobolev_norm,
-    heat_flow,
+    eigenvalue_rate,
     log_grad_weights,
-    log_nabla,
-    lp_project,
-    lp_sobolev_norm,
     make_partition,
-    multiplier_values,
-    r_k,
     random_field,
     refined_poincare_defect,
     check_lp_properties,
-    commutator_time_pk,
     verify_refined_poincare,
 )
-from shellwave.lp import LOG_GRAD_ETA
+from shellwave.lp import LOG_GRAD_ETA, _coverage_mask, _shell_table
+from tests.oracles import graded_sobolev_norm, shell_project
+
+
+def _checks(report):
+    return {c.name: c for c in report.checks}
 
 
 # ------------------------------------------------------------ bump geometry
@@ -69,35 +67,24 @@ def test_make_partition_validation():
 
 
 def test_multiplier_kind_relations(part):
+    # the two multiplier kinds every reduction reads, the bump M and its
+    # derivative M', are the shell table's rows bit for bit
     lam = np.geomspace(0.3, 4.0**10, 200)
+    plain, prime = _shell_table(part, lam), _shell_table(part, lam, prime=True)
     for k in (-2, 0, 3, 7):
         mu = lam * 4.0 ** (-k)
-        plain = multiplier_values(part, "plain", k, lam)
-        dot = multiplier_values(part, "dot", k, lam)
-        tilde = multiplier_values(part, "tilde", k, lam)
-        under = multiplier_values(part, "underline", k, lam)
-        under_t = multiplier_values(part, "underline_tilde", k, lam)
-        assert np.allclose(dot * mu, plain, atol=1e-14)
-        assert np.allclose(under**2, plain, atol=1e-14)
-        assert np.allclose(under_t**2, np.abs(tilde), atol=1e-14)
-        assert np.allclose(tilde, -part.bump_prime(mu), atol=1e-15)
-
-
-def test_multiplier_unknown_kind_and_cell(part):
-    with pytest.raises(ValueError):
-        multiplier_values(part, "bogus", 0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        multiplier_values(part, "plain", part.k_max + 1, np.array([1.0]))
+        assert np.array_equal(plain[k - part.k_min], part.bump(mu))
+        assert np.array_equal(prime[k - part.k_min], part.bump_prime(mu))
 
 
 def test_staggered_families_disjoint_far_cells(part):
     other = make_partition(part.k_min, part.k_max, part.smoothness, shift=0.5)
     lam = np.geomspace(1e-3, 4.0**11, 3000)
     for k in (0, 2, 5):
-        m1 = multiplier_values(part, "plain", k, lam)
+        m1 = part.bump(lam * 4.0 ** (-k))
         for l in part.ks:
             if abs(k - l) >= 3:
-                m2 = multiplier_values(other, "plain", l, lam)
+                m2 = other.bump(lam * 4.0 ** (-l))
                 assert np.max(np.abs(m1 * m2)) == 0.0
 
 
@@ -112,27 +99,10 @@ def test_lp_project_single_mode(part, small_lattice, bg):
     f = Field(lattice=small_lattice, coeffs=coeffs)
     # f(tau)^2 = 1/2 puts lambda(tau) = 4 at the center of cell 1
     tau = math.sqrt((math.sqrt(0.5) - 0.5) / 2.0)
-    proj = lp_project(part, "plain", 1, f, tau, bg)
+    proj = shell_project(part, 1, f, tau, bg)
     assert proj.coeffs[sl.start] == pytest.approx(1.0, abs=1e-12)
-    far = lp_project(part, "plain", 5, f, tau, bg)
+    far = shell_project(part, 5, f, tau, bg)
     assert far.coeffs[sl.start] == 0.0
-
-
-def test_heat_flow_halving(small_lattice):
-    cb = constant_background(1.0)
-    coeffs = np.zeros(small_lattice.n_slots)
-    sl = small_lattice.slots_of_degree(1)  # lam0 = 2 everywhere on the block
-    coeffs[sl.start] = 1.0
-    f = Field(lattice=small_lattice, coeffs=coeffs)
-    z = math.log(2.0) / 2.0
-    out = heat_flow(f, z, 0.5, cb)
-    assert out.coeffs[sl.start] == pytest.approx(0.5, rel=1e-14)
-    # semigroup property
-    two = heat_flow(heat_flow(f, z, 0.5, cb), z, 0.5, cb)
-    direct = heat_flow(f, 2 * z, 0.5, cb)
-    assert np.allclose(two.coeffs, direct.coeffs, atol=1e-15)
-    with pytest.raises(ValueError):
-        heat_flow(f, -0.1, 0.5, cb)
 
 
 def test_log_grad_weights_centers(part):
@@ -146,89 +116,54 @@ def test_log_grad_weights_centers(part):
 
 
 def test_log_nabla_zero_mode(part, small_lattice, bg):
-    coeffs = np.ones(small_lattice.n_slots)
-    f = Field(lattice=small_lattice, coeffs=coeffs)
-    out = log_nabla(part, f, 0.5, bg)
-    assert np.all(out.coeffs[small_lattice.slots_of_degree(0)] == 0.0)
+    # the log-derivative weights kill the constant mode on every slice
+    ell = log_grad_weights(part, eigenvalue_at(bg, small_lattice.lam0_slot, 0.5))
+    assert np.all(ell[small_lattice.slots_of_degree(0)] == 0.0)
 
 
 def test_r_k_center_cancellation(part, small_lattice, bg):
-    coeffs = np.zeros(small_lattice.n_slots)
+    # the cross term r_k = 2 M(lambda 4^-k) (ell(lambda) - log 2^k) vanishes on
+    # a lattice mode at the center of cell k: there M = 1 and ell = log 2^k
     sl = small_lattice.slots_of_degree(1)
-    coeffs[sl.start] = 1.0
-    f = Field(lattice=small_lattice, coeffs=coeffs)
     tau = math.sqrt((math.sqrt(0.5) - 0.5) / 2.0)  # lambda(tau) = 4 = center of cell 1
-    out = r_k(part, 1, f, tau, bg)
-    assert abs(out.coeffs[sl.start]) <= 1e-12
-
-
-# -------------------------------------------------------------- shell norms
-
-
-def test_lp_sobolev_norm_range(part, small_lattice, bg):
-    rng = np.random.default_rng(0)
-    f = Field(lattice=small_lattice, coeffs=rng.standard_normal(small_lattice.n_slots))
-    with pytest.raises(ValueError):
-        lp_sobolev_norm(part, f, 4.0, 0.5, bg)
-    with pytest.raises(ValueError):
-        lp_sobolev_norm(part, f, -0.5, 0.5, bg)
-
-
-def test_lp_sobolev_norm_equivalence(part, bg):
-    # shell norm and spectral norm agree up to cell-width factors, stably
-    lat = build_lattice(2, 24)
-    rng = np.random.default_rng(1)
-    for a in (1.0, 2.0, 3.5):
-        ratios = []
-        for _ in range(10):
-            c = rng.standard_normal(lat.n_slots)
-            f = Field(lattice=lat, coeffs=c)
-            lam = eigenvalue_at(bg, lat.lam0_slot, 0.5)
-            spectral = math.sqrt(float(np.dot(1.0 + lam**a, c * c)))
-            ratios.append(lp_sobolev_norm(part, f, a, 0.5, bg) / spectral)
-        ratios = np.array(ratios)
-        assert np.all(ratios > 4.0 ** (-a))
-        assert np.all(ratios < 4.0**a)
-        assert ratios.max() / ratios.min() < 2.0
-
-
-def test_lp_norm_dominates_l2(part, small_lattice, bg):
-    rng = np.random.default_rng(2)
-    f = Field(lattice=small_lattice, coeffs=rng.standard_normal(small_lattice.n_slots))
-    assert lp_sobolev_norm(part, f, 1.0, 0.5, bg) >= f.l2_norm()
+    lam = eigenvalue_at(bg, small_lattice.lam0_slot[sl], tau)
+    cross = 2.0 * part.bump(lam / 4.0) * (log_grad_weights(part, lam) - math.log(2.0))
+    assert np.max(np.abs(cross)) <= 1e-12
 
 
 # -------------------------------------------------------------- commutators
 
 
-def test_commutator_constant_background(part, small_lattice):
+def test_commutator_constant_background(part):
+    # a frozen profile moves no eigenvalue, so the time commutator is 0
     cb = constant_background(1.5)
-    rng = np.random.default_rng(3)
-    f = Field(lattice=small_lattice, coeffs=rng.standard_normal(small_lattice.n_slots))
-    out = commutator_time_pk(part, 2, f, 0.4, cb)
-    assert np.all(out.coeffs == 0.0)
-
-
-def test_commutator_e4_degenerates_at_zero(part, small_lattice, bg):
-    f = Field(lattice=small_lattice, coeffs=np.ones(small_lattice.n_slots))
-    with pytest.raises(ValueError):
-        commutator_time_pk(part, 1, f, 0.0, bg, time_vector="e4")
-    with pytest.raises(ValueError):
-        commutator_time_pk(part, 1, f, 0.5, bg, time_vector="sideways")
+    rep = check_lp_properties(part, build_lattice(2, 20), cb, tau=0.4, n_fields=8, seed=3)
+    comm = _checks(rep)["commutator_bound"]
+    assert comm.constant == 0.0 and comm.threshold == 0.0 and comm.passed
 
 
 def test_commutator_uniform_bound(part, bg):
-    # |[e4, P_k]F| <= kappa(tau) sup_mu mu |M'(mu)| |F| for every k at once
+    # |[e4, P_k]F| <= kappa(tau) sup_mu mu |M'(mu)| |F| for every k at once;
+    # the suite's corpus constant is the worst ratio of the slot-level
+    # commutator -M'(mu) 4^-k (dlambda/dtau) / (2 tau) over its fields and cells
     lat = build_lattice(2, 20)
-    rng = np.random.default_rng(4)
-    tau = 0.5
+    tau, seed, n_fields = 0.5, 4, 5
     sup_grid = np.geomspace(0.25, 4.0, 4001)
     bound = bg.kappa(tau) * float(np.max(sup_grid * np.abs(part.bump_prime(sup_grid))))
-    for _ in range(5):
-        f = Field(lattice=lat, coeffs=rng.standard_normal(lat.n_slots))
-        for k in (-1, 0, 3, 8):
-            out = commutator_time_pk(part, k, f, tau, bg, time_vector="e4")
-            assert out.l2_norm() <= bound * f.l2_norm() * (1.0 + 1e-9)
+    lam = eigenvalue_at(bg, lat.lam0_slot, tau)
+    rate = eigenvalue_rate(bg, lat.lam0_slot, tau)
+    covered = _coverage_mask(part, eigenvalue_at(bg, lat.lam0, tau))[lat.slot_l]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_fields):
+        c = np.where(covered, random_field(lat, rng, decay=1.0).coeffs, 0.0)
+        for k in part.ks:
+            comm = -part.bump_prime(lam * 4.0 ** (-k)) * 4.0 ** (-k) * rate / (2.0 * tau) * c
+            ratio = np.linalg.norm(comm) / np.linalg.norm(c)
+            assert ratio <= bound * (1.0 + 1e-9)
+            worst = max(worst, ratio)
+    rep = check_lp_properties(part, lat, bg, tau=tau, n_fields=n_fields, seed=seed)
+    assert _checks(rep)["commutator_bound"].constant == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------- inequality suite
@@ -272,19 +207,14 @@ def test_check_lp_properties_all_pass(part, bg):
         assert c.passed, f"{c.name}: {c.constant} vs {c.threshold}"
     assert rep.all_passed
     assert rep.meta["eta"] == LOG_GRAD_ETA
-    assert rep["finite_band"].name == "finite_band"
-    with pytest.raises(KeyError):
-        rep["nope"]
 
 
-def test_check_lp_properties_json_roundtrip(part, bg):
-    import json
-
+def test_check_lp_properties_rejects_an_empty_corpus(part, bg):
+    # no field means no corpus constant: the suite raises rather than pass
     lat = build_lattice(2, 12)
-    rep = check_lp_properties(part, lat, bg, tau=0.5, n_fields=4, seed=1)
-    payload = json.loads(rep.to_json())
-    assert payload["all_passed"] == rep.all_passed
-    assert len(payload["checks"]) == 6
+    with pytest.raises(ValueError, match="none of the 0 corpus fields"):
+        check_lp_properties(part, lat, bg, tau=0.5, n_fields=0)
+    assert check_lp_properties(part, lat, bg, tau=0.5, n_fields=1).meta["n_fields"] == 1
 
 
 def test_verify_refined_poincare_small(part, bg):
@@ -302,6 +232,13 @@ def test_verify_refined_poincare_small(part, bg):
 @pytest.mark.parametrize("resolutions", [(8,), ()])
 def test_verify_refined_poincare_needs_two_resolutions(part, bg, resolutions):
     with pytest.raises(ValueError, match="two resolutions"):
+        verify_refined_poincare(part, bg, resolutions=resolutions, n_fields=4)
+
+
+@pytest.mark.parametrize("resolutions", [(8, 8), (16, 8), (8, 16, 16)])
+def test_verify_refined_poincare_needs_increasing_resolutions(part, bg, resolutions):
+    # a repeated lattice has drift factor exactly 1, which says nothing
+    with pytest.raises(ValueError, match="resolutions must strictly increase"):
         verify_refined_poincare(part, bg, resolutions=resolutions, n_fields=4)
 
 
@@ -324,10 +261,11 @@ GOLDEN_POINCARE = ((0.13524860008776493, 0.13520125614621442),
 
 def test_check_lp_properties_golden(part, bg):
     rep = check_lp_properties(part, build_lattice(2, 24), bg, tau=0.5, n_fields=16, seed=0)
+    checks = _checks(rep)
     for name, want in GOLDEN_LP_PROPS.items():
-        np.testing.assert_allclose(rep[name].constant, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(checks[name].constant, want, rtol=1e-12, atol=0.0)
     for name, want in GOLDEN_LP_ROUNDOFF.items():
-        np.testing.assert_allclose(rep[name].constant, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(checks[name].constant, want, rtol=0.0, atol=1e-14)
 
 
 def test_verify_refined_poincare_golden(part, bg):
@@ -342,18 +280,18 @@ def test_lp_props_fail_with_perturbed_bump(part, bg, monkeypatch):
     monkeypatch.setattr(LPPartition, "bump", lambda self, mu: bump(self, mu) * (1.0 + 1e-6))
     rep = check_lp_properties(part, build_lattice(2, 24), bg, tau=0.5, n_fields=16, seed=0)
     assert not rep.all_passed
-    assert not rep["partition_of_unity"].passed
-    assert not rep["bessel_constant"].passed
+    assert not _checks(rep)["partition_of_unity"].passed
+    assert not _checks(rep)["bessel_constant"].passed
 
 
 # ------------------------------------------------ slot-level oracles
 
 def _shell_sq(part, k, f, tau, bg):
-    return lp_project(part, "plain", k, f, tau, bg).l2_norm() ** 2
+    return float(np.sum(shell_project(part, k, f, tau, bg).coeffs ** 2))
 
 
 def _grad_sq(part, k, f, tau, bg):
-    return graded_sobolev_norm(lp_project(part, "plain", k, f, tau, bg), 1, 0.0, tau, bg) ** 2
+    return graded_sobolev_norm(shell_project(part, k, f, tau, bg), 1, 0.0, tau, bg) ** 2
 
 
 def test_refined_poincare_defect_matches_slot_sum(part, bg):
@@ -369,7 +307,7 @@ def test_refined_poincare_defect_matches_slot_sum(part, bg):
                 rhs = (_grad_sq(part, k, f, tau, bg) / (delta * 4.0**k)
                        + delta * sum(2.0 ** (-9 * k + 7 * l) * _grad_sq(part, l, f, tau, bg)
                                      for l in range(0, k))
-                       + f.l2_norm() ** 2 / (delta * 16.0**k))
+                       + float(np.sum(f.coeffs**2)) / (delta * 16.0**k))
                 wants.append(_shell_sq(part, k, f, tau, bg) / rhs)
                 got = refined_poincare_defect(part, k, delta, f, tau, bg)
                 assert isinstance(got, float)
@@ -378,14 +316,3 @@ def test_refined_poincare_defect_matches_slot_sum(part, bg):
             got = refined_poincare_defect(part, k, deltas, f, tau, bg)
             np.testing.assert_allclose(got, wants, rtol=1e-13, atol=0.0)
 
-
-def test_lp_sobolev_norm_matches_slot_sum(part, bg):
-    lat = build_lattice(3, 12)
-    rng = np.random.default_rng(43)
-    for _ in range(6):
-        f = random_field(lat, rng, decay=float(rng.uniform(0.0, 2.0)))
-        tau = float(rng.uniform(0.05, 1.0))
-        for a in (0.0, 1.0, 2.5, 3.9):
-            want = math.sqrt(f.l2_norm() ** 2 + sum(4.0 ** (a * k) * _shell_sq(part, k, f, tau, bg)
-                                                    for k in part.ks))
-            assert lp_sobolev_norm(part, f, a, tau, bg) == pytest.approx(want, rel=1e-13, abs=0.0)
