@@ -501,7 +501,7 @@ def _target_singular_split(scn):
         phis=[_bounded_field(lattice, rng)],
     )
     grid = make_time_grid(config.tau_seed, 1.0, count=40 * scn.grid_refine + 1)
-    traj_y, traj_j = split_singular_component(config, lattice, bg, data, grid, part=part)
+    ((traj_y, traj_j),) = split_singular_component(config, lattice, bg, [data], grid, part)
     direct = integrate(config, lattice, bg, seed_state(config, lattice, bg, data), 1.0, grid=grid)
     num = np.max(np.abs(traj_y.values[:, 0, :] + traj_j.values[:, 0, :] - direct.values[:, 0, :]))
     den = np.max(np.abs(direct.values[:, 0, :]))
@@ -518,12 +518,12 @@ def _target_singular_split(scn):
     n_draws = max(20, scn.n_draws // 2)
     blow_pass = True
     stat_rows = [("draw", "sup_statistic", "max_drift")]
-    for d in range(n_draws):
-        o_field = _bounded_field(lat_blow, rng, decay=6.0)
-        bdata = make_asymptotic_data(lat_blow, part, bg, O=o_field,
-                                     frak_h=zero_field(lat_blow), phis=[zero_field(lat_blow)])
-        ty, _ = split_singular_component(blow_cfg, lat_blow, bg, bdata, blow_grid, part=part)
-        rep = singular_blowup_check(ty, bdata, top_order=1)
+    draws = [make_asymptotic_data(lat_blow, part, bg, O=_bounded_field(lat_blow, rng, decay=6.0),
+                                  frak_h=zero_field(lat_blow), phis=[zero_field(lat_blow)])
+             for _ in range(n_draws)]
+    splits = split_singular_component(blow_cfg, lat_blow, bg, draws, blow_grid, part)
+    for d, (ty, _) in enumerate(splits):
+        rep = singular_blowup_check(ty, draws[d], top_order=1)
         worst = max(rep.drifts) if rep.drifts else 0.0
         worst_drift = max(worst_drift, worst)
         sup_stat = max(sup_stat, rep.sup_value)

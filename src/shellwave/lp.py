@@ -257,6 +257,8 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     tuned numbers.  Every corpus check reads the per-degree power of the
     fields (row f of ``power``) against a shell table.
     """
+    if not tau > 0.0:  # the time commutator carries 1 / tau
+        raise ValueError(f"tau must be positive, got {tau}")
     rng = np.random.default_rng(seed)
     lam = eigenvalue_at(bg, lattice.lam0, tau)
     covered = _coverage_mask(part, lam)
@@ -318,12 +320,10 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
 
     # time-commutator uniformity in k
     comm_bound = float(bg.kappa(tau) * np.max(sup_grid * np.abs(part.bump_prime(sup_grid))))
-    comm_emp = 0.0
-    if tau > 0.0:
-        rate = eigenvalue_rate(bg, lattice.lam0, tau)
-        wc = -_shell_table(part, lam, prime=True) * 4.0 ** (-ks[:, None]) * rate / (2.0 * tau)
-        comm = np.sqrt(np.einsum("kl,fl->fk", wc * wc, power))
-        comm_emp = float(np.max(comm / nf, initial=0.0))
+    rate = eigenvalue_rate(bg, lattice.lam0, tau)
+    wc = -_shell_table(part, lam, prime=True) * 4.0 ** (-ks[:, None]) * rate / (2.0 * tau)
+    comm = np.sqrt(np.einsum("kl,fl->fk", wc * wc, power))
+    comm_emp = float(np.max(comm / nf, initial=0.0))
     checks.append(_within_roundoff("commutator_bound", comm_emp, comm_bound))
 
     meta = {

@@ -738,15 +738,20 @@ def seed_state(config, lattice, bg, data):
     2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
     """
     tau = float(config.tau_seed)
+    branches = _branch_table(config, lattice, bg, tau)[0][..., lattice.slot_l]
+    pairs = _seed_pairs(config, branches, data)
+    return ModeState(tau=tau, values=pairs[:, 0], derivs=pairs[:, 1])
+
+
+def _seed_pairs(config, branches, data):
+    """Every column's (value, tau-derivative) pair, (n_columns, 2, n_slots)."""
     if data.n_regular != config.n_regular:
         raise ValueError(
             f"data carries {data.n_regular} regular columns, config wants {config.n_regular}"
         )
-    branches = _branch_table(config, lattice, bg, tau)[0][..., lattice.slot_l]
     phis = np.array([p.coeffs for p in data.phi0_fields])
     col0 = 2.0 * data.O_field.coeffs * branches[0, 0] + data.h_field.coeffs * branches[0, 1]
-    pairs = np.concatenate([col0[None], phis[:, None] * branches[1:, 1]])
-    return ModeState(tau=tau, values=pairs[:, 0], derivs=pairs[:, 1])
+    return np.concatenate([col0[None], phis[:, None] * branches[1:, 1]])
 
 
 def extract_asymptotic_data(config, lattice, bg, state, part):
@@ -821,10 +826,16 @@ def integrate(config, lattice, bg, state, tau_to, grid=None):
     if n_cols != config.n_columns or n_slots != lattice.n_slots:
         raise ValueError("state shape does not match config/lattice")
     taus = _eval_taus(tau_from, tau_to, grid)
-    props = fundamental_matrices(config, lattice, bg, tau_from, taus)
-    forced = forced_profile(config, lattice, bg, tau_from, taus)
-    start = np.concatenate([state.values, tau_from * state.derivs])
-    rows = np.empty((len(taus), 2 * n_cols, n_slots))
+    propagators = (fundamental_matrices(config, lattice, bg, tau_from, taus),
+                   forced_profile(config, lattice, bg, tau_from, taus))
+    return _compose(config, lattice, bg, taus, propagators,
+                    np.concatenate([state.values, tau_from * state.derivs]))
+
+
+def _compose(config, lattice, bg, taus, propagators, start):
+    """Trajectory of the stacked (values, tau * derivs) state ``start``: P[l] @ y0 + F[l]."""
+    (props, forced), n_cols = propagators, config.n_columns
+    rows = np.empty((len(taus), 2 * n_cols, lattice.n_slots))
     for l in range(lattice.l_max + 1):
         sl = lattice.slots_of_degree(l)
         rows[:, :, sl] = props[l] @ start[:, sl] + forced[l][:, :, None]
@@ -1008,7 +1019,7 @@ def _scalar_dop853(lam, u, theta, s_from, s_to, s_eval, rtol, atol):
 # --------------------------------------------------- singular/regular split
 
 
-def split_singular_component(config, lattice, bg, data, grid, part=None):
+def split_singular_component(config, lattice, bg, draws, grid, part):
     """Evolve the log-branch and renormalized components of column 0.
 
     The log-branch component solves the homogeneous self-coupled column-0
@@ -1016,28 +1027,20 @@ def split_singular_component(config, lattice, bg, data, grid, part=None):
     component solves the full column-0 equation (couplings to the regular
     columns and forcing included) with data frak_h.  Their sum reproduces the
     direct column-0 run; both are returned as single-column trajectories.
-    Both ride along as two extra columns of one augmented first-family run
-    of ``integrate``, which composes that system's per-degree propagators,
-    so the split costs two solves whatever the number of slots.  A
-    second-family config, whose regular rows carry the opposite drag, is
-    rejected.
+    Both ride along as two extra columns of one augmented first-family
+    system, whose per-degree propagators are built when this is called: one
+    solve whatever the number of draws or slots, plus one for forcing.  Returns
+    an iterator of (log-branch, renormalized) pairs, one per draw, each
+    composed as it is read.  A second-family config, whose regular rows
+    carry the opposite drag, is rejected.
     """
-    if part is None:
-        raise ValueError("a frequency partition is needed for the log-derivative data")
     if config.system != "first":
         raise ValueError("the split runs the first system family only")
     tau0 = float(config.tau_seed)
     n_cols = config.n_columns
-    table, _ = _branch_table(config, lattice, bg, tau0)
-    aux, main = table[0][..., lattice.slot_l]
+    branches = _branch_table(config, lattice, bg, tau0)[0][..., lattice.slot_l]
+    aux, main = branches[0]
     ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0_slot, 0.0))
-    oc = data.O_field.coeffs
-    y_seed = 2.0 * oc * aux + 2.0 * ell * oc * main
-    j_seed = data.frak_h.coeffs * main
-
-    base = seed_state(config, lattice, bg, data)
-    values = np.concatenate([base.values, y_seed[:1], j_seed[:1]])
-    derivs = np.concatenate([base.derivs, y_seed[1:], j_seed[1:]])
 
     # augmented coupling: the log-branch row is purely self-coupled, the
     # renormalized row keeps the self term plus the original cross terms
@@ -1052,16 +1055,23 @@ def split_singular_component(config, lattice, bg, data, grid, part=None):
         coupling_scale=scale, coupling_psi=psi, forcings=(*forcings, Forcing(), forcings[0]),
         tau_seed=tau0, rtol=config.rtol, atol=config.atol,
     )
-    run = integrate(aug, lattice, bg, ModeState(tau=tau0, values=values, derivs=derivs), 1.0,
-                    grid=grid)
+    taus = _eval_taus(tau0, 1.0, grid)
+    propagators = (fundamental_matrices(aug, lattice, bg, tau0, taus),
+                   forced_profile(aug, lattice, bg, tau0, taus))
 
-    def one_column(idx):
-        return Trajectory(
-            taus=run.taus, values=run.values[:, idx : idx + 1, :],
-            derivs=run.derivs[:, idx : idx + 1, :], config=config, lattice=lattice, bg=bg,
-        )
+    def runs():
+        for data in draws:
+            oc = data.O_field.coeffs
+            y_seed = 2.0 * oc * aux + 2.0 * ell * oc * main
+            j_seed = data.frak_h.coeffs * main
+            seed = np.concatenate([_seed_pairs(config, branches, data), y_seed[None], j_seed[None]])
+            run = _compose(aug, lattice, bg, taus, propagators,
+                           np.concatenate([seed[:, 0], tau0 * seed[:, 1]]))
+            yield tuple(Trajectory(taus=taus, values=run.values[:, i : i + 1],
+                                   derivs=run.derivs[:, i : i + 1], config=config,
+                                   lattice=lattice, bg=bg) for i in (n_cols, n_cols + 1))
 
-    return one_column(n_cols), one_column(n_cols + 1)
+    return runs()
 
 
 # -------------------------------------------------- epsilon-regularization
@@ -1087,8 +1097,8 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
     started at eps, eps/2, ... must agree at tau = 1 up to a discrepancy
     shrinking like eps^2 log^2 eps, i.e. successive differences contract by
     at least ~3 per halving at eps = 1e-2.  Differences are measured in the
-    phase-free envelope metric at tau = 1.  Identically zero data is
-    rejected: every discrepancy would be 0 and the gate would pass on nothing.
+    phase-free envelope metric at tau = 1.  Data zero off lambda = 0 is
+    rejected: the expansion is exact there, so the gate would grade round-off.
 
     The second family is rejected.  Its regular rows have the -1/tau drag,
     whose other branch is tau^2; the expansion misses their derivative by
@@ -1105,8 +1115,8 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
         raise ValueError("need at least two rungs to form a ratio")
     oc, hc = data.O_field.coeffs, data.h_field.coeffs
     phis = [p.coeffs for p in data.phi0_fields]
-    if not any(np.any(c) for c in (oc, hc, *phis)):
-        raise ValueError("asymptotic data is identically zero")
+    if not any(np.any(c[lattice.lam0_slot > 0.0]) for c in (oc, hc, *phis)):
+        raise ValueError("asymptotic data is identically zero on the modes with lambda > 0")
     lam1 = eigenvalue_at(bg, lattice.lam0_slot, 1.0)
     omega = 2.0 * np.sqrt(np.maximum(lam1, 1.0))
 

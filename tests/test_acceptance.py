@@ -73,14 +73,13 @@ def test_criterion_3_singular_blowup_bounded(part, bg):
     cfg = SystemConfig(n_regular=1, top_order=1, tau_seed=1e-7,
                        rtol=1e-10, atol=1e-12)
     grid = make_time_grid(1e-6, 1.0, count=121)
-    for draw in range(20):
-        data = make_asymptotic_data(
-            lat, part, bg, O=bounded_field(lat, rng, decay=6.0),
-            h=bounded_field(lat, rng, decay=6.0),
-            phis=[bounded_field(lat, rng, decay=6.0)],
-        )
-        traj_y, _ = split_singular_component(cfg, lat, bg, data, grid, part=part)
-        rep = singular_blowup_check(traj_y, data, top_order=1, drift_limit=0.10)
+    draws = [make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng, decay=6.0),
+                                  h=bounded_field(lat, rng, decay=6.0),
+                                  phis=[bounded_field(lat, rng, decay=6.0)])
+             for _ in range(20)]
+    splits = split_singular_component(cfg, lat, bg, draws, grid, part)
+    for draw, (traj_y, _) in enumerate(splits):
+        rep = singular_blowup_check(traj_y, draws[draw], top_order=1, drift_limit=0.10)
         assert rep.passed, (draw, rep.drifts)
         assert math.isfinite(rep.sup_value)
 
@@ -179,7 +178,7 @@ def test_criterion_9_decomposition_exactness(part, bg):
     data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
                                 h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
     grid = make_time_grid(1e-4, 1.0, count=41)
-    ty, tj = split_singular_component(cfg, lat, bg, data, grid, part=part)
+    ((ty, tj),) = split_singular_component(cfg, lat, bg, [data], grid, part)
     direct = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0, grid=grid)
     num = np.max(np.abs(ty.values[:, 0, :] + tj.values[:, 0, :] - direct.values[:, 0, :]))
     assert num / np.max(np.abs(direct.values[:, 0, :])) <= 1e-9

@@ -111,7 +111,7 @@ def blowup_run(part, bg):
         h=bounded_field(lat, rng, decay=6.0), phis=[bounded_field(lat, rng, decay=6.0)],
     )
     grid = make_time_grid(1e-6, 1.0, count=97)
-    traj_y, _ = split_singular_component(cfg, lat, bg, data, grid, part=part)
+    ((traj_y, _),) = split_singular_component(cfg, lat, bg, [data], grid, part)
     return traj_y, data
 
 
@@ -143,7 +143,7 @@ def test_blowup_needs_two_decades(part, bg, small_lattice):
                                 h=bounded_field(small_lattice, rng),
                                 phis=[bounded_field(small_lattice, rng)])
     grid = make_time_grid(1e-4, 1.0, count=17)
-    traj_y, _ = split_singular_component(cfg, small_lattice, bg, data, grid, part=part)
+    ((traj_y, _),) = split_singular_component(cfg, small_lattice, bg, [data], grid, part)
     with pytest.raises(ValueError, match="decade"):
         singular_blowup_check(traj_y, data, top_order=1)
 

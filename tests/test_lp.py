@@ -217,6 +217,13 @@ def test_check_lp_properties_rejects_an_empty_corpus(part, bg):
     assert check_lp_properties(part, lat, bg, tau=0.5, n_fields=1).meta["n_fields"] == 1
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5])
+def test_check_lp_properties_rejects_a_non_positive_tau(part, bg, tau):
+    # the commutator carries 1 / tau; at tau = 0 it once read 0 and passed
+    with pytest.raises(ValueError, match="tau must be positive"):
+        check_lp_properties(part, build_lattice(2, 12), bg, tau=tau, n_fields=8)
+
+
 def test_verify_refined_poincare_small(part, bg):
     rep = verify_refined_poincare(
         part, bg, resolutions=(8, 16), deltas=(0.1, 1.0), n_fields=40, seed=0

@@ -621,7 +621,7 @@ def test_split_reconstructs_and_tags_branches(part, bg):
     data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
                                 h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
     grid = make_time_grid(1e-4, 1.0, count=61)
-    ty, tj = split_singular_component(cfg, lat, bg, data, grid, part=part)
+    ((ty, tj),) = split_singular_component(cfg, lat, bg, [data], grid, part)
     direct = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0, grid=grid)
     num = np.max(np.abs(ty.values[:, 0, :] + tj.values[:, 0, :] - direct.values[:, 0, :]))
     den = np.max(np.abs(direct.values[:, 0, :]))
@@ -635,6 +635,29 @@ def test_split_reconstructs_and_tags_branches(part, bg):
     assert np.max(np.abs(tj.values[small, 0, :])) <= 10.0 * np.max(np.abs(data.frak_h.coeffs))
 
 
+def test_split_batch_matches_single_draws(part, bg):
+    # one shared solve, then each draw composed alone: bit for bit the same
+    lat = build_lattice(2, 4)
+    rng = np.random.default_rng(25)
+    cs, cp = random_coupling(1, "first", rng, 0.05)
+    cfg = SystemConfig(n_regular=1, coupling_scale=cs, coupling_psi=cp,
+                       forcings=(Forcing(amplitude=0.2, center=0.4, width=0.1), Forcing()),
+                       tau_seed=1e-5, rtol=1e-11, atol=1e-13)
+    draws = [make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
+                                  h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
+             for _ in range(3)]
+    grid = make_time_grid(1e-4, 1.0, count=31)
+    batch = list(split_singular_component(cfg, lat, bg, draws, grid, part))
+    assert len(batch) == len(draws)
+    for data, pair in zip(draws, batch):
+        ((ty, tj),) = split_singular_component(cfg, lat, bg, [data], grid, part)
+        for got, want in zip(pair, (ty, tj)):
+            assert np.array_equal(got.taus, want.taus)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.derivs, want.derivs)
+    assert not np.array_equal(batch[0][0].values, batch[1][0].values)
+
+
 def test_split_requires_partition(part, bg, small_lattice):
     rng = np.random.default_rng(29)
     cfg = SystemConfig(n_regular=1)
@@ -642,8 +665,8 @@ def test_split_requires_partition(part, bg, small_lattice):
                                 h=bounded_field(small_lattice, rng),
                                 phis=[bounded_field(small_lattice, rng)])
     grid = make_time_grid(1e-3, 1.0, count=9)
-    with pytest.raises(ValueError, match="partition"):
-        split_singular_component(cfg, small_lattice, bg, data, grid)
+    with pytest.raises(TypeError, match="part"):
+        split_singular_component(cfg, small_lattice, bg, [data], grid)
 
 
 def test_split_rejects_second_family(part, bg, small_lattice):
@@ -655,7 +678,7 @@ def test_split_rejects_second_family(part, bg, small_lattice):
                                 phis=[bounded_field(small_lattice, rng)])
     grid = make_time_grid(1e-3, 1.0, count=9)
     with pytest.raises(ValueError, match="first system family"):
-        split_singular_component(cfg, small_lattice, bg, data, grid, part=part)
+        split_singular_component(cfg, small_lattice, bg, [data], grid, part)
 
 
 def test_epsilon_check_rejects_second_family(part, bg, small_lattice):
@@ -699,6 +722,22 @@ def test_epsilon_check_zero_data(part, bg, small_lattice):
                                 h=zero_like(small_lattice), phis=[zero_like(small_lattice)])
     with pytest.raises(ValueError, match="identically zero"):
         epsilon_construction_check(cfg, small_lattice, bg, data, eps=1e-2)
+
+
+def test_epsilon_check_rejects_degree_zero_data(part, bg):
+    # on lambda = 0 the two-term expansion is exact, so every rung ends at the
+    # same state and the ladder would grade round-off (it read 3.6e-15,
+    # 7.1e-15, 1.1e-14 and failed)
+    lat = build_lattice(2, 6)
+    cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
+    o_field = zero_like(lat).with_coeffs(np.where(lat.lam0_slot == 0.0, 1.0, 0.0))
+    data = make_asymptotic_data(lat, part, bg, O=o_field, h=zero_like(lat), phis=[zero_like(lat)])
+    with pytest.raises(ValueError, match="identically zero on the modes with lambda > 0"):
+        epsilon_construction_check(cfg, lat, bg, data, eps=1e-3)
+    # with the degree-1 slots as well the ladder measures the cutoff again
+    o_field = o_field.with_coeffs(np.where(lat.slot_l <= 1, 1.0, 0.0))
+    data = make_asymptotic_data(lat, part, bg, O=o_field, h=zero_like(lat), phis=[zero_like(lat)])
+    assert epsilon_construction_check(cfg, lat, bg, data, eps=1e-3).discrepancies[0] > 1e-9
 
 
 def test_epsilon_check_range(part, bg, small_lattice):
