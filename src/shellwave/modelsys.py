@@ -23,11 +23,9 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 
 from .lattice import Field, eigenvalue_at, zero_field
 from .lp import log_grad_weights
@@ -375,6 +373,9 @@ class SystemConfig:
             raise ValueError("top_order must be >= 0")
         if not 0.0 < self.tau_seed < 1.0:
             raise ValueError(f"tau_seed must lie in (0, 1), got {self.tau_seed}")
+        if not (self.rtol >= 100.0 * sys.float_info.epsilon and self.atol >= 0.0):
+            raise ValueError(f"need rtol >= 100 * machine epsilon and atol >= 0, got "
+                             f"rtol={self.rtol}, atol={self.atol}")
         c = self.n_columns
         scale = self.coupling_scale
         scale = np.zeros((c, c)) if scale is None else np.asarray(scale, dtype=float)
@@ -533,12 +534,12 @@ def _propagate(config, lam0, bg, source, start, tau_from, taus):
     ``taus``, shape (n_times, 2 n_columns, n).  Its callers are the two
     per-degree builders, ``fundamental_matrices`` and ``forced_profile``.
 
-    The solve is ``solve_ivp`` with ``_InPlaceDOP853``: scipy's DOP853 steps,
-    error control, ``nfev`` and dense output at ``taus``, so the output bits
-    are those of ``method="DOP853"``.  What goes is the per-stage allocation
-    and the wrappers: the right-hand side writes each stage's slope straight
-    into the solver's stage row, and skips the coupling and the drag flip
-    when they add exactly 0.
+    The solve is the module's DOP853 driver ``solve_ivp``, which takes scipy's
+    DOP853 steps with scipy's arithmetic, so the output bits and ``nfev`` are
+    those of ``scipy.integrate.solve_ivp(method="DOP853")`` without importing
+    scipy.  The right-hand side writes each stage's slope straight into the
+    driver's stage row, and skips the coupling and the drag flip when they
+    add exactly 0.  A span of zero length raises ``ValueError``.
     """
     n_cols, n = config.n_columns, start.shape[1]
     cn = n_cols * n
@@ -569,123 +570,189 @@ def _propagate(config, lam0, bg, source, start, tau_from, taus):
         if flip is not None:
             dth += flip * y[cn:].reshape(n_cols, n)
 
-    def rhs(s, y):
-        out = np.empty_like(y)
-        rhs_into(s, y, out)
-        return out
-
-    sol = solve_ivp(rhs, (math.log(tau_from), math.log(taus[-1])), start.ravel(),
-                    method=_InPlaceDOP853, t_eval=np.log(taus), rtol=config.rtol,
-                    atol=config.atol, rhs_into=rhs_into)
-    if not sol.success:
-        raise RuntimeError(
-            f"integration failed between tau={tau_from:g} and {taus[-1]:g}: {sol.message}; "
-            "try a larger tau_seed or looser tolerances"
-        )
-    return np.ascontiguousarray(sol.y.T).reshape(len(taus), 2 * n_cols, n)
+    sol = solve_ivp(rhs_into, math.log(tau_from), math.log(taus[-1]), start.ravel(),
+                    np.log(taus), config.rtol, config.atol)
+    return sol.y.reshape(len(taus), 2 * n_cols, n)
 
 
-# DOP853's stage rows A[s, :s], contiguous, with their nodes C[s]: the stages
-# of a step, then the three extra stages of its dense output.
-_STEP_STAGES = tuple((np.ascontiguousarray(DOP853.A[s, :s]), DOP853.C[s])
-                     for s in range(1, DOP853.n_stages))
-_DENSE_STAGES = tuple((np.ascontiguousarray(a[:s]), c) for s, (a, c) in
-                      enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1))
+# DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.5) with scipy's
+# coefficients: the nodes C and the stage rows A[s, :s] of stages 0..15.  Stages
+# 1..11 are a step's, 12 is the slope at its end point (its row is the solution
+# weights B) and 13..15 are the extra stages of the dense output.  E5 and E3
+# weigh the two error estimates, D the interpolant's top four coefficients.
+_DOP853_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+             0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+             0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
+_DOP853_A = (
+    (), (0.05260015195876773,), (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+)
+_DOP853_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+              1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+              -0.022355307863886294, 0.0)
+_DOP853_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+              -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+              0.02265179219836082, 0.0)
+_DOP853_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
+_DOP853_B = _DOP853_A[12]
+_DOP_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
+
+# the block driver's tables: (A[s, :s], C[s]) of a step's stages 1..11 and of
+# the dense output's 13..15, and the weights, as arrays
+_STEP_STAGES = tuple((np.array(a), c) for a, c in zip(_DOP853_A[1:12], _DOP853_C[1:12]))
+_DENSE_STAGES = tuple((np.array(a), c) for a, c in zip(_DOP853_A[13:], _DOP853_C[13:]))
+_B, _E5, _E3, _D = map(np.array, (_DOP853_B, _DOP853_E5, _DOP853_E3, _DOP853_D))
 
 
-class _InPlaceDOP853(DOP853):
-    """scipy's DOP853, its stages written in place by ``rhs_into(t, y, out)``.
+def _direction(s_from, s_to, s_eval):
+    """+1 or -1 toward s_to, once ``s_eval`` is checked to run strictly from
+    s_from toward s_to inside a nonempty span."""
+    direction = 1.0 if s_to > s_from else -1.0
+    steps = direction * np.diff(s_eval)
+    if (s_from == s_to or len(s_eval) == 0 or np.any(steps <= 0.0)
+            or direction * (s_eval[0] - s_from) < 0.0 or direction * (s_to - s_eval[-1]) < 0.0):
+        raise ValueError("evaluation times must run strictly from tau_from toward tau_to, "
+                         "inside a nonempty span")
+    return direction
 
-    ``_step_impl`` is scipy's ``RungeKutta._step_impl`` and
-    ``_dense_output_impl`` is ``DOP853._dense_output_impl`` (scipy 1.17),
-    line for line except for the stages: each stage input is formed in one
-    buffer with scipy's operations (``y + h * (K[:s].T @ a)``) and the slope
-    lands in its row of ``K``.  So steps, ``nfev`` and output bits are
-    scipy's.  ``fun`` serves the two evaluations scipy's constructor makes.
+
+def solve_ivp(rhs_into, s_from, s_to, y0, s_eval, rtol, atol):
+    """DOP853 from s_from to s_to, sampled at ``s_eval``; ``rhs_into(s, y, out)`` writes y_s.
+
+    Step for step this is scipy's ``solve_ivp(method="DOP853", t_eval=s_eval)``
+    (scipy 1.17) with the same numpy operations in the same order, so the
+    steps, the RHS count (``nfev``) and the output bits (``y``, one row per
+    time) are its.  Each stage input is formed in one buffer and
+    ``rhs_into`` writes the slope into its row of the stage table.
     """
+    direction = _direction(s_from, s_to, s_eval)
+    n = y0.size
+    K, buf, f = np.empty((16, n)), np.empty(n), np.empty(n)
+    out = np.empty((len(s_eval), n))
+    keys = direction * s_eval  # ascending, for searchsorted
 
-    def __init__(self, fun, t0, y0, t_bound, rhs_into, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self._rhs_into = rhs_into
-        self._buf = np.empty(self.n)
-        # scipy's fun and fun_vectorized close over the solver.  Nothing calls
-        # them after the constructor, and without them the solver is acyclic,
-        # so its stage rows are freed when solve_ivp returns.
-        del self.fun, self.fun_vectorized
+    def stages(t, y, h, table, first):
+        for s, (a, c) in enumerate(table, start=first):
+            stage = np.dot(K[:s].T, a, out=buf)
+            stage *= h
+            stage += y
+            rhs_into(t + c * h, stage, K[s])
 
-    def _stages(self, t, y, h, stages, first):
-        K, buf, rhs_into = self.K_extended, self._buf, self._rhs_into
-        for s, (a, c) in enumerate(stages, start=first):
-            np.dot(K[:s].T, a, out=buf)
-            buf *= h
-            buf += y
-            rhs_into(t + c * h, buf, K[s])
-        self.nfev += len(stages)
+    # the initial step (select_initial_step, error estimator order 7)
+    rhs_into(s_from, y0, f)
+    interval = abs(s_to - s_from)
+    scale = atol + np.abs(y0) * rtol
+    d0 = np.linalg.norm(y0 / scale) / n ** 0.5  # RMS norms
+    d1 = np.linalg.norm(f / scale) / n ** 0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    rhs_into(s_from + h0 * direction, y0 + h0 * direction * f, buf)
+    d2 = np.linalg.norm((buf - f) / scale) / n ** 0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
+    h_abs, nfev = min(100 * h0, h1, interval), 2
 
-    def _step_impl(self):
-        t = self.t
-        y = self.y
-        max_step = self.max_step
-        rtol = self.rtol
-        atol = self.atol
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        if self.h_abs > max_step:
-            h_abs = max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
+    t, y, done = s_from, y0, 0
+    while t != s_to:
+        # one accepted step (RungeKutta._step_impl, no step cap)
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+                raise RuntimeError(
+                    f"integration failed between tau={math.exp(s_from):g} and {math.exp(s_to):g}: "
+                    "Required step size is less than spacing between numbers; try a larger "
+                    "tau_seed or looser tolerances")
+            t_new = t + h_abs * direction
+            if direction * (t_new - s_to) > 0:
+                t_new = s_to
             h = t_new - t
             h_abs = np.abs(h)
-            K = self.K
-            K[0] = self.f
-            self._stages(t, y, h, _STEP_STAGES, 1)
-            y_new = y + h * np.dot(K[:-1].T, self.B)
-            self._rhs_into(t + h, y_new, K[-1])
-            self.nfev += 1
+            K[0] = f
+            stages(t, y, h, _STEP_STAGES, 1)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            rhs_into(t + h, y_new, K[12])
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = self._estimate_error_norm(K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** self.error_exponent)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
+            e5 = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
             else:
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self.error_exponent)
-                step_rejected = True
-        self.h_previous = h
-        self.y_old = y
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = K[-1].copy()  # K[-1] is the next step's last stage
-        return True, None
+                error_norm = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** _DOP_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** _DOP_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, K[12].copy()
 
-    def _dense_output_impl(self):
-        K = self.K_extended
-        h = self.h_previous
-        self._stages(self.t_old, self.y_old, h, _DENSE_STAGES, self.n_stages + 1)
-        F = np.empty((INTERPOLATOR_POWER, self.n), dtype=self.y_old.dtype)
-        f_old = K[0]
-        delta_y = self.y - self.y_old
+        # the dense output at the requested times this step reached
+        reached = int(np.searchsorted(keys, direction * t, side="right"))
+        if reached == done:
+            continue
+        stages(t_old, y_old, h, _DENSE_STAGES, 13)
+        nfev += 3
+        F = np.empty((7, n))
+        delta_y = y - y_old
         F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(self.D, K)
-        return Dop853DenseOutput(self.t_old, self.t, self.y_old, F)
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (f + K[0])
+        F[3:] = h * np.dot(_D, K)
+        x = ((s_eval[done:reached] - t_old) / (t - t_old))[:, None]
+        rows = out[done:reached]
+        rows.fill(0.0)
+        for i, coeffs in enumerate(reversed(F)):
+            rows += coeffs
+            rows *= x if i % 2 == 0 else 1 - x
+        rows += y_old
+        done = reached
+    return SimpleNamespace(y=out, nfev=nfev)
 
 
 def _eval_taus(tau_from, tau_to, grid):
@@ -849,12 +916,12 @@ def constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=None):
 
     Returns (taus, u, du) at ``taus`` (default: 33 geometric times spanning
     the run), which must run from tau_from toward tau_to, at rtol 1e-11 and
-    atol 1e-13.  This is the toy
-    the dyadic decay measurement runs shell by shell against the Bessel
-    oracle; at omega = 4096 one run takes about 190k RHS evaluations.  It
-    runs on ``_scalar_dop853``, which takes the steps of scipy's DOP853 in
-    the log chart on Python floats: about 0.25 s for that run against 1.7 s
-    under ``solve_ivp`` on a 2-core Xeon VM.
+    atol 1e-13.  This is the toy the dyadic decay measurement runs shell by
+    shell against the Bessel oracle; at omega = 4096 one run takes about 190k
+    RHS evaluations.  It runs on ``_scalar_dop853``, which takes the same
+    DOP853 steps in the log chart on Python floats: about 0.22 s for that run
+    against 1.5 s on the block driver ``solve_ivp``, whose per-step array
+    work costs several times a two-entry RHS (2-core Xeon VM).
     """
     eval_taus = _eval_taus(tau_from, tau_to, None) if taus is None else np.asarray(taus, float)
     u, theta, _ = _scalar_dop853(float(lam), float(u0), tau_from * float(du0),
@@ -874,15 +941,12 @@ def _weighted(k, row):
     return acc
 
 
-# scipy's DOP853 tableau as Python floats with the zero weights dropped: the
-# stages 1..11 and the three extra dense-output stages as (c, ((j, a), ...)),
-# then the weights of the solution, of both error estimates and of the
-# interpolant's top four coefficients.
-_DOP_STAGES = tuple((float(c), _nonzero(a)) for a, c in zip(DOP853.A[1:], DOP853.C[1:]))
-_DOP_EXTRA = tuple((float(c), _nonzero(a)) for a, c in zip(DOP853.A_EXTRA, DOP853.C_EXTRA))
-_DOP_B, _DOP_E5, _DOP_E3 = _nonzero(DOP853.B), _nonzero(DOP853.E5), _nonzero(DOP853.E3)
-_DOP_D = tuple(_nonzero(d) for d in DOP853.D)
-_DOP_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+# the scalar kernel's tables: stages 1..11 and 13..15 as (c, ((j, a), ...)) and
+# the weights B, E5, E3 and D, as Python floats with the zero weights dropped
+_DOP_STAGES = tuple((c, _nonzero(a)) for a, c in zip(_DOP853_A[1:12], _DOP853_C[1:12]))
+_DOP_EXTRA = tuple((c, _nonzero(a)) for a, c in zip(_DOP853_A[13:], _DOP853_C[13:]))
+_DOP_B, _DOP_E5, _DOP_E3 = map(_nonzero, (_DOP853_B, _DOP853_E5, _DOP853_E3))
+_DOP_D = tuple(map(_nonzero, _DOP853_D))
 _SQRT2 = 2.0**0.5
 
 
@@ -890,7 +954,7 @@ def _scalar_dop853(lam, u, theta, s_from, s_to, s_eval, rtol, atol):
     """DOP853 for u'' + u'/tau + lam u = 0 in the chart s = log tau, on floats.
 
     The state is (u, theta = tau u'), with u_s = theta and theta_s =
-    -tau^2 lam u.  Step for step this is scipy's DOP853 as ``solve_ivp`` runs
+    -tau^2 lam u.  Step for step this is DOP853 as scipy's ``solve_ivp`` runs
     it (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.5): the same
     initial step, step control, error norm and dense output at the requested
     times, up to the order of floating-point sums.  Only the per-step numpy
@@ -898,14 +962,8 @@ def _scalar_dop853(lam, u, theta, s_from, s_to, s_eval, rtol, atol):
     ``s_eval`` runs from s_from toward s_to.  Returns u and theta at s_eval
     (lists) and the number of RHS evaluations.
     """
-    direction = 1.0 if s_to > s_from else -1.0
+    direction = _direction(s_from, s_to, s_eval)
     s_eval = s_eval.tolist()
-    ordered = all(direction * (b - a) > 0.0 for a, b in zip(s_eval, s_eval[1:]))
-    inside = min(s_from, s_to) <= min(s_eval) and max(s_eval) <= max(s_from, s_to)
-    if s_from == s_to or not (ordered and inside):
-        raise ValueError("evaluation times must run strictly from tau_from toward tau_to, "
-                         "inside the span")
-    rtol = max(rtol, 100.0 * sys.float_info.epsilon)  # scipy's floor
     ku, kt = [0.0] * 16, [0.0] * 16  # stage slopes: u_s and theta_s
 
     # initial step (scipy's select_initial_step, error estimator order 7)
@@ -987,7 +1045,7 @@ def _scalar_dop853(lam, u, theta, s_from, s_to, s_eval, rtol, atol):
         t_old, t = t, t_new
         u_old, theta_old, u, theta = u, theta, u_new, theta_new
         fu, ft = ku[12], kt[12]
-        # requested times this step reached (solve_ivp's searchsorted rule)
+        # requested times this step reached (scipy's searchsorted rule)
         stop = pending
         while stop < len(s_eval) and direction * (s_eval[stop] - t) <= 0.0:
             stop += 1

@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -137,3 +139,23 @@ def test_every_definition_is_reached_by_a_target(tmp_path):
             value = getattr(module, name)
             if inspect.isclass(value):
                 assert value in built, f"{module.__name__}.{name} is built by no target"
+
+
+def test_targets_load_no_scipy(tmp_path):
+    # the package's run path imports numpy only: a fresh process runs all
+    # eight targets through the command line and loads no scipy module
+    cfg = tmp_path / "reach.cfg"
+    cfg.write_text(_REACH_SCENARIO.format(out=tmp_path / "all"))
+    script = (
+        "import sys\n"
+        "from shellwave import cli\n"
+        f"code = cli.main(['--config', {str(cfg)!r}, '--quiet'])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), inherited]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=tmp_path, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"

@@ -5,8 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, solve_ivp
-from scipy.integrate._ivp.rk import Dop853DenseOutput
+from scipy.integrate import DOP853, solve_ivp
 
 from shellwave import (
     ConformalBackground,
@@ -38,7 +37,7 @@ from shellwave import (
 )
 from shellwave import modelsys
 from shellwave.energies import _oracle_envelope
-from shellwave.modelsys import _InPlaceDOP853, _scalar_dop853
+from shellwave.modelsys import _scalar_dop853
 from tests.conftest import bounded_field, zero_like
 from tests.oracles import mode_rhs
 
@@ -234,6 +233,18 @@ def test_config_validation():
     bad_psi[0, 1] = 5
     with pytest.raises(ValueError):
         SystemConfig(n_regular=1, coupling_psi=bad_psi)
+
+
+@pytest.mark.parametrize("tols", [dict(rtol=1e-14), dict(rtol=0.0), dict(atol=-1e-12)])
+def test_config_rejects_tolerances_the_solver_cannot_meet(tols):
+    # checked once, at construction: rtol below 100 machine epsilons and a
+    # negative atol fail before any solve
+    with pytest.raises(ValueError, match="rtol >= 100 \\* machine epsilon and atol >= 0"):
+        SystemConfig(n_regular=1, **tols)
+
+
+def test_config_accepts_the_tolerance_floor():
+    SystemConfig(n_regular=1, rtol=100 * np.finfo(float).eps, atol=0.0)
 
 
 def test_second_family_rejects_feedback_to_singular():
@@ -434,7 +445,8 @@ def test_constant_run_rejects_times_outside_the_run():
 
 
 def test_second_family_solution_freed_on_return(part, bg, small_lattice):
-    # once integrate returns, no cyclic garbage may still hold a solver
+    # integrate leaves no cyclic garbage: its solves are freed by reference
+    # counting when they return
     cfg = SystemConfig(n_regular=1, system="second",
                        forcings=(Forcing(1.0), Forcing(0.5)))
     rng = np.random.default_rng(0)
@@ -449,8 +461,7 @@ def test_second_family_solution_freed_on_return(part, bg, small_lattice):
     try:
         integrate(cfg, small_lattice, bg, state, 1.0)
         gc.collect()
-        held = [type(o).__name__ for o in gc.garbage
-                if isinstance(o, (OdeSolution, Dop853DenseOutput, _InPlaceDOP853))]
+        held = [type(o).__name__ for o in gc.garbage]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -909,6 +920,32 @@ def test_block_solver_matches_scipy_dop853_bit_for_bit(monkeypatch, part, bg, ca
     assert nfevs == ref_nfevs and nfevs
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_dop853_tableau_is_scipys():
+    # the in-package tableau, laid out as scipy's DOP853 keeps it
+    a = np.zeros((16, 16))
+    for s, row in enumerate(modelsys._DOP853_A):
+        a[s, :s] = row
+    c = np.array(modelsys._DOP853_C)
+    assert np.array_equal(a[:12, :12], DOP853.A)
+    assert np.array_equal(np.array(modelsys._DOP853_B), DOP853.B)
+    assert np.array_equal(c[:12], DOP853.C)
+    assert np.array_equal(np.array(modelsys._DOP853_E3), DOP853.E3)
+    assert np.array_equal(np.array(modelsys._DOP853_E5), DOP853.E5)
+    assert np.array_equal(np.array(modelsys._DOP853_D), DOP853.D)
+    assert np.array_equal(a[13:], DOP853.A_EXTRA)
+    assert np.array_equal(c[13:], DOP853.C_EXTRA)
+    assert modelsys._DOP_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+
+def test_propagate_rejects_an_empty_span(small_lattice, bg):
+    # tau_from equal to the last requested time leaves nothing to integrate
+    with pytest.raises(ValueError, match="evaluation times"):
+        fundamental_matrices(SystemConfig(n_regular=1), small_lattice, bg, 0.5, np.array([0.5]))
+    with pytest.raises(ValueError, match="evaluation times"):
+        fundamental_matrices(SystemConfig(n_regular=1), small_lattice, bg, 0.5,
+                             np.array([0.7, 0.6, 1.0]))
 
 
 def test_propagate_reports_a_failed_solve(monkeypatch, small_lattice):
