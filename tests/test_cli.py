@@ -537,7 +537,6 @@ def test_roundtrip_fails_with_perturbed_extraction(tmp_path, monkeypatch):
     for family in ("first", "second"):
         run = verdicts["roundtrip"]["runs"][f"{family}_decoupled"]
         assert run["max_mode_rel_error"] > 10.0 * run["tolerance"] * 0.99
-        assert run["frak_h_consistency"] <= 1e-10
         assert not run["passed"]
 
 

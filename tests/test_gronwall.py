@@ -146,11 +146,17 @@ def test_bound_linear_in_data():
 
 
 def test_saturation_sweep_budget():
-    inst = _simple_instance(n_lev=4, c_value=1.0)
-    u = saturate_recursion(inst)
-    assert np.all(u >= inst.A)
-    with pytest.raises(RuntimeError, match="settle"):
-        saturate_recursion(inst, max_sweeps=1)
+    # one ascending sweep is the whole budget: every row already equals
+    # A + b * tail(c . u) over the levels under it, bit for bit
+    insts = [_simple_instance(n_lev=4, c_value=1.0),
+             random_instance(np.random.default_rng(19), k_max=4, grid_count=33)]
+    for inst in insts:
+        u = saturate_recursion(inst)
+        assert np.all(u >= inst.A)
+        for lev in range(u.shape[0]):
+            integrand = np.einsum("lt,lt->t", inst.c[:lev], u[:lev])
+            tail = gronwall._right_tail(inst.taus, integrand)
+            assert np.array_equal(u[lev], inst.A[lev] + inst.b[lev] * tail), lev
 
 
 # ----------------------------------------------------------------- verdict

@@ -1,6 +1,8 @@
 import gc
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,14 +32,12 @@ from shellwave import (
     make_asymptotic_data,
     make_time_grid,
     random_coupling,
-    renormalize_h,
     seed_state,
     split_singular_component,
     zero_field,
 )
 from shellwave import modelsys
 from shellwave.energies import _oracle_envelope
-from shellwave.modelsys import _scalar_dop853
 from tests.conftest import bounded_field, zero_like
 from tests.oracles import mode_rhs
 
@@ -281,13 +281,14 @@ def test_asymptotic_data_requires_one_finite_part(small_lattice, part, bg):
 
 
 def test_renormalize_round_trips(small_lattice, part, bg):
+    # frak_h = h - 2 ell O with ell the log-derivative weights at tau = 0;
+    # giving that frak_h instead reproduces h
     rng = np.random.default_rng(0)
     O = bounded_field(small_lattice, rng)
     h = bounded_field(small_lattice, rng)
     data = make_asymptotic_data(small_lattice, part, bg, O=O, h=h, phis=())
-    again = renormalize_h(data.h_field, data.O_field, part, bg)
-    assert np.allclose(again.coeffs, data.frak_h.coeffs, atol=1e-15)
-    # giving frak_h instead reproduces h
+    ell = log_grad_weights(part, eigenvalue_at(bg, small_lattice.lam0_slot, 0.0))
+    assert np.allclose(data.frak_h.coeffs, h.coeffs - 2.0 * ell * O.coeffs, atol=1e-15)
     data2 = make_asymptotic_data(small_lattice, part, bg, O=O, frak_h=data.frak_h)
     assert np.allclose(data2.h_field.coeffs, h.coeffs, atol=1e-14)
 
@@ -299,8 +300,10 @@ def test_renormalize_zero_mode_is_identity(small_lattice, part, bg):
     O = Field(lattice=small_lattice, coeffs=coeffs)
     rng = np.random.default_rng(1)
     h = bounded_field(small_lattice, rng)
-    out = renormalize_h(h, O, part, bg)
-    assert np.allclose(out.coeffs, h.coeffs, atol=1e-15)
+    data = make_asymptotic_data(small_lattice, part, bg, O=O, h=h)
+    assert np.array_equal(data.frak_h.coeffs, h.coeffs)
+    back = make_asymptotic_data(small_lattice, part, bg, O=O, frak_h=h)
+    assert np.array_equal(back.h_field.coeffs, h.coeffs)
 
 
 # ----------------------------------------------------------------- seeding
@@ -412,12 +415,26 @@ def test_scalar_kernel_takes_scipy_steps(branch, degree):
     lam, omega, u0, du0 = _toy_seed(branch, degree, 0.05)
     taus = np.array([0.05, 1.0])
     ref_u, ref_du, ref_nfev = _scipy_scalar_run(lam, u0, du0, 0.05, 1.0, taus)
-    u, theta, nfev = _scalar_dop853(lam, u0, 0.05 * du0, math.log(0.05), 0.0, np.log(taus),
-                                    1e-11, 1e-13)
-    assert nfev == ref_nfev
+    sol = modelsys.solve_ivp(modelsys._scalar_kernel(lam, u0, 0.05 * du0, 1e-11, 1e-13),
+                             math.log(0.05), 0.0, np.log(taus))
+    assert sol.nfev == ref_nfev
     env = np.hypot(ref_u, ref_du / omega)
-    np.testing.assert_array_less(np.abs(np.array(u) - ref_u) / env, 1e-13)
-    np.testing.assert_array_less(np.abs(np.array(theta) / taus - ref_du) / omega / env, 1e-13)
+    np.testing.assert_array_less(np.abs(sol.y[:, 0] - ref_u) / env, 1e-13)
+    np.testing.assert_array_less(np.abs(sol.y[:, 1] / taus - ref_du) / omega / env, 1e-13)
+
+
+TOY_GOLDENS = json.loads(Path(__file__).with_name("toy_goldens.json").read_text())["members"]
+
+
+def test_toy_runs_match_goldens(monkeypatch):
+    # the endpoint (u, theta) and RHS count of every shell_decay_check member,
+    # bit for bit: the scalar kernel's Python-float sums under solve_ivp
+    nfevs = _count_solves(monkeypatch)
+    for member in TOY_GOLDENS:
+        lam, _, u0, du0 = _toy_seed(member["branch"], member["degree"], 0.05)
+        _, u, du = constant_mode_run(lam, u0, du0, 0.05, 1.0, taus=np.array([0.05, 1.0]))
+        assert (u[-1], du[-1], nfevs[-1]) == (member["u"], member["theta"], member["nfev"]), member
+    assert len(nfevs) == len(TOY_GOLDENS) == 18
 
 
 @pytest.mark.parametrize("branch", ["J", "Y"])
@@ -962,7 +979,8 @@ def test_propagate_reports_a_failed_solve(monkeypatch, small_lattice):
 
 def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_lattice):
     # the benchmark's modelsys.solves, rhs_evals and solve_s wrap this name;
-    # a forced integrate makes two solves, the propagators and the forced part
+    # a forced integrate makes two solves, the propagators and the forced
+    # part, and a toy run one, on the scalar kernel
     nfevs = _count_solves(monkeypatch)
     cfg = SystemConfig(n_regular=1, forcings=(Forcing(0.3), Forcing()))
     rng = np.random.default_rng(59)
@@ -977,6 +995,7 @@ def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_la
                                                                  cfg.tau_seed, taus)),
         "forced_profile": (1, lambda: forced_profile(cfg, small_lattice, bg, cfg.tau_seed,
                                                      taus)),
+        "constant_mode_run": (1, lambda: constant_mode_run(4.0, 1.0, 0.0, 0.05, 1.0)),
     }
     for name, (solves, call) in calls.items():
         before = len(nfevs)
