@@ -353,8 +353,7 @@ def _bounded_field(lattice, rng, decay=3.0):
     """Coefficients with magnitude in [0.5, 1.5] so per-mode ratios make sense."""
     mag = rng.uniform(0.5, 1.5, lattice.n_slots)
     sign = rng.choice([-1.0, 1.0], lattice.n_slots)
-    damp = (1.0 + lattice.lam0_slot) ** (-0.5 * decay)
-    return Field(lattice=lattice, coeffs=mag * sign * damp)
+    return Field(lattice=lattice, coeffs=mag * sign * lattice.damping(decay))
 
 
 def _target_lp_props(scn):

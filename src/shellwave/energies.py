@@ -393,7 +393,7 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
         draws = rng.standard_normal((n_draws, lattice.n_slots, entries))
-        draws *= ((1.0 + lattice.lam0_slot) ** (-0.5 * decay))[None, :, None]
+        draws *= lattice.damping(decay)[None, :, None]
         sup = np.max(_ensemble_ratios(config, lattice, bg, part, draws, taus), axis=1)
         max_ratios.append(float(np.max(sup)))
         med_ratios.append(float(np.median(sup)))

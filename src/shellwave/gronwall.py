@@ -159,24 +159,43 @@ def saturate_recursion(inst):
     return u
 
 
+# Base-point columns per block of the majorant; a block's rows then stay in
+# cache across the level recurrence.
+_BLOCK = 64
+
+
 def gronwall_like_bound(inst):
     """Explicit majorant with product weights, compared against saturation.
 
     bound(k, tau_a) = A(k, tau_a) + b_k * int_{tau_a}^1 sum_{l=x}^{k-1}
         c(l, t) A(l, t) prod_{j=l+1}^{k-1} (1 + int_{tau_a}^t b_j c_j) dt.
+
+    The level recurrence carries U[r, a] = S(a, t) for t > a only, with time
+    reversed down the rows (r = n_t - 1 - t), where S(a, t) is the sum over
+    l < k of c A(l, t) prod_j (1 + int_{tau_a}^t b_j c_j).  Each level's tail
+    sum is then one reduce over rows of (dt masked to t > a) * U; a reduce
+    along the outer axis adds rows in order, so every column sums from
+    t = n_t - 1 down to a + 1, the order of ``_right_tail``'s running sum,
+    and the masked rows after it add +0.0.  The base points go in blocks of
+    ``_BLOCK`` columns, each forming only the rows t > a0 of its first column.
     """
     n_lev, n_t = inst.A.shape
     taus = inst.taus
     bc_cum = _right_cum(taus, inst.b[:, None] * inst.c)  # (n_lev, n_t)
-    cA = inst.c * inst.A
+    one_rev = (1.0 + bc_cum)[:, ::-1, None]  # (n_lev, row r, 1)
+    cA_rev = (inst.c * inst.A)[:, ::-1, None]
+    dt_rev = np.diff(taus)[::-1, None]  # row r < n_t - 1 holds tau_t - tau_{t-1}
     bound = inst.A.copy()
-    # S[a, t] = sum_{l<lev} cA(l, t) prod_{j=l+1}^{lev-1} D_j(a, t), with the
-    # product factors D_j(a, t) = 1 + int_{tau_a}^t b_j c_j; only t > a is read
-    S = np.zeros((n_t, n_t))
-    for lev in range(1, n_lev):
-        S *= 1.0 + bc_cum[lev - 1] - bc_cum[lev - 1][:, None]
-        S += cA[lev - 1]
-        bound[lev] += inst.b[lev] * np.diagonal(_right_tail(taus, S))
+    for a0 in range(0, n_t - 1, _BLOCK):
+        a1 = min(a0 + _BLOCK, n_t)
+        rows = n_t - 1 - a0  # the rows t > a0
+        # weight dt at t > a, 0 at a0 < t <= a
+        weight = dt_rev[:rows] * (np.arange(rows)[:, None] < n_t - 1 - np.arange(a0, a1))
+        U = np.zeros((rows, a1 - a0))
+        for lev in range(1, n_lev):
+            U *= one_rev[lev - 1, :rows] - bc_cum[lev - 1, a0:a1]
+            U += cA_rev[lev - 1, :rows]
+            bound[lev, a0:a1] += inst.b[lev] * np.add.reduce(weight * U, axis=0)
     u_star = saturate_recursion(inst)
     defect = float(np.min(bound - u_star))
     scale = float(np.max(u_star))

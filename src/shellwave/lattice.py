@@ -76,6 +76,10 @@ class Lattice:
         """Slice of the slot axis belonging to degree l."""
         return slice(int(self.offsets[l]), int(self.offsets[l + 1]))
 
+    def damping(self, decay):
+        """Per-slot (1 + lam0)^(-decay/2), raised once per degree."""
+        return np.repeat((1.0 + self.lam0) ** (-0.5 * decay), self.mult)
+
 
 def _check_resolutions(resolutions):
     """Reject a list of l_max values that cannot show drift under refinement."""
@@ -248,7 +252,7 @@ def zero_field(lattice):
 def random_field(lattice, rng, decay=1.0):
     """Gaussian coefficients damped by (1 + lam0)^(-decay/2) per slot."""
     c = rng.standard_normal(lattice.n_slots)
-    c *= (1.0 + lattice.lam0_slot) ** (-0.5 * decay)
+    c *= lattice.damping(decay)
     return Field(lattice=lattice, coeffs=c)
 
 

@@ -3,12 +3,15 @@
 No target runs these.  Each one computes, slot by slot, a quantity that the
 package reaches another way: the energies through the per-degree ensemble
 kernel, the right-hand side through the log-chart solver, and the shell and
-gradient norms through the degree-axis shell table.
+gradient norms through the degree-axis shell table.  The Gronwall majorant
+is here in its full base point x time form, which the package reaches by a
+triangle-only reduce in the same summation order.
 """
 
 import numpy as np
 
 from shellwave.energies import _cumtrapz, _data_weights, _energy_weights
+from shellwave.gronwall import _right_cum, _right_tail
 from shellwave.lattice import eigenvalue_at
 
 
@@ -92,3 +95,26 @@ def graded_sobolev_norm(field, grad_order, s, tau, bg):
     lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
     w = lam**grad_order * (1.0 + lam) ** s
     return float(np.sqrt(np.dot(w, field.coeffs * field.coeffs)))
+
+
+# ------------------------------------------------------- Gronwall majorant
+
+
+def majorant_full(inst):
+    """u_bound of ``gronwall_like_bound`` from the full base point x time array.
+
+    S[a, t] = sum_{l<lev} cA(l, t) prod_{j=l+1}^{lev-1} D_j(a, t), with the
+    product factors D_j(a, t) = 1 + int_{tau_a}^t b_j c_j; each level takes
+    the diagonal of ``_right_tail`` over all of S, so only t > a is read.
+    """
+    n_lev, n_t = inst.A.shape
+    taus = inst.taus
+    bc_cum = _right_cum(taus, inst.b[:, None] * inst.c)
+    cA = inst.c * inst.A
+    bound = inst.A.copy()
+    S = np.zeros((n_t, n_t))
+    for lev in range(1, n_lev):
+        S *= 1.0 + bc_cum[lev - 1] - bc_cum[lev - 1][:, None]
+        S += cA[lev - 1]
+        bound[lev] += inst.b[lev] * np.diagonal(_right_tail(taus, S))
+    return bound

@@ -14,6 +14,7 @@ from shellwave import (
     saturate_recursion,
     verify_gronwall_lemma,
 )
+from tests.oracles import majorant_full
 
 # ------------------------------------------------------------ discrete form
 
@@ -218,3 +219,37 @@ def test_majorant_matches_nested_sum_formula():
                         prod *= 1.0 + int_bc(j, a, i)
                     want[k, a] += b[k] * dt[i] * c[l, i] * A[l, i] * prod
     np.testing.assert_allclose(gronwall_like_bound(inst).u_bound, want, rtol=1e-13, atol=0.0)
+
+
+def test_majorant_bits_match_full_array_oracle():
+    # the triangle-only reduce sums in the full array's order: same bits
+    rng = np.random.default_rng(23)
+    insts = [make_preset_instance()] + [random_instance(rng) for _ in range(20)]
+    for inst in insts:
+        assert inst.taus.size == 256
+        assert np.array_equal(gronwall_like_bound(inst).u_bound, majorant_full(inst))
+
+
+def _uneven_instance(rng, k_max, grid_count):
+    # a non-geometric grid: sorted uniform nodes in (0.01, 1), ending at 1
+    taus = np.sort(rng.uniform(0.01, 1.0, grid_count))
+    taus[-1] = 1.0
+    shape = (k_max + 1, grid_count)
+    return GronwallInstance(taus=taus, x=0, k_max=k_max, A=rng.uniform(0.1, 10.0, shape),
+                            b=10.0 ** rng.uniform(-2.0, 0.5, k_max + 1),
+                            c=rng.uniform(0.0, 20.0, shape))
+
+
+@pytest.mark.parametrize("grid_count", [2, 3, 65, 130])
+@pytest.mark.parametrize("k_max", [0, 1, 5])
+def test_majorant_bits_on_edge_shapes(grid_count, k_max):
+    # grids shorter than, equal to a multiple of, and off a multiple of the
+    # block width, plus one with no fed level and one with a single fed level
+    rng = np.random.default_rng(grid_count * 10 + k_max)
+    insts = [random_instance(rng, k_max=k_max, grid_count=grid_count),
+             _uneven_instance(rng, k_max, grid_count)]
+    for inst in insts:
+        got = gronwall_like_bound(inst).u_bound
+        assert np.array_equal(got, majorant_full(inst))
+        assert np.array_equal(got[0], inst.A[0])
+        assert np.array_equal(got[:, -1], inst.A[:, -1])

@@ -229,6 +229,16 @@ def test_random_field_decay(small_lattice):
     assert hi < lo
 
 
+@pytest.mark.parametrize("n, l_maxes", [(2, (4, 33, 128)), (4, (4, 17, 32)), (6, (4, 12))])
+@pytest.mark.parametrize("decay", [1.0, 3.0, 7.0])
+def test_damping_equals_per_slot_power(n, l_maxes, decay):
+    # raised once per degree and repeated, it keeps the per-slot pow's bits
+    for l_max in l_maxes:
+        lat = build_lattice(n, l_max)
+        want = (1.0 + lat.lam0_slot) ** (-0.5 * decay)
+        assert np.array_equal(lat.damping(decay), want), l_max
+
+
 def test_sobolev_norm_hand_value(small_lattice, bg):
     coeffs = np.zeros(small_lattice.n_slots)
     sl = small_lattice.slots_of_degree(2)  # lam0 = 6
