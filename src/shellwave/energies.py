@@ -21,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import _check_resolutions, build_lattice, eigenvalue_at
+from .lp import _degree_power
 from .modelsys import (
     Forcing,
     SystemConfig,
+    _eval_taus,
     bessel_oracle,
     constant_mode_run,
     data_to_state_maps,
@@ -151,64 +153,68 @@ class BlowupReport:
     sup_value: float
     decade_sups: tuple[float, ...]
     drifts: tuple[float, ...]
+    drift_limit: float
     passed: bool
 
 
-def singular_blowup_check(traj_Y, data, top_order, drift_limit=0.10):
-    """Normalized growth of the log-branch component.
+# the per-decade drift the normalized log-branch growth must settle under
+_DRIFT_LIMIT = 0.10
 
-    The statistic sums the graded H^1 norms of the component through the top
-    derivative order and divides by (1 + log^2 tau) times the data norm; it
-    must stay bounded and settle to a per-decade drift under ``drift_limit``
-    below tau = 1e-3.  The trajectory must reach at least two full decades
-    below that threshold for the drift to mean anything.
+
+def _blowup_weights(bg, lam0, taus, top_order):
+    """Per (time, degree): the graded H^1 weight (1 + lambda) sum_{g <= M} lambda^g
+    through the top derivative order M, over the log growth 1 + log^2 tau."""
+    lam = eigenvalue_at(bg, lam0, taus[:, None])
+    graded = sum(lam**g for g in range(top_order + 1)) * (1.0 + lam)
+    return graded / (1.0 + np.log(taus) ** 2)[:, None]
+
+
+def singular_blowup_check(config, lattice, bg, part, o_rows, grid):
+    """Normalized growth of the log-branch component, one report per row of ``o_rows``.
+
+    The log-branch column is homogeneous, couples only to itself and starts
+    from O times the O column of ``data_to_state_maps``, so on a slot of
+    degree l it is O_s g_l(tau), with g_l from one per-degree solve on
+    ``config``.  The statistic weighs g_l^2 with ``_blowup_weights`` and the
+    degree power Pi_l of O, and divides by the data norm sum_l (1 +
+    lambda_l(0))^(M+1) Pi_l.  It is read at the seed time and the grid times
+    above it, and must settle to a per-decade drift under the report's
+    ``drift_limit`` below tau = 1e-3, over at least two full decades.
     """
-    lattice, bg = traj_Y.lattice, traj_Y.bg
-    m_tot = top_order + 1
-    lam0 = eigenvalue_at(bg, lattice.lam0_slot, 0.0)
-    dweight = (1.0 + lam0) ** m_tot
-    data_sq = float(np.sum(dweight * data.O_field.coeffs**2))
-    if data_sq == 0.0:
-        raise ValueError("log-branch data is identically zero")
-    taus = traj_Y.taus
-    vals = np.empty(len(taus))
-    for t, tau in enumerate(taus):
-        lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
-        w = np.zeros_like(lam)
-        lam_pow = np.ones_like(lam)
-        for _ in range(m_tot):
-            w += lam_pow
-            lam_pow = lam_pow * lam
-        w *= 1.0 + lam
-        num = float(np.sum(w * traj_Y.values[t, 0] ** 2))
-        vals[t] = num / ((1.0 + math.log(tau) ** 2) * data_sq)
-    order = np.argsort(taus)
-    taus_s, vals_s = taus[order], vals[order]
-
-    tau_min = float(taus_s[0])
-    n_decades = int(math.floor(math.log10(1e-3 / tau_min) + 1e-9))
+    if np.any(config.coupling_scale[0, 1:] != 0.0):
+        raise ValueError("the log-branch column couples only to itself, not to regular columns")
+    o_rows = np.asarray(o_rows, dtype=float)
+    if o_rows.ndim != 2 or o_rows.shape[1] != lattice.n_slots:
+        raise ValueError(f"need rows of {lattice.n_slots} slot coefficients, got {o_rows.shape}")
+    tau_seed, m_tot = config.tau_seed, config.top_order + 1
+    n_decades = int(math.floor(math.log10(1e-3 / tau_seed) + 1e-9))
     if n_decades < 2:
         raise ValueError(
-            f"grid reaches only tau={tau_min:g}; need at least two full decades "
+            f"grid reaches only tau={tau_seed:g}; need at least two full decades "
             "below 1e-3 to measure drift"
         )
-    sups = []
-    for j in range(n_decades):
-        hi = 1e-3 / 10.0**j
-        lo = hi / 10.0
-        mask = (taus_s >= lo) & (taus_s <= hi)
-        if not np.any(mask):
-            raise ValueError(f"no samples in decade [{lo:g}, {hi:g}]")
-        sups.append(float(np.max(vals_s[mask])))
-    drifts = tuple(
-        abs(a - b) / b for a, b in zip(sups[:-1], sups[1:])
-    )
-    finite = bool(np.all(np.isfinite(vals)))
-    passed = finite and all(d < drift_limit for d in drifts)
-    return BlowupReport(
-        taus=taus_s, values=vals_s, sup_value=float(np.max(vals_s)),
-        decade_sups=tuple(sups), drifts=drifts, passed=passed,
-    )
+    taus = _eval_taus(tau_seed, 1.0, grid)
+    his = 1e-3 / 10.0 ** np.arange(n_decades)[:, None]
+    decades = (taus >= his / 10.0) & (taus <= his)  # (n_decades, n_times)
+    if not np.all(np.any(decades, axis=1)):
+        raise ValueError("need a grid time in every decade below 1e-3")
+    power = _degree_power(lattice, o_rows)  # (n_draws, n_degrees)
+    data_sq = power @ (1.0 + eigenvalue_at(bg, lattice.lam0, 0.0)) ** m_tot
+    if np.any(data_sq == 0.0):
+        raise ValueError("log-branch data is identically zero")
+
+    props = fundamental_matrices(config, lattice, bg, tau_seed, taus)
+    o_column = data_to_state_maps(config, lattice, bg, tau_seed, part)[:, :, 0]
+    g = np.einsum("ltj,lj->tl", props[:, :, 0], o_column)
+    vals = (power @ (_blowup_weights(bg, lattice.lam0, taus, config.top_order) * g * g).T
+            / data_sq[:, None])
+    sups = np.where(decades, vals[:, None], -np.inf).max(axis=2)  # (n_draws, n_decades)
+    drifts = np.abs(sups[:, :-1] - sups[:, 1:]) / sups[:, 1:]
+    finite = np.all(np.isfinite(vals), axis=1)
+    return [BlowupReport(taus=taus, values=row, sup_value=float(np.max(row)),
+                         decade_sups=tuple(s.tolist()), drifts=tuple(d.tolist()),
+                         drift_limit=_DRIFT_LIMIT, passed=bool(ok and np.all(d < _DRIFT_LIMIT)))
+            for row, s, d, ok in zip(vals, sups, drifts, finite)]
 
 
 # ------------------------------------------------------ energy functionals

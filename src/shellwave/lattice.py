@@ -27,7 +27,6 @@ __all__ = [
     "eigenvalue_rate",
     "sphere_eigenvalue",
     "sphere_multiplicity",
-    "zero_field",
     "random_field",
     "make_time_grid",
 ]
@@ -57,7 +56,7 @@ class Lattice:
 
     Arrays indexed by degree run over l = 0..l_max; arrays indexed by slot run
     over one entry per harmonic, degree by degree.  Multipliers depend only on
-    the degree, so ``lam0_slot`` is the per-slot copy used for vectorized ops.
+    the degree; ``slot_l`` indexes a per-degree array by slot.
     """
 
     n: int
@@ -65,7 +64,6 @@ class Lattice:
     lam0: np.ndarray
     mult: np.ndarray
     slot_l: np.ndarray
-    lam0_slot: np.ndarray
     offsets: np.ndarray
 
     @property
@@ -109,14 +107,12 @@ def build_lattice(n, l_max):
     mult = np.array([sphere_multiplicity(n, l) for l in degrees], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(mult)])
     slot_l = np.repeat(degrees, mult)
-    lam0_slot = np.repeat(lam0, mult)
     return Lattice(
         n=int(n),
         l_max=int(l_max),
         lam0=lam0,
         mult=mult,
         slot_l=slot_l,
-        lam0_slot=lam0_slot,
         offsets=offsets,
     )
 
@@ -243,10 +239,6 @@ class Field:
 
     def with_coeffs(self, coeffs):
         return Field(lattice=self.lattice, coeffs=np.asarray(coeffs, dtype=float))
-
-
-def zero_field(lattice):
-    return Field(lattice=lattice, coeffs=np.zeros(lattice.n_slots))
 
 
 def random_field(lattice, rng, decay=1.0):

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lattice import Field, eigenvalue_at, zero_field
+from .lattice import Field, eigenvalue_at
 from .lp import log_grad_weights
 
 __all__ = [
@@ -441,13 +441,11 @@ class AsymptoticData:
         return len(self.phi0_fields)
 
 
-def make_asymptotic_data(lattice, part, bg, O=None, h=None, frak_h=None, phis=()):
+def make_asymptotic_data(lattice, part, bg, O, h=None, frak_h=None, phis=()):
     """Assemble data, deriving whichever of h / frak_h was not given."""
-    O = O if O is not None else zero_field(lattice)
     if (h is None) == (frak_h is None):
         raise ValueError("give exactly one of h and frak_h")
-    lam = eigenvalue_at(bg, lattice.lam0_slot, 0.0)
-    ell = log_grad_weights(part, lam)
+    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))[lattice.slot_l]
     if h is None:
         h = frak_h.with_coeffs(frak_h.coeffs + 2.0 * ell * O.coeffs)
     else:
@@ -914,29 +912,47 @@ def _branch_table(config, lattice, bg, tau, strict=True):
     return table, defect
 
 
-def seed_state(config, lattice, bg, data):
-    """Cauchy data at config.tau_seed built from the fundamental systems.
+def _seed_maps(config, lattice, bg, tau):
+    """Per-degree maps from one slot's data vector to its state at tau.
 
-    Column 0 combines the log branch (coefficient 2 * O) with the bounded
-    branch (coefficient h); regular columns use their bounded branch with
-    coefficient phi0.  As tau -> 0 this reduces to the defining expansions
-    2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
+    The data vector is (O, h, phi0_1..phi0_I); the state is the stacked
+    (values, tau-derivatives) of every column, so the maps have shape
+    (n_degrees, 2 n_columns, n_columns + 1).  O is the coefficient of column
+    0's log branch with a factor 2, h that of its bounded branch, and phi0_i
+    that of column i's bounded branch.
     """
-    tau = float(config.tau_seed)
-    branches = _branch_table(config, lattice, bg, tau)[0][..., lattice.slot_l]
-    pairs = _seed_pairs(config, branches, data)
-    return ModeState(tau=tau, values=pairs[:, 0], derivs=pairs[:, 1])
+    n_cols = config.n_columns
+    table = _branch_table(config, lattice, bg, tau)[0]
+    maps = np.zeros((lattice.l_max + 1, 2, n_cols, n_cols + 1))
+    maps[:, :, 0, 0] = 2.0 * table[0, 0].T
+    cols = np.arange(n_cols)
+    maps[:, :, cols, 1 + cols] = table[:, 1].transpose(2, 1, 0)
+    return maps.reshape(lattice.l_max + 1, 2 * n_cols, n_cols + 1)
 
 
-def _seed_pairs(config, branches, data):
-    """Every column's (value, tau-derivative) pair, (n_columns, 2, n_slots)."""
+def _data_vectors(config, data):
+    """Every slot's data vector (O, h, phi0_1..phi0_I), shape (n_columns + 1, n_slots)."""
     if data.n_regular != config.n_regular:
         raise ValueError(
             f"data carries {data.n_regular} regular columns, config wants {config.n_regular}"
         )
-    phis = np.array([p.coeffs for p in data.phi0_fields])
-    col0 = 2.0 * data.O_field.coeffs * branches[0, 0] + data.h_field.coeffs * branches[0, 1]
-    return np.concatenate([col0[None], phis[:, None] * branches[1:, 1]])
+    return np.array([data.O_field.coeffs, data.h_field.coeffs,
+                     *(p.coeffs for p in data.phi0_fields)])
+
+
+def seed_state(config, lattice, bg, data):
+    """Cauchy data at config.tau_seed built from the fundamental systems.
+
+    Each slot's data vector goes through its degree's ``_seed_maps``: column
+    0 combines the log branch (coefficient 2 * O) with the bounded branch
+    (coefficient h); regular columns use their bounded branch with
+    coefficient phi0.  As tau -> 0 this reduces to the defining expansions
+    2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
+    """
+    tau, n_cols = float(config.tau_seed), config.n_columns
+    maps = _seed_maps(config, lattice, bg, tau)[lattice.slot_l]
+    pairs = np.einsum("sck,ks->cs", maps, _data_vectors(config, data))
+    return ModeState(tau=tau, values=pairs[:n_cols], derivs=pairs[n_cols:])
 
 
 def extract_asymptotic_data(config, lattice, bg, state, part):
@@ -1050,28 +1066,32 @@ def constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=None):
 # --------------------------------------------------- singular/regular split
 
 
-def split_singular_component(config, lattice, bg, draws, grid, part):
+def split_singular_component(config, lattice, bg, data, grid, part):
     """Evolve the log-branch and renormalized components of column 0.
 
     The log-branch component solves the homogeneous self-coupled column-0
     equation with data (2 O log tau + 2 ell O); the renormalized
     component solves the full column-0 equation (couplings to the regular
     columns and forcing included) with data frak_h.  Their sum reproduces the
-    direct column-0 run; both are returned as single-column trajectories.
-    Both ride along as two extra columns of one augmented first-family
-    system, whose per-degree propagators are built when this is called: one
-    solve whatever the number of draws or slots, plus one for forcing.  Returns
-    an iterator of (log-branch, renormalized) pairs, one per draw, each
-    composed as it is read.  A second-family config, whose regular rows
-    carry the opposite drag, is rejected.
+    direct column-0 run.  Both ride along as two extra columns of one
+    augmented first-family system, seeded by ``_seed_maps`` applied to the
+    data vectors (O, h, phi0), (O, 2 ell O, 0) and (0, frak_h, 0).  Returns
+    the (log-branch, renormalized) pair of single-column trajectories.  A
+    second-family config, whose regular rows carry the opposite drag, is
+    rejected.
     """
     if config.system != "first":
         raise ValueError("the split runs the first system family only")
     tau0 = float(config.tau_seed)
     n_cols = config.n_columns
-    branches = _branch_table(config, lattice, bg, tau0)[0][..., lattice.slot_l]
-    aux, main = branches[0]
-    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0_slot, 0.0))
+    x = _data_vectors(config, data)
+    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))[lattice.slot_l]
+    y, j = np.zeros_like(x), np.zeros_like(x)
+    y[0], y[1], j[1] = x[0], 2.0 * ell * x[0], data.frak_h.coeffs
+    maps = _seed_maps(config, lattice, bg, tau0)[lattice.slot_l]
+    pairs = np.einsum("sck,vks->vcs", maps, np.array([x, y, j])).reshape(3, 2, n_cols, -1)
+    # the original columns, then column 0 of the log-branch and renormalized seeds
+    values, derivs = (np.concatenate([pairs[0, r], pairs[1:, r, 0]]) for r in (0, 1))
 
     # augmented coupling: the log-branch row is purely self-coupled, the
     # renormalized row keeps the self term plus the original cross terms
@@ -1089,20 +1109,10 @@ def split_singular_component(config, lattice, bg, draws, grid, part):
     taus = _eval_taus(tau0, 1.0, grid)
     propagators = (fundamental_matrices(aug, lattice, bg, tau0, taus),
                    forced_profile(aug, lattice, bg, tau0, taus))
-
-    def runs():
-        for data in draws:
-            oc = data.O_field.coeffs
-            y_seed = 2.0 * oc * aux + 2.0 * ell * oc * main
-            j_seed = data.frak_h.coeffs * main
-            seed = np.concatenate([_seed_pairs(config, branches, data), y_seed[None], j_seed[None]])
-            run = _compose(aug, lattice, bg, taus, propagators,
-                           np.concatenate([seed[:, 0], tau0 * seed[:, 1]]))
-            yield tuple(Trajectory(taus=taus, values=run.values[:, i : i + 1],
-                                   derivs=run.derivs[:, i : i + 1], config=config,
-                                   lattice=lattice, bg=bg) for i in (n_cols, n_cols + 1))
-
-    return runs()
+    run = _compose(aug, lattice, bg, taus, propagators, np.concatenate([values, tau0 * derivs]))
+    return tuple(Trajectory(taus=taus, values=run.values[:, i : i + 1],
+                            derivs=run.derivs[:, i : i + 1], config=config,
+                            lattice=lattice, bg=bg) for i in (n_cols, n_cols + 1))
 
 
 # -------------------------------------------------- epsilon-regularization
@@ -1146,10 +1156,11 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
         raise ValueError("need at least two rungs to form a ratio")
     oc, hc = data.O_field.coeffs, data.h_field.coeffs
     phis = [p.coeffs for p in data.phi0_fields]
-    if not any(np.any(c[lattice.lam0_slot > 0.0]) for c in (oc, hc, *phis)):
+    moving = (lattice.lam0 > 0.0)[lattice.slot_l]
+    if not any(np.any(c[moving]) for c in (oc, hc, *phis)):
         raise ValueError("asymptotic data is identically zero on the modes with lambda > 0")
-    lam1 = eigenvalue_at(bg, lattice.lam0_slot, 1.0)
-    omega = 2.0 * np.sqrt(np.maximum(lam1, 1.0))
+    lam1 = eigenvalue_at(bg, lattice.lam0, 1.0)
+    omega = (2.0 * np.sqrt(np.maximum(lam1, 1.0)))[lattice.slot_l]
 
     ends = []
     ladder = [eps / 2.0**j for j in range(rungs + 1)]
@@ -1210,18 +1221,11 @@ def data_to_state_maps(config, lattice, bg, tau_seed, part):
     """Per-degree linear maps from data vectors to seed states.
 
     Data vector per slot: (O, frak_h, phi0_1..phi0_I); output is the stacked
-    (values, tau * derivs) seed vector of length 2 n_columns.
+    (values, tau * derivs) seed vector of length 2 n_columns.  This is
+    ``_seed_maps`` with h = frak_h + 2 ell O folded into the O column.
     """
-    n_cols = config.n_columns
-    table = _branch_table(config, lattice, bg, tau_seed)[0]
+    maps = _seed_maps(config, lattice, bg, tau_seed)
     ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))
-    maps = np.zeros((lattice.l_max + 1, 2 * n_cols, n_cols + 1))
-    (av, ad), (mv, md) = table[0]
-    # h = frak_h + 2 ell O, so the O column carries 2(aux + ell*main)
-    maps[:, 0, 0] = 2.0 * (av + ell * mv)
-    maps[:, n_cols, 0] = tau_seed * 2.0 * (ad + ell * md)
-    # every column's main branch carries its own datum (frak_h, phi0_1, ...)
-    cols = np.arange(n_cols)
-    maps[:, cols, 1 + cols] = table[:, 1, 0].T
-    maps[:, n_cols + cols, 1 + cols] = tau_seed * table[:, 1, 1].T
+    maps[:, :, 0] += 2.0 * ell[:, None] * maps[:, :, 1]
+    maps[:, config.n_columns:] *= tau_seed
     return maps

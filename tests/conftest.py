@@ -28,7 +28,7 @@ def bounded_field(lattice, rng, decay=3.0):
     """Coefficients bounded away from zero so per-mode relative errors exist."""
     mag = rng.uniform(0.5, 1.5, lattice.n_slots)
     sign = rng.choice([-1.0, 1.0], lattice.n_slots)
-    damp = (1.0 + lattice.lam0_slot) ** (-0.5 * decay)
+    damp = (1.0 + lattice.lam0[lattice.slot_l]) ** (-0.5 * decay)
     return Field(lattice=lattice, coeffs=mag * sign * damp)
 
 

@@ -2,17 +2,23 @@
 
 No target runs these.  Each one computes, slot by slot, a quantity that the
 package reaches another way: the energies through the per-degree ensemble
-kernel, the right-hand side through the log-chart solver, and the shell and
-gradient norms through the degree-axis shell table.  The Gronwall majorant
-is here in its full base point x time form, which the package reaches by a
-triangle-only reduce in the same summation order.
+kernel, the right-hand side through the log-chart solver, the shell and
+gradient norms through the degree-axis shell table, the seeds through the
+per-degree data-to-seed maps and the blow-up statistic through one
+per-degree solve.  The Gronwall majorant is here in its full base point x
+time form, which the package reaches by a triangle-only reduce in the same
+summation order.
 """
+
+import math
 
 import numpy as np
 
-from shellwave.energies import _cumtrapz, _data_weights, _energy_weights
+from shellwave.energies import BlowupReport, _cumtrapz, _data_weights, _energy_weights
 from shellwave.gronwall import _right_cum, _right_tail
 from shellwave.lattice import eigenvalue_at
+from shellwave.lp import log_grad_weights
+from shellwave.modelsys import _branch_table
 
 
 # ------------------------------------------------------------ energies
@@ -20,8 +26,8 @@ from shellwave.lattice import eigenvalue_at
 
 def trajectory_energy(traj, system):
     """Energy of ``system``'s functional along a trajectory; returns (taus, energies)."""
-    taus = traj.taus
-    lam = eigenvalue_at(traj.bg, traj.lattice.lam0_slot[None, :], taus[:, None])
+    taus, lat = traj.taus, traj.lattice
+    lam = eigenvalue_at(traj.bg, lat.lam0[lat.slot_l][None, :], taus[:, None])
     weights, _ = _energy_weights(system, traj.config.top_order, traj.config.n_columns,
                                  lam, taus[:, None])
     sq = np.stack([traj.values**2, traj.derivs**2])  # (2, n_times, n_cols, n_slots)
@@ -45,8 +51,8 @@ def data_energy_first(data, bg, top_order):
     """Data norm: O, renormalized finite part and the regular limits in H^(M+1)."""
     entries = np.stack([data.O_field.coeffs, data.frak_h.coeffs]
                        + [phi.coeffs for phi in data.phi0_fields])
-    weights = _data_weights("first", top_order, data.n_regular + 1, bg,
-                            data.O_field.lattice.lam0_slot)
+    lat = data.O_field.lattice
+    weights = _data_weights("first", top_order, data.n_regular + 1, bg, lat.lam0[lat.slot_l])
     return float(np.sum(weights * entries**2))
 
 
@@ -55,7 +61,8 @@ def data_energy_second(state, bg, lattice, top_order):
     if abs(state.tau - 1.0) > 1e-12:
         raise ValueError("backward data norm is defined at tau = 1")
     entries = np.concatenate([state.values, state.derivs])
-    weights = _data_weights("second", top_order, state.values.shape[0], bg, lattice.lam0_slot)
+    weights = _data_weights("second", top_order, state.values.shape[0], bg,
+                            lattice.lam0[lattice.slot_l])
     return float(np.sum(weights * entries**2))
 
 
@@ -71,7 +78,7 @@ def mode_rhs(config, lattice, bg, tau, values, derivs):
     """
     values = np.asarray(values, dtype=float)
     derivs = np.asarray(derivs, dtype=float)
-    lam = eigenvalue_at(bg, lattice.lam0_slot, tau)
+    lam = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], tau)
     kappa = bg.kappa(tau)
     psi = np.array([1.0, kappa, tau * tau * kappa])
     amat = config.coupling_scale * psi[config.coupling_psi]
@@ -81,18 +88,82 @@ def mode_rhs(config, lattice, bg, tau, values, derivs):
     return derivs, rhs
 
 
+# ------------------------------------------------------------- seeding
+
+
+def seed_pairs(config, lattice, bg, data):
+    """Every column's (value, tau-derivative) seed at config.tau_seed, (n_columns, 2, n_slots).
+
+    Column 0 is 2 O times its log branch plus h times its bounded branch;
+    column i is phi0_i times its bounded branch.
+    """
+    branches = _branch_table(config, lattice, bg, config.tau_seed)[0][..., lattice.slot_l]
+    phis = np.array([p.coeffs for p in data.phi0_fields])
+    col0 = 2.0 * data.O_field.coeffs * branches[0, 0] + data.h_field.coeffs * branches[0, 1]
+    return np.concatenate([col0[None], phis[:, None] * branches[1:, 1]])
+
+
+def split_seeds(config, lattice, bg, data, part):
+    """(value, tau-derivative) seeds of the split's log-branch and renormalized columns.
+
+    The log branch starts as 2 O aux + 2 ell O main, the renormalized
+    component as frak_h main, with aux and main column 0's branches.
+    """
+    aux, main = _branch_table(config, lattice, bg, config.tau_seed)[0][0][..., lattice.slot_l]
+    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0[lattice.slot_l], 0.0))
+    oc = data.O_field.coeffs
+    return 2.0 * oc * aux + 2.0 * ell * oc * main, data.frak_h.coeffs * main
+
+
+# ----------------------------------------------------------- blow-up rate
+
+
+def blowup_check(traj_Y, o_coeffs, top_order, drift_limit):
+    """The blow-up statistic of one log-branch trajectory, slot by slot and time by time."""
+    lattice, bg = traj_Y.lattice, traj_Y.bg
+    m_tot = top_order + 1
+    lam0 = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], 0.0)
+    data_sq = float(np.sum((1.0 + lam0) ** m_tot * o_coeffs**2))
+    taus = traj_Y.taus
+    vals = np.empty(len(taus))
+    for t, tau in enumerate(taus):
+        lam = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], tau)
+        w = np.zeros_like(lam)
+        lam_pow = np.ones_like(lam)
+        for _ in range(m_tot):
+            w += lam_pow
+            lam_pow = lam_pow * lam
+        w *= 1.0 + lam
+        num = float(np.sum(w * traj_Y.values[t, 0] ** 2))
+        vals[t] = num / ((1.0 + math.log(tau) ** 2) * data_sq)
+    order = np.argsort(taus)
+    taus_s, vals_s = taus[order], vals[order]
+    n_decades = int(math.floor(math.log10(1e-3 / float(taus_s[0])) + 1e-9))
+    sups = []
+    for j in range(n_decades):
+        hi = 1e-3 / 10.0**j
+        mask = (taus_s >= hi / 10.0) & (taus_s <= hi)
+        sups.append(float(np.max(vals_s[mask])))
+    drifts = tuple(abs(a - b) / b for a, b in zip(sups[:-1], sups[1:]))
+    passed = bool(np.all(np.isfinite(vals))) and all(d < drift_limit for d in drifts)
+    return BlowupReport(
+        taus=taus_s, values=vals_s, sup_value=float(np.max(vals_s)), decade_sups=tuple(sups),
+        drifts=drifts, drift_limit=drift_limit, passed=passed,
+    )
+
+
 # ------------------------------------------------------------ shell norms
 
 
 def shell_project(part, k, field, tau, bg):
     """P_k F: every coefficient times the plain bump of cell k at its eigenvalue."""
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
+    lam = eigenvalue_at(bg, field.lattice.lam0[field.lattice.slot_l], tau)
     return field.with_coeffs(part.bump(lam * 4.0**-k) * field.coeffs)
 
 
 def graded_sobolev_norm(field, grad_order, s, tau, bg):
     """Norm of the grad_order-fold derivative: weights lambda^m (1+lambda)^s."""
-    lam = eigenvalue_at(bg, field.lattice.lam0_slot, tau)
+    lam = eigenvalue_at(bg, field.lattice.lam0[field.lattice.slot_l], tau)
     w = lam**grad_order * (1.0 + lam) ** s
     return float(np.sqrt(np.dot(w, field.coeffs * field.coeffs)))
 

@@ -76,9 +76,11 @@ def test_criterion_3_singular_blowup_bounded(part, bg):
                                   h=bounded_field(lat, rng, decay=6.0),
                                   phis=[bounded_field(lat, rng, decay=6.0)])
              for _ in range(20)]
-    splits = split_singular_component(cfg, lat, bg, draws, grid, part)
-    for draw, (traj_y, _) in enumerate(splits):
-        rep = singular_blowup_check(traj_y, draws[draw], top_order=1, drift_limit=0.10)
+    o_rows = [data.O_field.coeffs for data in draws]
+    reports = singular_blowup_check(cfg, lat, bg, part, o_rows, grid)
+    assert len(reports) == len(draws)
+    for draw, rep in enumerate(reports):
+        assert rep.drift_limit == 0.10
         assert rep.passed, (draw, rep.drifts)
         assert math.isfinite(rep.sup_value)
 
@@ -174,7 +176,7 @@ def test_criterion_9_decomposition_exactness(part, bg):
     data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
                                 h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
     grid = make_time_grid(1e-4, 1.0, count=41)
-    ((ty, tj),) = split_singular_component(cfg, lat, bg, [data], grid, part)
+    ty, tj = split_singular_component(cfg, lat, bg, data, grid, part)
     direct = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0, grid=grid)
     num = np.max(np.abs(ty.values[:, 0, :] + tj.values[:, 0, :] - direct.values[:, 0, :]))
     assert num / np.max(np.abs(direct.values[:, 0, :])) <= 1e-9

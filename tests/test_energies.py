@@ -11,6 +11,8 @@ from shellwave import (
     SystemConfig,
     TimeGrid,
     build_lattice,
+    constant_background,
+    desitter_background,
     fit_power_exponent,
     forcing_energy_first,
     forcing_energy_second,
@@ -27,7 +29,13 @@ from shellwave import (
 )
 from shellwave.energies import _default_forcing, _ensemble_ratios
 from tests.conftest import bounded_field, zero_like
-from tests.oracles import data_energy_first, data_energy_second, energy_first, energy_second
+from tests.oracles import (
+    blowup_check,
+    data_energy_first,
+    data_energy_second,
+    energy_first,
+    energy_second,
+)
 
 
 # ----------------------------------------------------------------- fitting
@@ -100,24 +108,25 @@ def test_shell_decay_validation():
 # ------------------------------------------------------------- blowup rate
 
 
+# the blow-up target's system: decoupled, unforced, seeded at 1e-7
+BLOWUP_CFG = SystemConfig(n_regular=1, top_order=1, tau_seed=1e-7, rtol=1e-10, atol=1e-12)
+
+
 @pytest.fixture(scope="module")
 def blowup_run(part, bg):
     lat = build_lattice(2, 4)
     rng = np.random.default_rng(101)
-    cfg = SystemConfig(n_regular=1, top_order=1, tau_seed=1e-7,
-                       rtol=1e-10, atol=1e-12)
     data = make_asymptotic_data(
         lat, part, bg, O=bounded_field(lat, rng, decay=6.0),
         h=bounded_field(lat, rng, decay=6.0), phis=[bounded_field(lat, rng, decay=6.0)],
     )
     grid = make_time_grid(1e-6, 1.0, count=97)
-    ((traj_y, _),) = split_singular_component(cfg, lat, bg, [data], grid, part)
-    return traj_y, data
+    return lat, grid, data
 
 
-def test_blowup_statistic_settles(part, blowup_run):
-    traj_y, data = blowup_run
-    rep = singular_blowup_check(traj_y, data, top_order=1)
+def test_blowup_statistic_settles(part, bg, blowup_run):
+    lat, grid, data = blowup_run
+    (rep,) = singular_blowup_check(BLOWUP_CFG, lat, bg, part, [data.O_field.coeffs], grid)
     assert rep.passed
     assert math.isfinite(rep.sup_value)
     assert len(rep.decade_sups) >= 3
@@ -127,25 +136,58 @@ def test_blowup_statistic_settles(part, blowup_run):
 
 
 def test_blowup_rejects_zero_data(part, bg, blowup_run):
-    traj_y, data = blowup_run
-    lat = data.O_field.lattice
-    dead = make_asymptotic_data(lat, part, bg, O=zero_like(lat),
-                                h=zero_like(lat), phis=[zero_like(lat)])
+    lat, grid, data = blowup_run
+    rows = [data.O_field.coeffs, np.zeros(lat.n_slots)]
     with pytest.raises(ValueError, match="zero"):
-        singular_blowup_check(traj_y, dead, top_order=1)
+        singular_blowup_check(BLOWUP_CFG, lat, bg, part, rows, grid)
+
+
+def test_blowup_rejects_rows_it_cannot_read(part, bg, blowup_run):
+    # the per-degree solve carries column 0 alone, and each row is one draw
+    lat, grid, data = blowup_run
+    cs = np.zeros((2, 2))
+    cs[0, 1] = 0.05
+    coupled = SystemConfig(n_regular=1, top_order=1, coupling_scale=cs, tau_seed=1e-7)
+    with pytest.raises(ValueError, match="couples only to itself"):
+        singular_blowup_check(coupled, lat, bg, part, [data.O_field.coeffs], grid)
+    with pytest.raises(ValueError, match="slot coefficients"):
+        singular_blowup_check(BLOWUP_CFG, lat, bg, part, data.O_field.coeffs, grid)
+    with pytest.raises(ValueError, match="slot coefficients"):
+        singular_blowup_check(BLOWUP_CFG, lat, bg, part, [data.O_field.coeffs[1:]], grid)
 
 
 def test_blowup_needs_two_decades(part, bg, small_lattice):
     rng = np.random.default_rng(7)
     cfg = SystemConfig(n_regular=1, top_order=1)
-    data = make_asymptotic_data(small_lattice, part, bg,
-                                O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
     grid = make_time_grid(1e-4, 1.0, count=17)
-    ((traj_y, _),) = split_singular_component(cfg, small_lattice, bg, [data], grid, part)
     with pytest.raises(ValueError, match="decade"):
-        singular_blowup_check(traj_y, data, top_order=1)
+        singular_blowup_check(cfg, small_lattice, bg, part,
+                              [bounded_field(small_lattice, rng).coeffs], grid)
+
+
+@pytest.mark.parametrize("background", ["desitter", "constant"])
+@pytest.mark.parametrize("l_max", [4, 8])
+def test_blowup_reports_match_slot_level_statistic(part, background, l_max):
+    # per degree, O_s g_l(tau) against the split's log-branch trajectory
+    # weighed slot by slot and time by time; the two solves step on blocks of
+    # different sizes, so they agree to well below the solver tolerance
+    bg = desitter_background() if background == "desitter" else constant_background(1.5)
+    lat = build_lattice(2, l_max)
+    rng = np.random.default_rng(l_max)
+    o_rows = [bounded_field(lat, rng, decay=6.0).coeffs for _ in range(3)]
+    grid = make_time_grid(1e-6, 1.0, count=121)
+    reports = singular_blowup_check(BLOWUP_CFG, lat, bg, part, o_rows, grid)
+    assert len(reports) == len(o_rows)
+    for o, rep in zip(o_rows, reports):
+        data = make_asymptotic_data(lat, part, bg, O=Field(lattice=lat, coeffs=o),
+                                    frak_h=zero_like(lat), phis=[zero_like(lat)])
+        traj_y, _ = split_singular_component(BLOWUP_CFG, lat, bg, data, grid, part)
+        want = blowup_check(traj_y, o, top_order=1, drift_limit=rep.drift_limit)
+        assert np.array_equal(rep.taus, want.taus)
+        assert rep.passed == want.passed
+        got = np.array([rep.sup_value, *rep.decade_sups, *rep.drifts])
+        ref = np.array([want.sup_value, *want.decade_sups, *want.drifts])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11
 
 
 # ------------------------------------------------------ energy functionals
@@ -309,7 +351,7 @@ def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
                        forcings=tuple(_default_forcing(i) for i in range(3)),
                        rtol=1e-11, atol=1e-13)
     n_cols = cfg.n_columns
-    damp = ((1.0 + lat.lam0_slot) ** -3.5)[:, None]
+    damp = ((1.0 + lat.lam0[lat.slot_l]) ** -3.5)[:, None]
     if system == "first":
         taus = np.geomspace(cfg.tau_seed, 1.0, 25)
         draw = rng.standard_normal((lat.n_slots, n_cols + 1)) * damp

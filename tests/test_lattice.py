@@ -17,7 +17,6 @@ from shellwave import (
     random_field,
     sphere_eigenvalue,
     sphere_multiplicity,
-    zero_field,
 )
 from shellwave.modelsys import _psi_at
 from tests.oracles import graded_sobolev_norm
@@ -80,7 +79,7 @@ def test_lattice_layout():
     # slots of a degree form one contiguous block with the right eigenvalue
     sl = lat.slots_of_degree(3)
     assert sl.stop - sl.start == 7
-    assert np.all(lat.lam0_slot[sl] == 12.0)
+    assert np.all(lat.lam0[lat.slot_l][sl] == 12.0)
     assert np.all(lat.slot_l[sl] == 3)
 
 
@@ -215,12 +214,6 @@ def test_field_shape_validation(small_lattice):
         Field(lattice=small_lattice, coeffs=np.zeros(3))
 
 
-def test_zero_field(small_lattice):
-    z = zero_field(small_lattice)
-    assert np.all(z.coeffs == 0.0)
-    assert z.coeffs.shape == (small_lattice.n_slots,)
-
-
 def test_random_field_decay(small_lattice):
     rng = np.random.default_rng(1)
     f = random_field(small_lattice, rng, decay=8.0)
@@ -235,7 +228,7 @@ def test_damping_equals_per_slot_power(n, l_maxes, decay):
     # raised once per degree and repeated, it keeps the per-slot pow's bits
     for l_max in l_maxes:
         lat = build_lattice(n, l_max)
-        want = (1.0 + lat.lam0_slot) ** (-0.5 * decay)
+        want = (1.0 + lat.lam0[lat.slot_l]) ** (-0.5 * decay)
         assert np.array_equal(lat.damping(decay), want), l_max
 
 

@@ -117,7 +117,8 @@ def test_log_grad_weights_centers(part):
 
 def test_log_nabla_zero_mode(part, small_lattice, bg):
     # the log-derivative weights kill the constant mode on every slice
-    ell = log_grad_weights(part, eigenvalue_at(bg, small_lattice.lam0_slot, 0.5))
+    lam0 = small_lattice.lam0[small_lattice.slot_l]
+    ell = log_grad_weights(part, eigenvalue_at(bg, lam0, 0.5))
     assert np.all(ell[small_lattice.slots_of_degree(0)] == 0.0)
 
 
@@ -126,7 +127,7 @@ def test_r_k_center_cancellation(part, small_lattice, bg):
     # a lattice mode at the center of cell k: there M = 1 and ell = log 2^k
     sl = small_lattice.slots_of_degree(1)
     tau = math.sqrt((math.sqrt(0.5) - 0.5) / 2.0)  # lambda(tau) = 4 = center of cell 1
-    lam = eigenvalue_at(bg, small_lattice.lam0_slot[sl], tau)
+    lam = eigenvalue_at(bg, small_lattice.lam0[small_lattice.slot_l][sl], tau)
     cross = 2.0 * part.bump(lam / 4.0) * (log_grad_weights(part, lam) - math.log(2.0))
     assert np.max(np.abs(cross)) <= 1e-12
 
@@ -150,8 +151,8 @@ def test_commutator_uniform_bound(part, bg):
     tau, seed, n_fields = 0.5, 4, 5
     sup_grid = np.geomspace(0.25, 4.0, 4001)
     bound = bg.kappa(tau) * float(np.max(sup_grid * np.abs(part.bump_prime(sup_grid))))
-    lam = eigenvalue_at(bg, lat.lam0_slot, tau)
-    rate = eigenvalue_rate(bg, lat.lam0_slot, tau)
+    lam = eigenvalue_at(bg, lat.lam0[lat.slot_l], tau)
+    rate = eigenvalue_rate(bg, lat.lam0[lat.slot_l], tau)
     covered = _coverage_mask(part, eigenvalue_at(bg, lat.lam0, tau))[lat.slot_l]
     rng = np.random.default_rng(seed)
     worst = 0.0

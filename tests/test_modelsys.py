@@ -21,6 +21,7 @@ from shellwave import (
     constant_background,
     constant_mode_run,
     data_to_state_maps,
+    desitter_background,
     eigenvalue_at,
     epsilon_construction_check,
     extract_asymptotic_data,
@@ -34,12 +35,11 @@ from shellwave import (
     random_coupling,
     seed_state,
     split_singular_component,
-    zero_field,
 )
 from shellwave import modelsys
 from shellwave.energies import _oracle_envelope
 from tests.conftest import bounded_field, zero_like
-from tests.oracles import mode_rhs
+from tests.oracles import mode_rhs, seed_pairs, split_seeds
 
 
 # ------------------------------------------------------------ bessel oracle
@@ -273,7 +273,7 @@ def test_forcing_validation():
 
 
 def test_asymptotic_data_requires_one_finite_part(small_lattice, part, bg):
-    z = zero_field(small_lattice)
+    z = zero_like(small_lattice)
     with pytest.raises(ValueError):
         make_asymptotic_data(small_lattice, part, bg, O=z)
     with pytest.raises(ValueError):
@@ -287,7 +287,7 @@ def test_renormalize_round_trips(small_lattice, part, bg):
     O = bounded_field(small_lattice, rng)
     h = bounded_field(small_lattice, rng)
     data = make_asymptotic_data(small_lattice, part, bg, O=O, h=h, phis=())
-    ell = log_grad_weights(part, eigenvalue_at(bg, small_lattice.lam0_slot, 0.0))
+    ell = log_grad_weights(part, eigenvalue_at(bg, small_lattice.lam0[small_lattice.slot_l], 0.0))
     assert np.allclose(data.frak_h.coeffs, h.coeffs - 2.0 * ell * O.coeffs, atol=1e-15)
     data2 = make_asymptotic_data(small_lattice, part, bg, O=O, frak_h=data.frak_h)
     assert np.allclose(data2.h_field.coeffs, h.coeffs, atol=1e-14)
@@ -371,6 +371,36 @@ def test_seed_data_shape_mismatch(part, bg, small_lattice):
     )
     with pytest.raises(ValueError, match="regular columns"):
         seed_state(cfg, small_lattice, bg, data)
+
+
+@pytest.mark.parametrize("background", ["desitter", "constant"])
+@pytest.mark.parametrize("system", ["first", "second"])
+@pytest.mark.parametrize("n_regular", [1, 2])
+def test_seeds_equal_slot_level_oracle(part, background, system, n_regular):
+    # one per-degree map seeds every slot; each factor 2 in it is exact, so
+    # the seeds keep the bits of the slot-level formulas
+    bg = desitter_background() if background == "desitter" else constant_background(1.5)
+    for l_max in (0, 3, 16):
+        lat = build_lattice(2, l_max)
+        rng = np.random.default_rng(l_max)
+        cs, cp = random_coupling(n_regular, system, rng, 0.1)
+        cfg = SystemConfig(n_regular=n_regular, system=system, coupling_scale=cs,
+                           coupling_psi=cp, tau_seed=1e-4)
+        data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
+                                    h=bounded_field(lat, rng),
+                                    phis=[bounded_field(lat, rng) for _ in range(n_regular)])
+        state, want = seed_state(cfg, lat, bg, data), seed_pairs(cfg, lat, bg, data)
+        assert np.array_equal(state.values, want[:, 0])
+        assert np.array_equal(state.derivs, want[:, 1])
+        if system == "second":
+            continue
+        # a run's first row is its seed: P is the identity and F is 0 there
+        tau0 = cfg.tau_seed
+        grid = make_time_grid(tau0, 1.0, count=5)
+        runs = split_singular_component(cfg, lat, bg, data, grid, part)
+        for traj, (value, deriv) in zip(runs, split_seeds(cfg, lat, bg, data, part)):
+            assert np.array_equal(traj.values[0, 0], value)
+            assert np.array_equal(traj.derivs[0, 0], tau0 * deriv / tau0)
 
 
 # ------------------------------------------------------------- integration
@@ -649,41 +679,18 @@ def test_split_reconstructs_and_tags_branches(part, bg):
     data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
                                 h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
     grid = make_time_grid(1e-4, 1.0, count=61)
-    ((ty, tj),) = split_singular_component(cfg, lat, bg, [data], grid, part)
+    ty, tj = split_singular_component(cfg, lat, bg, data, grid, part)
     direct = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0, grid=grid)
     num = np.max(np.abs(ty.values[:, 0, :] + tj.values[:, 0, :] - direct.values[:, 0, :]))
     den = np.max(np.abs(direct.values[:, 0, :]))
     assert num / den <= 1e-9
     # the log branch is 2 O (log tau + ell) + O(tau^2 log^2 tau)
     small = ty.taus < 1e-3
-    ell = log_grad_weights(part, eigenvalue_at(bg, lat.lam0_slot, 0.0))
+    ell = log_grad_weights(part, eigenvalue_at(bg, lat.lam0[lat.slot_l], 0.0))
     expect = (2.0 * data.O_field.coeffs[None, :] * (np.log(ty.taus[small])[:, None] + ell))
     drift = np.max(np.abs(ty.values[small, 0, :] - expect))
     assert drift <= 1e-4
     assert np.max(np.abs(tj.values[small, 0, :])) <= 10.0 * np.max(np.abs(data.frak_h.coeffs))
-
-
-def test_split_batch_matches_single_draws(part, bg):
-    # one shared solve, then each draw composed alone: bit for bit the same
-    lat = build_lattice(2, 4)
-    rng = np.random.default_rng(25)
-    cs, cp = random_coupling(1, "first", rng, 0.05)
-    cfg = SystemConfig(n_regular=1, coupling_scale=cs, coupling_psi=cp,
-                       forcings=(Forcing(amplitude=0.2, center=0.4, width=0.1), Forcing()),
-                       tau_seed=1e-5, rtol=1e-11, atol=1e-13)
-    draws = [make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                  h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-             for _ in range(3)]
-    grid = make_time_grid(1e-4, 1.0, count=31)
-    batch = list(split_singular_component(cfg, lat, bg, draws, grid, part))
-    assert len(batch) == len(draws)
-    for data, pair in zip(draws, batch):
-        ((ty, tj),) = split_singular_component(cfg, lat, bg, [data], grid, part)
-        for got, want in zip(pair, (ty, tj)):
-            assert np.array_equal(got.taus, want.taus)
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.derivs, want.derivs)
-    assert not np.array_equal(batch[0][0].values, batch[1][0].values)
 
 
 def test_split_requires_partition(part, bg, small_lattice):
@@ -694,7 +701,7 @@ def test_split_requires_partition(part, bg, small_lattice):
                                 phis=[bounded_field(small_lattice, rng)])
     grid = make_time_grid(1e-3, 1.0, count=9)
     with pytest.raises(TypeError, match="part"):
-        split_singular_component(cfg, small_lattice, bg, [data], grid)
+        split_singular_component(cfg, small_lattice, bg, data, grid)
 
 
 def test_split_rejects_second_family(part, bg, small_lattice):
@@ -706,7 +713,7 @@ def test_split_rejects_second_family(part, bg, small_lattice):
                                 phis=[bounded_field(small_lattice, rng)])
     grid = make_time_grid(1e-3, 1.0, count=9)
     with pytest.raises(ValueError, match="first system family"):
-        split_singular_component(cfg, small_lattice, bg, [data], grid, part)
+        split_singular_component(cfg, small_lattice, bg, data, grid, part)
 
 
 def test_epsilon_check_rejects_second_family(part, bg, small_lattice):
@@ -734,7 +741,7 @@ def test_expansion_state_is_exact_at_zero_eigenvalue(part, bg, small_lattice):
     derivs = np.zeros_like(values)
     derivs[0] = 2.0 * oc / cut
     run = integrate(cfg, lat, bg, ModeState(tau=cut, values=values, derivs=derivs), 1.0)
-    zero = lat.lam0_slot == 0.0
+    zero = lat.lam0[lat.slot_l] == 0.0
     assert np.count_nonzero(zero) >= 1 and run.taus[-1] == 1.0
     assert np.max(np.abs(run.values[-1, 0, zero] - hc[zero])) <= 1e-9
     assert np.max(np.abs(run.derivs[-1, 0, zero] - 2.0 * oc[zero])) <= 1e-9
@@ -758,7 +765,7 @@ def test_epsilon_check_rejects_degree_zero_data(part, bg):
     # 7.1e-15, 1.1e-14 and failed)
     lat = build_lattice(2, 6)
     cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
-    o_field = zero_like(lat).with_coeffs(np.where(lat.lam0_slot == 0.0, 1.0, 0.0))
+    o_field = zero_like(lat).with_coeffs(np.where(lat.lam0[lat.slot_l] == 0.0, 1.0, 0.0))
     data = make_asymptotic_data(lat, part, bg, O=o_field, h=zero_like(lat), phis=[zero_like(lat)])
     with pytest.raises(ValueError, match="identically zero on the modes with lambda > 0"):
         epsilon_construction_check(cfg, lat, bg, data, eps=1e-3)
@@ -851,7 +858,7 @@ def test_integrate_matches_a_slot_level_solve(part, bg, system):
     def source(tau):
         return np.array([f.profile(tau) for f in forcings])[:, None]
 
-    sol = solve_ivp(_reference_rhs(cfg, lat.lam0_slot, bg, source, lat.n_slots),
+    sol = solve_ivp(_reference_rhs(cfg, lat.lam0[lat.slot_l], bg, source, lat.n_slots),
                     (math.log(state.tau), math.log(tau_end)),
                     np.concatenate([state.values, state.tau * state.derivs]).ravel(),
                     method="DOP853", t_eval=np.log(run.taus), rtol=cfg.rtol, atol=cfg.atol)

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from shellwave import cli, modelsys, parse_config
+import numpy as np
+
+from shellwave import cli, energies, modelsys, parse_config
 
 # The benchmark's trajectory scenario (bench/workloads.py) at seed 0, reduced
 # to the target under test.
@@ -77,3 +79,20 @@ def test_split_solves_do_not_grow_with_draws(monkeypatch):
     # (a) P and F for the split and again for the direct run, (b) one P for
     # every draw (unforced), (c) two runs of P, (d) four rungs of P
     assert counts == {40: 11, 60: 11}
+
+
+def test_blowup_fails_with_linear_log_normalization(monkeypatch):
+    # negative control: over 1 + |log tau| in place of 1 + log^2 tau the
+    # statistic keeps growing like |log tau|, and the drift gate must see it
+    weights = energies._blowup_weights
+
+    def mutant(bg, lam0, taus, top_order):
+        log = np.log(taus)
+        return weights(bg, lam0, taus, top_order) * ((1.0 + log**2) / (1.0 + np.abs(log)))[:, None]
+
+    monkeypatch.setattr(energies, "_blowup_weights", mutant)
+    text = TRAJECTORY.replace("l_max = 32", "l_max = 4").replace("seed = 0", "seed = 3")
+    verdict, _ = _run_split(text)
+    blowup = verdict["parts"]["blowup"]
+    assert blowup["worst_drift_per_decade"] > blowup["limit"]
+    assert not blowup["passed"] and not verdict["passed"]
