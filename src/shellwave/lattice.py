@@ -10,7 +10,7 @@ operators are multipliers, norms are weighted sums of squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -129,6 +129,8 @@ class ConformalBackground:
 
     name: str
     f_even: tuple[float, ...]
+    # the least value of f on [0, 1], found once at construction
+    f_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.f_even:
@@ -140,9 +142,10 @@ class ConformalBackground:
         inner = crit.real[(crit.imag == 0.0) & (crit.real > 0.0) & (crit.real < 1.0)]
         u = np.concatenate([[0.0, 1.0], inner])
         at = int(np.argmin(poly(u)))
-        if poly(u[at]) <= 0.0:
+        object.__setattr__(self, "f_min", float(poly(u[at])))
+        if self.f_min <= 0.0:
             raise ValueError(f"f must stay positive on [0, 1], but it reaches "
-                             f"{poly(u[at]):.3g} at tau = {math.sqrt(u[at]):.3g}")
+                             f"{self.f_min:.3g} at tau = {math.sqrt(u[at]):.3g}")
 
     def f(self, tau):
         return _even_horner(self.f_even, tau)

@@ -34,18 +34,15 @@ __all__ = [
     "Forcing",
     "SystemConfig",
     "AsymptoticData",
-    "ModeState",
-    "Trajectory",
     "FrobeniusBasis",
     "EpsilonReport",
     "bessel_oracle",
     "frobenius_basis",
     "make_asymptotic_data",
-    "seed_state",
-    "integrate",
+    "seeded_runs",
+    "roundtrip_data",
     "constant_mode_run",
     "split_singular_component",
-    "extract_asymptotic_data",
     "epsilon_construction_check",
     "fundamental_matrices",
     "forced_profile",
@@ -451,42 +448,6 @@ def make_asymptotic_data(lattice, part, bg, O, h=None, frak_h=None, phis=()):
     else:
         frak_h = h.with_coeffs(h.coeffs - 2.0 * ell * O.coeffs)
     return AsymptoticData(O_field=O, h_field=h, frak_h=frak_h, phi0_fields=tuple(phis))
-
-
-@dataclass(frozen=True, eq=False)
-class ModeState:
-    """Values and tau-derivatives of every column on one slice."""
-
-    tau: float
-    values: np.ndarray  # (n_columns, n_slots)
-    derivs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "derivs", np.asarray(self.derivs, dtype=float))
-        if self.values.shape != self.derivs.shape or self.values.ndim != 2:
-            raise ValueError("values and derivs must be matching 2-d arrays")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"state time must lie in (0, 1], got {self.tau}")
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Time-sampled solution; taus are ordered as integrated."""
-
-    taus: np.ndarray
-    values: np.ndarray  # (n_times, n_columns, n_slots)
-    derivs: np.ndarray
-    config: SystemConfig
-    lattice: object
-    bg: object
-
-    def state_at(self, index):
-        return ModeState(
-            tau=float(self.taus[index]),
-            values=self.values[index],
-            derivs=self.derivs[index],
-        )
 
 
 # ----------------------------------------------------------------- the RHS
@@ -940,30 +901,27 @@ def _data_vectors(config, data):
                      *(p.coeffs for p in data.phi0_fields)])
 
 
-def seed_state(config, lattice, bg, data):
-    """Cauchy data at config.tau_seed built from the fundamental systems.
+def _state_maps(config, lattice, bg, tau):
+    """``_seed_maps`` onto the stacked (values, tau * derivs) state the propagators act on."""
+    maps = _seed_maps(config, lattice, bg, tau)
+    maps[:, config.n_columns:] *= tau
+    return maps
 
-    Each slot's data vector goes through its degree's ``_seed_maps``: column
-    0 combines the log branch (coefficient 2 * O) with the bounded branch
-    (coefficient h); regular columns use their bounded branch with
-    coefficient phi0.  As tau -> 0 this reduces to the defining expansions
-    2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
+
+def _extraction_maps(config, lattice, bg, tau):
+    """Per-degree maps from one slot's stacked (values, tau * derivs) state at tau to its data.
+
+    Column by column this inverts ``_state_maps``: each column's (value,
+    tau * derivative) pair is solved by Cramer's rule against the same
+    ``_branch_table`` blocks, their derivative rows scaled by tau.  The maps
+    have shape (n_degrees, 2 n_columns, 2 n_columns); their rows are the data
+    vector (O, h, phi0_1..phi0_I) and then the aux-branch coefficients of the
+    regular columns.  Degrees whose series remainder exceeds 1e-9 read the data
+    off the two-term expansion instead (v0 ~ 2 O log tau + h, tau v0' ~ 2 O,
+    v_i ~ phi0_i); they are counted, with a warning suggesting a smaller
+    extraction time.  Returns (maps, number of such degrees).
     """
-    tau, n_cols = float(config.tau_seed), config.n_columns
-    maps = _seed_maps(config, lattice, bg, tau)[lattice.slot_l]
-    pairs = np.einsum("sck,ks->cs", maps, _data_vectors(config, data))
-    return ModeState(tau=tau, values=pairs[:n_cols], derivs=pairs[n_cols:])
-
-
-def extract_asymptotic_data(config, lattice, bg, state, part):
-    """Invert a small-tau state into asymptotic data.
-
-    Per mode and column this is a 2x2 solve against the fundamental system at
-    state.tau.  Degrees whose series remainder is untrustworthy fall back to
-    the raw two-term expansion and are counted in the diagnostics (with a
-    warning suggesting a smaller extraction time).
-    """
-    tau = state.tau
+    n_cols = config.n_columns
     table, defect = _branch_table(config, lattice, bg, tau, strict=False)
     flagged = defect > 1e-9
     if np.any(flagged):
@@ -973,76 +931,92 @@ def extract_asymptotic_data(config, lattice, bg, state, part):
             "smaller tau for full accuracy)",
             RuntimeWarning,
         )
-    flagged_slots = flagged[lattice.slot_l]
-    (av, ad), (mv, md) = table[..., lattice.slot_l].transpose(1, 2, 0, 3)
+    (av, ad), (mv, md) = table.transpose(1, 2, 0, 3)  # each (n_columns, n_degrees)
+    ad, md = tau * ad, tau * md
     det = av * md - mv * ad
-    v, d = state.values, state.derivs
-    c_aux = (md * v - mv * d) / det
-    c_main = (-ad * v + av * d) / det
-
-    # two-term fallback: v' ~ 2 O / tau, v ~ 2 O log tau + h
-    crude_o = 0.5 * tau * state.derivs[0]
-    crude_h = state.values[0] - 2.0 * crude_o * math.log(tau)
-    o_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_o, 0.5 * c_aux[0]))
-    h_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_h, c_main[0]))
-    phis = [Field(lattice=lattice, coeffs=np.where(flagged_slots, state.values[i], c_main[i]))
-            for i in range(1, config.n_columns)]
-    contamination = 0.0
-    if config.system == "first":
-        # with a +1/tau drag the aux branch is the log branch; a clean
-        # regular column should not contain it
-        contamination = float(np.max(np.abs(c_aux[1:]), initial=0.0))
-    data = make_asymptotic_data(lattice, part, bg, O=o_field, h=h_field, phis=phis)
-    diagnostics = {
-        "ill_conditioned_degrees": int(np.count_nonzero(flagged)),
-        "singular_contamination": contamination,
-        "extraction_tau": tau,
-    }
-    return data, diagnostics
+    # [aux or main coefficient, column, state entry, degree]
+    coef = np.zeros((2, n_cols, 2 * n_cols, lattice.l_max + 1))
+    cols = np.arange(n_cols)
+    coef[0, cols, cols], coef[0, cols, n_cols + cols] = md / det, -mv / det
+    coef[1, cols, cols], coef[1, cols, n_cols + cols] = -ad / det, av / det
+    maps = np.concatenate([0.5 * coef[0, :1], coef[1], coef[0, 1:]]).transpose(2, 0, 1)
+    two_term = np.zeros((n_cols + 1, 2 * n_cols))
+    two_term[0, n_cols] = 0.5
+    two_term[1, 0], two_term[1, n_cols] = 1.0, -math.log(tau)
+    two_term[2:, 1:n_cols] = np.eye(n_cols - 1)
+    maps[flagged, : n_cols + 1] = two_term
+    return maps, int(np.count_nonzero(flagged))
 
 
-# -------------------------------------------------------------- integration
+# --------------------------------------------------------- per-degree runs
 
 
-def integrate(config, lattice, bg, state, tau_to, grid=None):
-    """Propagate a state to tau_to; direction follows sign(tau_to - state.tau).
+def _per_slot(lattice, maps, vectors, forced=None):
+    """Each slot's vector through its degree's map, plus the degree's forced response.
 
-    Every slot of degree l obeys the same linear system, so the trajectory is
-    composed per degree: the stacked (values, tau * derivs) vector of a slot
-    is P[l] @ y0 + F[l], with P from ``fundamental_matrices`` and F from
-    ``forced_profile``, both anchored at state.tau.  So a run costs those two
-    solves in the log-time chart whatever the number of slots.  For the
-    second family the regular rows of P started from column 0 are exactly 0
-    (its regular rows do not couple back to column 0) and F does not read the
-    data, so the regular trajectories do not depend on the singular data in
-    any way, bit for bit.
+    ``maps`` is (n_degrees, ..., k), ``vectors`` (k, n_slots) and ``forced``
+    (n_degrees, ...); returns (..., n_slots).  One product per degree, so no
+    per-slot copy of the maps is formed.
     """
-    tau_from = state.tau
-    tau_to = float(tau_to)
-    if not 0.0 < tau_to <= 1.0:
-        raise ValueError(f"target time must lie in (0, 1], got {tau_to}")
-    if tau_to == tau_from:
-        raise ValueError("target time equals the state time")
-    n_cols, n_slots = state.values.shape
-    if n_cols != config.n_columns or n_slots != lattice.n_slots:
-        raise ValueError("state shape does not match config/lattice")
-    taus = _eval_taus(tau_from, tau_to, grid)
-    propagators = (fundamental_matrices(config, lattice, bg, tau_from, taus),
-                   forced_profile(config, lattice, bg, tau_from, taus))
-    return _compose(config, lattice, bg, taus, propagators,
-                    np.concatenate([state.values, tau_from * state.derivs]))
-
-
-def _compose(config, lattice, bg, taus, propagators, start):
-    """Trajectory of the stacked (values, tau * derivs) state ``start``: P[l] @ y0 + F[l]."""
-    (props, forced), n_cols = propagators, config.n_columns
-    rows = np.empty((len(taus), 2 * n_cols, lattice.n_slots))
+    out = np.empty(maps.shape[1:-1] + (lattice.n_slots,))
     for l in range(lattice.l_max + 1):
         sl = lattice.slots_of_degree(l)
-        rows[:, :, sl] = props[l] @ start[:, sl] + forced[l][:, :, None]
-    return Trajectory(taus=taus, values=rows[:, :n_cols],
-                      derivs=rows[:, n_cols:] / taus[:, None, None],
-                      config=config, lattice=lattice, bg=bg)
+        out[..., sl] = maps[l] @ vectors[:, sl]
+        if forced is not None:
+            out[..., sl] += forced[l][..., None]
+    return out
+
+
+def seeded_runs(config, lattice, bg, draws, grid=None):
+    """Runs of several data sets from config.tau_seed to 1, on one propagator solve.
+
+    Every slot of degree l obeys the same linear system, so the data vector
+    x_s = (O, h, phi0_1..phi0_I) of slot s runs to (P_l S_l) x_s + F_l, with
+    S_l the seed map and P_l, F_l from ``fundamental_matrices`` and
+    ``forced_profile``.  The times are tau_seed, the grid's times inside
+    (tau_seed, 1) (33 log-spaced ones without a grid) and 1.  Returns the
+    stacked (values, tau * derivs) of every draw, shape (n_draws, n_times,
+    2 n_columns, n_slots).  For the second family the regular rows of P
+    started from column 0 are exactly 0, since those rows do not couple back
+    to column 0, and F does not read the data; so the regular rows ignore the
+    singular data bit for bit.
+    """
+    tau = config.tau_seed
+    taus = _eval_taus(tau, 1.0, grid)
+    maps = (fundamental_matrices(config, lattice, bg, tau, taus)
+            @ _state_maps(config, lattice, bg, tau)[:, None])
+    forced = forced_profile(config, lattice, bg, tau, taus)
+    return np.array([_per_slot(lattice, maps, _data_vectors(config, d), forced) for d in draws])
+
+
+def roundtrip_data(config, lattice, bg, data):
+    """Data recovered after the run from config.tau_seed to 1 and back, one map per degree.
+
+    Slot s of degree l recovers M_l x_s from its data vector x_s = (O, h,
+    phi0_1..phi0_I), with M_l = X_l P_l(tau_seed <- 1) P_l(1 <- tau_seed) S_l:
+    S_l the seed map, the P_l from ``fundamental_matrices`` and X_l the
+    extraction map.  Returns the recovered data vectors, shape (n_columns + 1,
+    n_slots), and diagnostics: ``ill_conditioned_degrees`` (extracted by the
+    two-term expansion) and ``singular_contamination``, the largest log-branch
+    coefficient recovered on a regular column (0 for the second family, whose
+    other branch is tau^2).  A forced config is rejected.
+    """
+    if _forcing_source(config) is not None:
+        raise ValueError("the round trip composes unforced runs only")
+    tau, n_cols = config.tau_seed, config.n_columns
+    extract, n_flagged = _extraction_maps(config, lattice, bg, tau)
+    there = fundamental_matrices(config, lattice, bg, tau, np.array([1.0]))[:, 0]
+    back = fundamental_matrices(config, lattice, bg, 1.0, np.array([tau]))[:, 0]
+    out = _per_slot(lattice, extract @ back @ there @ _state_maps(config, lattice, bg, tau),
+                    _data_vectors(config, data))
+    contamination = 0.0
+    if config.system == "first":
+        contamination = float(np.max(np.abs(out[n_cols + 1:]), initial=0.0))
+    return out[: n_cols + 1], {"ill_conditioned_degrees": n_flagged,
+                               "singular_contamination": contamination}
+
+
+# -------------------------------------------------------------- scalar mode
 
 
 def constant_mode_run(lam, u0, du0, tau_from, tau_to, taus=None):
@@ -1075,8 +1049,10 @@ def split_singular_component(config, lattice, bg, data, grid, part):
     columns and forcing included) with data frak_h.  Their sum reproduces the
     direct column-0 run.  Both ride along as two extra columns of one
     augmented first-family system, seeded by ``_seed_maps`` applied to the
-    data vectors (O, h, phi0), (O, 2 ell O, 0) and (0, frak_h, 0).  Returns
-    the (log-branch, renormalized) pair of single-column trajectories.  A
+    data vectors (O, h, phi0), (O, 2 ell O, 0) and (0, frak_h, 0), and
+    composed per degree as P[l] @ y0 + F[l].  Returns the (log-branch,
+    renormalized) pair, each the stacked (value, tau * derivative) of its
+    column at the times of ``seeded_runs``, shape (n_times, 2, n_slots).  A
     second-family config, whose regular rows carry the opposite drag, is
     rejected.
     """
@@ -1107,12 +1083,11 @@ def split_singular_component(config, lattice, bg, data, grid, part):
         tau_seed=tau0, rtol=config.rtol, atol=config.atol,
     )
     taus = _eval_taus(tau0, 1.0, grid)
-    propagators = (fundamental_matrices(aug, lattice, bg, tau0, taus),
-                   forced_profile(aug, lattice, bg, tau0, taus))
-    run = _compose(aug, lattice, bg, taus, propagators, np.concatenate([values, tau0 * derivs]))
-    return tuple(Trajectory(taus=taus, values=run.values[:, i : i + 1],
-                            derivs=run.derivs[:, i : i + 1], config=config,
-                            lattice=lattice, bg=bg) for i in (n_cols, n_cols + 1))
+    run = _per_slot(lattice, fundamental_matrices(aug, lattice, bg, tau0, taus),
+                    np.concatenate([values, tau0 * derivs]),
+                    forced_profile(aug, lattice, bg, tau0, taus))
+    # column i's value row is i and its tau * derivative row n_columns + i
+    return tuple(run[:, i :: aug.n_columns] for i in (n_cols, n_cols + 1))
 
 
 # -------------------------------------------------- epsilon-regularization
@@ -1127,12 +1102,26 @@ class EpsilonReport:
     passed: bool
 
 
+def _rung_start(config, cut):
+    """A rung's start as a map from the data vector (O, h, phi0_1..phi0_I) to
+    the stacked (values, tau * derivs) at the cutoff: the two-term expansion,
+    values (2 log(cut) O + h, phi0_1, ...) and tau v' (2 O, 0, ...)."""
+    n_cols = config.n_columns
+    start = np.zeros((2 * n_cols, n_cols + 1))
+    start[0, :2] = 2.0 * math.log(cut), 1.0
+    start[1:n_cols, 2:] = np.eye(n_cols - 1)
+    start[n_cols, 0] = 2.0
+    return start
+
+
 def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
     """Cutoff-stability of the renormalized construction, first family only.
 
     Each rung starts the full run at a small cutoff from the two-term
     expansion: values (2 O log tau + h, phi0_1, ...) and tau-derivatives
-    (2 O / tau, 0, ...).  Every column's drag operator annihilates that
+    (2 O / tau, 0, ...).  That start is one map C_cut of the data vector
+    (``_rung_start``), so on slot s of degree l a rung ends at tau = 1 in
+    P_l(1 <- cut) C_cut x_s + F_l.  Every column's drag operator annihilates that
     expansion, so the run is the expansion plus the zero-data run of the
     subtracted problem, and the expansion cancels between rungs.  Runs
     started at eps, eps/2, ... must agree at tau = 1 up to a discrepancy
@@ -1154,26 +1143,25 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
         raise ValueError(f"cutoff must lie in (0, 0.1), got {eps}")
     if rungs < 2:
         raise ValueError("need at least two rungs to form a ratio")
-    oc, hc = data.O_field.coeffs, data.h_field.coeffs
-    phis = [p.coeffs for p in data.phi0_fields]
-    moving = (lattice.lam0 > 0.0)[lattice.slot_l]
-    if not any(np.any(c[moving]) for c in (oc, hc, *phis)):
+    x = _data_vectors(config, data)
+    if not np.any(x[:, lattice.lam0[lattice.slot_l] > 0.0]):
         raise ValueError("asymptotic data is identically zero on the modes with lambda > 0")
     lam1 = eigenvalue_at(bg, lattice.lam0, 1.0)
     omega = (2.0 * np.sqrt(np.maximum(lam1, 1.0)))[lattice.slot_l]
 
-    ends = []
+    ends, one = [], np.array([1.0])
     ladder = [eps / 2.0**j for j in range(rungs + 1)]
     for cut in ladder:
-        values = np.array([2.0 * oc * math.log(cut) + hc] + phis)
-        derivs = np.zeros_like(values)
-        derivs[0] = 2.0 * oc / cut
-        run = integrate(config, lattice, bg, ModeState(tau=cut, values=values, derivs=derivs), 1.0)
-        ends.append((run.values[-1], run.derivs[-1]))
+        # at tau = 1 the stacked (values, tau * derivs) are the (values, derivs)
+        maps = fundamental_matrices(config, lattice, bg, cut, one)[:, 0] @ _rung_start(config, cut)
+        forced = forced_profile(config, lattice, bg, cut, one)[:, 0]
+        ends.append(_per_slot(lattice, maps, x, forced))
 
+    n_cols = config.n_columns
     discrepancies = [
-        float(np.sqrt(np.sum((v1 - v2) ** 2) + np.sum(((d1 - d2) / omega) ** 2)))
-        for (v1, d1), (v2, d2) in zip(ends[:-1], ends[1:])
+        float(np.sqrt(np.sum((a[:n_cols] - b[:n_cols]) ** 2)
+                      + np.sum(((a[n_cols:] - b[n_cols:]) / omega) ** 2)))
+        for a, b in zip(ends[:-1], ends[1:])
     ]
     ratios = [a / b if b > 0.0 else math.inf for a, b in zip(discrepancies[:-1], discrepancies[1:])]
     monotone = all(a >= b for a, b in zip(discrepancies[:-1], discrepancies[1:]))
@@ -1192,9 +1180,9 @@ def fundamental_matrices(config, lattice, bg, tau_anchor, taus):
 
     Returns (n_degrees, n_times, d, d) with d = 2 n_columns, acting on the
     stacked (values, tau * derivs) vector of one slot.  The per-mode system
-    only depends on the degree, so ``integrate`` and the ensembles over random
-    data reduce to matrix multiplication against these.  One solve carries
-    all d unit starts of every degree.
+    only depends on the degree, so every run of data and the ensembles over
+    random data reduce to matrix multiplication against these.  One solve
+    carries all d unit starts of every degree.
     """
     d, n_deg = 2 * config.n_columns, lattice.l_max + 1
     start = np.tile(np.eye(d), n_deg)  # entry degree * d + j starts at unit vector j

@@ -4,21 +4,174 @@ No target runs these.  Each one computes, slot by slot, a quantity that the
 package reaches another way: the energies through the per-degree ensemble
 kernel, the right-hand side through the log-chart solver, the shell and
 gradient norms through the degree-axis shell table, the seeds through the
-per-degree data-to-seed maps and the blow-up statistic through one
-per-degree solve.  The Gronwall majorant is here in its full base point x
-time form, which the package reaches by a triangle-only reduce in the same
-summation order.
+per-degree data-to-seed maps, the trajectories, round trip and extraction
+through maps composed per degree before any slot is touched, and the blow-up
+statistic through one per-degree solve.  The Gronwall majorant is here in
+its full base point x time form, which the package reaches by a
+triangle-only reduce in the same summation order.
 """
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from shellwave.energies import BlowupReport, _cumtrapz, _data_weights, _energy_weights
 from shellwave.gronwall import _right_cum, _right_tail
-from shellwave.lattice import eigenvalue_at
+from shellwave.lattice import Field, eigenvalue_at
 from shellwave.lp import log_grad_weights
-from shellwave.modelsys import _branch_table
+from shellwave.modelsys import (
+    SystemConfig,
+    _branch_table,
+    _data_vectors,
+    _eval_taus,
+    _seed_maps,
+    forced_profile,
+    fundamental_matrices,
+    make_asymptotic_data,
+)
+
+
+# ------------------------------------------------- slot-level trajectories
+
+
+@dataclass(frozen=True, eq=False)
+class ModeState:
+    """Values and tau-derivatives of every column on one slice."""
+
+    tau: float
+    values: np.ndarray  # (n_columns, n_slots)
+    derivs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "derivs", np.asarray(self.derivs, dtype=float))
+        if self.values.shape != self.derivs.shape or self.values.ndim != 2:
+            raise ValueError("values and derivs must be matching 2-d arrays")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError(f"state time must lie in (0, 1], got {self.tau}")
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Time-sampled solution; taus are ordered as integrated."""
+
+    taus: np.ndarray
+    values: np.ndarray  # (n_times, n_columns, n_slots)
+    derivs: np.ndarray
+    config: SystemConfig
+    lattice: object
+    bg: object
+
+    def state_at(self, index):
+        return ModeState(
+            tau=float(self.taus[index]),
+            values=self.values[index],
+            derivs=self.derivs[index],
+        )
+
+
+def seed_state(config, lattice, bg, data):
+    """Cauchy data at config.tau_seed from each slot's data vector and ``_seed_maps``.
+
+    Column 0 combines the log branch (coefficient 2 * O) with the bounded
+    branch (coefficient h); regular columns use their bounded branch with
+    coefficient phi0.  As tau -> 0 this reduces to the defining expansions
+    2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
+    """
+    tau, n_cols = float(config.tau_seed), config.n_columns
+    maps = _seed_maps(config, lattice, bg, tau)[lattice.slot_l]
+    pairs = np.einsum("sck,ks->cs", maps, _data_vectors(config, data))
+    return ModeState(tau=tau, values=pairs[:n_cols], derivs=pairs[n_cols:])
+
+
+def extract_asymptotic_data(config, lattice, bg, state, part):
+    """Invert a small-tau state into asymptotic data, slot by slot.
+
+    Per mode and column this is a 2x2 solve against the fundamental system at
+    state.tau.  Degrees whose series remainder is untrustworthy fall back to
+    the raw two-term expansion and are counted in the diagnostics (with a
+    warning suggesting a smaller extraction time).
+    """
+    tau = state.tau
+    table, defect = _branch_table(config, lattice, bg, tau, strict=False)
+    flagged = defect > 1e-9
+    if np.any(flagged):
+        warnings.warn(
+            f"{int(np.count_nonzero(flagged))} degrees ill-conditioned for extraction "
+            f"at tau={tau:g}; using the two-term expansion there (extract from a "
+            "smaller tau for full accuracy)",
+            RuntimeWarning,
+        )
+    flagged_slots = flagged[lattice.slot_l]
+    (av, ad), (mv, md) = table[..., lattice.slot_l].transpose(1, 2, 0, 3)
+    det = av * md - mv * ad
+    v, d = state.values, state.derivs
+    c_aux = (md * v - mv * d) / det
+    c_main = (-ad * v + av * d) / det
+
+    # two-term fallback: v' ~ 2 O / tau, v ~ 2 O log tau + h
+    crude_o = 0.5 * tau * state.derivs[0]
+    crude_h = state.values[0] - 2.0 * crude_o * math.log(tau)
+    o_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_o, 0.5 * c_aux[0]))
+    h_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_h, c_main[0]))
+    phis = [Field(lattice=lattice, coeffs=np.where(flagged_slots, state.values[i], c_main[i]))
+            for i in range(1, config.n_columns)]
+    contamination = 0.0
+    if config.system == "first":
+        # with a +1/tau drag the aux branch is the log branch; a clean
+        # regular column should not contain it
+        contamination = float(np.max(np.abs(c_aux[1:]), initial=0.0))
+    data = make_asymptotic_data(lattice, part, bg, O=o_field, h=h_field, phis=phis)
+    diagnostics = {
+        "ill_conditioned_degrees": int(np.count_nonzero(flagged)),
+        "singular_contamination": contamination,
+        "extraction_tau": tau,
+    }
+    return data, diagnostics
+
+
+def integrate(config, lattice, bg, state, tau_to, grid=None):
+    """Propagate a state to tau_to; direction follows sign(tau_to - state.tau).
+
+    The stacked (values, tau * derivs) vector of a slot of degree l is
+    P[l] @ y0 + F[l], with P from ``fundamental_matrices`` and F from
+    ``forced_profile``, both anchored at state.tau, applied slot by slot.
+    """
+    tau_from = state.tau
+    tau_to = float(tau_to)
+    if not 0.0 < tau_to <= 1.0:
+        raise ValueError(f"target time must lie in (0, 1], got {tau_to}")
+    if tau_to == tau_from:
+        raise ValueError("target time equals the state time")
+    n_cols, n_slots = state.values.shape
+    if n_cols != config.n_columns or n_slots != lattice.n_slots:
+        raise ValueError("state shape does not match config/lattice")
+    taus = _eval_taus(tau_from, tau_to, grid)
+    propagators = (fundamental_matrices(config, lattice, bg, tau_from, taus),
+                   forced_profile(config, lattice, bg, tau_from, taus))
+    return _compose(config, lattice, bg, taus, propagators,
+                    np.concatenate([state.values, tau_from * state.derivs]))
+
+
+def _compose(config, lattice, bg, taus, propagators, start):
+    """Trajectory of the stacked (values, tau * derivs) state ``start``: P[l] @ y0 + F[l]."""
+    (props, forced), n_cols = propagators, config.n_columns
+    rows = np.empty((len(taus), 2 * n_cols, lattice.n_slots))
+    for l in range(lattice.l_max + 1):
+        sl = lattice.slots_of_degree(l)
+        rows[:, :, sl] = props[l] @ start[:, sl] + forced[l][:, :, None]
+    return Trajectory(taus=taus, values=rows[:, :n_cols],
+                      derivs=rows[:, n_cols:] / taus[:, None, None],
+                      config=config, lattice=lattice, bg=bg)
+
+
+def roundtrip_chain(config, lattice, bg, data, part):
+    """Seed, run to 1, run back to config.tau_seed and extract, slot by slot."""
+    fwd = integrate(config, lattice, bg, seed_state(config, lattice, bg, data), 1.0)
+    back = integrate(config, lattice, bg, fwd.state_at(-1), config.tau_seed)
+    return extract_asymptotic_data(config, lattice, bg, back.state_at(-1), part)
 
 
 # ------------------------------------------------------------ energies
@@ -118,13 +271,14 @@ def split_seeds(config, lattice, bg, data, part):
 # ----------------------------------------------------------- blow-up rate
 
 
-def blowup_check(traj_Y, o_coeffs, top_order, drift_limit):
-    """The blow-up statistic of one log-branch trajectory, slot by slot and time by time."""
-    lattice, bg = traj_Y.lattice, traj_Y.bg
+def blowup_check(lattice, bg, taus, y_values, o_coeffs, top_order, drift_limit):
+    """The blow-up statistic of one log-branch run, slot by slot and time by time.
+
+    ``y_values`` holds the log-branch values, shape (n_times, n_slots).
+    """
     m_tot = top_order + 1
     lam0 = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], 0.0)
     data_sq = float(np.sum((1.0 + lam0) ** m_tot * o_coeffs**2))
-    taus = traj_Y.taus
     vals = np.empty(len(taus))
     for t, tau in enumerate(taus):
         lam = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], tau)
@@ -134,7 +288,7 @@ def blowup_check(traj_Y, o_coeffs, top_order, drift_limit):
             w += lam_pow
             lam_pow = lam_pow * lam
         w *= 1.0 + lam
-        num = float(np.sum(w * traj_Y.values[t, 0] ** 2))
+        num = float(np.sum(w * y_values[t] ** 2))
         vals[t] = num / ((1.0 + math.log(tau) ** 2) * data_sq)
     order = np.argsort(taus)
     taus_s, vals_s = taus[order], vals[order]

@@ -17,12 +17,11 @@ from shellwave import (
     check_lp_properties,
     constant_mode_run,
     epsilon_construction_check,
-    extract_asymptotic_data,
-    integrate,
     make_asymptotic_data,
     make_time_grid,
     random_coupling,
-    seed_state,
+    roundtrip_data,
+    seeded_runs,
     shell_decay_check,
     singular_blowup_check,
     split_singular_component,
@@ -116,14 +115,11 @@ def test_criterion_5_backward_ratio_and_roundtrip(part, bg):
                 lat, part, bg, O=bounded_field(lat, rng), h=bounded_field(lat, rng),
                 phis=[bounded_field(lat, rng) for _ in range(2)],
             )
-            fwd = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0)
-            back = integrate(cfg, lat, bg, fwd.state_at(-1), cfg.tau_seed)
-            rec, _ = extract_asymptotic_data(cfg, lat, bg, back.state_at(-1), part)
-            pairs = [(rec.O_field, data.O_field), (rec.h_field, data.h_field)]
-            pairs += list(zip(rec.phi0_fields, data.phi0_fields))
-            for got, want in pairs:
-                rel = np.max(np.abs(got.coeffs - want.coeffs) / np.abs(want.coeffs))
-                assert rel <= tol, (family, scale, rel)
+            rec, _ = roundtrip_data(cfg, lat, bg, data)
+            want = np.array([data.O_field.coeffs, data.h_field.coeffs,
+                             *(p.coeffs for p in data.phi0_fields)])
+            rel = np.max(np.abs(rec - want) / np.abs(want), axis=1)
+            assert np.all(rel <= tol), (family, scale, rel)
 
 
 def test_criterion_6_lp_property_suite(part, bg):
@@ -177,20 +173,17 @@ def test_criterion_9_decomposition_exactness(part, bg):
                                 h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
     grid = make_time_grid(1e-4, 1.0, count=41)
     ty, tj = split_singular_component(cfg, lat, bg, data, grid, part)
-    direct = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0, grid=grid)
-    num = np.max(np.abs(ty.values[:, 0, :] + tj.values[:, 0, :] - direct.values[:, 0, :]))
-    assert num / np.max(np.abs(direct.values[:, 0, :])) <= 1e-9
+    direct = seeded_runs(cfg, lat, bg, [data], grid)[0, :, 0]
+    num = np.max(np.abs(ty[:, 0] + tj[:, 0] - direct))
+    assert num / np.max(np.abs(direct)) <= 1e-9
 
     # (b) backward-family regular block ignores the singular data bit for bit
     cfg2 = SystemConfig(n_regular=2, system="second")
     phis = [bounded_field(lat, rng) for _ in range(2)]
-    runs = []
-    for _ in range(2):
-        d = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                 h=bounded_field(lat, rng), phis=phis)
-        runs.append(integrate(cfg2, lat, bg, seed_state(cfg2, lat, bg, d), 1.0))
-    assert np.array_equal(runs[0].values[:, 1:, :], runs[1].values[:, 1:, :])
-    assert np.array_equal(runs[0].derivs[:, 1:, :], runs[1].derivs[:, 1:, :])
+    draws = [make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
+                                  h=bounded_field(lat, rng), phis=phis) for _ in range(2)]
+    runs = seeded_runs(cfg2, lat, bg, draws).reshape(2, -1, 2, cfg2.n_columns, lat.n_slots)
+    assert np.array_equal(runs[0, :, :, 1:], runs[1, :, :, 1:])
 
     # (c) cutoff-regularized runs contract by >= 3 per halving; 1e-3 sits deep
     # enough in the asymptotic regime for the hard ratio gate

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,3 +160,11 @@ def test_targets_load_no_scipy(tmp_path):
                          cwd=tmp_path, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_readme_quickstart_runs_as_written(capsys):
+    # the README's python example, executed; its comments state what it prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["(33, 4, 289)", "True", "0"]

@@ -21,9 +21,8 @@ from shellwave import (
     run_scenario,
     verify_refined_poincare,
 )
-from shellwave import cli
+from shellwave import cli, modelsys
 from shellwave.cli import _SECTION_KEYS, TARGETS, ConfigError, main
-from shellwave.modelsys import make_asymptotic_data
 
 GOLDEN = """\
 [scenario]
@@ -521,16 +520,16 @@ def test_roundtrip_records_extraction_fallbacks(tmp_path):
 
 def test_roundtrip_fails_with_perturbed_extraction(tmp_path, monkeypatch):
     # negative control: O recovered off by a relative 1e-5, ten times the
-    # decoupled tolerance, must fail the verdict
-    real = cli.extract_asymptotic_data
+    # decoupled tolerance, must fail the verdict; the extraction map's O row
+    # is scaled, so every degree's composed round trip carries the error
+    real = modelsys._extraction_maps
 
-    def perturbed(config, lattice, bg, state, part):
-        rec, diag = real(config, lattice, bg, state, part)
-        off = rec.O_field.with_coeffs(rec.O_field.coeffs * (1.0 + 1e-5))
-        bad = make_asymptotic_data(lattice, part, bg, O=off, h=rec.h_field, phis=rec.phi0_fields)
-        return bad, diag
+    def perturbed(config, lattice, bg, tau):
+        maps, n_flagged = real(config, lattice, bg, tau)
+        maps[:, 0] *= 1.0 + 1e-5
+        return maps, n_flagged
 
-    monkeypatch.setattr(cli, "extract_asymptotic_data", perturbed)
+    monkeypatch.setattr(modelsys, "_extraction_maps", perturbed)
     verdicts, ok = run_scenario(_roundtrip_scenario(tmp_path), quiet=True)
     assert not ok
     assert not verdicts["roundtrip"]["passed"]

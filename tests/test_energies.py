@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from shellwave import energies
+from shellwave import energies, modelsys
 from shellwave import (
     Field,
     Forcing,
-    ModeState,
     SystemConfig,
     TimeGrid,
     build_lattice,
@@ -16,12 +15,10 @@ from shellwave import (
     fit_power_exponent,
     forcing_energy_first,
     forcing_energy_second,
-    integrate,
     make_asymptotic_data,
     make_time_grid,
     random_coupling,
     random_field,
-    seed_state,
     shell_decay_check,
     singular_blowup_check,
     split_singular_component,
@@ -30,11 +27,14 @@ from shellwave import (
 from shellwave.energies import _default_forcing, _ensemble_ratios
 from tests.conftest import bounded_field, zero_like
 from tests.oracles import (
+    ModeState,
     blowup_check,
     data_energy_first,
     data_energy_second,
     energy_first,
     energy_second,
+    integrate,
+    seed_state,
 )
 
 
@@ -181,8 +181,10 @@ def test_blowup_reports_match_slot_level_statistic(part, background, l_max):
     for o, rep in zip(o_rows, reports):
         data = make_asymptotic_data(lat, part, bg, O=Field(lattice=lat, coeffs=o),
                                     frak_h=zero_like(lat), phis=[zero_like(lat)])
-        traj_y, _ = split_singular_component(BLOWUP_CFG, lat, bg, data, grid, part)
-        want = blowup_check(traj_y, o, top_order=1, drift_limit=rep.drift_limit)
+        log_branch, _ = split_singular_component(BLOWUP_CFG, lat, bg, data, grid, part)
+        taus = modelsys._eval_taus(BLOWUP_CFG.tau_seed, 1.0, grid)
+        want = blowup_check(lat, bg, taus, log_branch[:, 0], o, top_order=1,
+                            drift_limit=rep.drift_limit)
         assert np.array_equal(rep.taus, want.taus)
         assert rep.passed == want.passed
         got = np.array([rep.sup_value, *rep.decade_sups, *rep.drifts])
@@ -261,8 +263,6 @@ def test_energy_second_requires_descending(part, bg, small_lattice):
 
 
 def test_energy_second_backward_run(part, bg, small_lattice):
-    from shellwave import ModeState
-
     rng = np.random.default_rng(17)
     cfg = SystemConfig(n_regular=1, system="second")
     n_cols = cfg.n_columns
@@ -281,8 +281,6 @@ def test_energy_second_backward_run(part, bg, small_lattice):
 
 
 def test_data_energy_second_hand_value(bg):
-    from shellwave import ModeState
-
     lat = build_lattice(2, 1)
     n_slots = lat.n_slots  # degree 0 plus three degree-1 slots
     values = np.zeros((2, n_slots))

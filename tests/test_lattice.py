@@ -144,6 +144,17 @@ def test_background_rejects_f_vanishing_on_the_interval(f_even):
     assert constant_background(1.3).f_even == (1.3,)
 
 
+def test_background_minimum_is_exact():
+    # found once from the ends and the real critical points of f in u = tau^2;
+    # 1 - tau^2 + tau^4 dips to 0.75 at tau = sqrt(0.5), between the 257
+    # samples the frequency check used to read
+    dip = ConformalBackground(name="dip", f_even=(1.0, -1.0, 1.0))
+    assert dip.f_min == 0.75
+    assert np.min(dip.f(np.linspace(0.0, 1.0, 257))) > 0.75
+    assert desitter_background().f_min == 0.5
+    assert constant_background(1.3).f_min == 1.3
+
+
 _PROFILES = [desitter_background(), constant_background(1.5),
              ConformalBackground(name="three", f_even=(0.5, 2.0, -0.3))]
 _FLOAT_TAUS = [0.0, 1e-7, 0.3, 1.0] + [

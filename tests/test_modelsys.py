@@ -13,7 +13,6 @@ from shellwave import (
     ConformalBackground,
     Field,
     Forcing,
-    ModeState,
     SystemConfig,
     TimeGrid,
     bessel_oracle,
@@ -24,22 +23,30 @@ from shellwave import (
     desitter_background,
     eigenvalue_at,
     epsilon_construction_check,
-    extract_asymptotic_data,
     forced_profile,
     frobenius_basis,
     fundamental_matrices,
-    integrate,
     log_grad_weights,
     make_asymptotic_data,
     make_time_grid,
     random_coupling,
-    seed_state,
+    roundtrip_data,
+    seeded_runs,
     split_singular_component,
 )
 from shellwave import modelsys
 from shellwave.energies import _oracle_envelope
 from tests.conftest import bounded_field, zero_like
-from tests.oracles import mode_rhs, seed_pairs, split_seeds
+from tests.oracles import (
+    ModeState,
+    extract_asymptotic_data,
+    integrate,
+    mode_rhs,
+    roundtrip_chain,
+    seed_pairs,
+    seed_state,
+    split_seeds,
+)
 
 
 # ------------------------------------------------------------ bessel oracle
@@ -359,7 +366,7 @@ def test_seed_rejects_large_tau(part, bg, small_lattice):
         h=bounded_field(small_lattice, rng), phis=[bounded_field(small_lattice, rng)],
     )
     with pytest.raises(ValueError, match="tau"):
-        seed_state(cfg, small_lattice, bg, data)
+        seeded_runs(cfg, small_lattice, bg, [data])
 
 
 def test_seed_data_shape_mismatch(part, bg, small_lattice):
@@ -370,7 +377,7 @@ def test_seed_data_shape_mismatch(part, bg, small_lattice):
         h=bounded_field(small_lattice, rng), phis=[bounded_field(small_lattice, rng)],
     )
     with pytest.raises(ValueError, match="regular columns"):
-        seed_state(cfg, small_lattice, bg, data)
+        seeded_runs(cfg, small_lattice, bg, [data])
 
 
 @pytest.mark.parametrize("background", ["desitter", "constant"])
@@ -398,9 +405,9 @@ def test_seeds_equal_slot_level_oracle(part, background, system, n_regular):
         tau0 = cfg.tau_seed
         grid = make_time_grid(tau0, 1.0, count=5)
         runs = split_singular_component(cfg, lat, bg, data, grid, part)
-        for traj, (value, deriv) in zip(runs, split_seeds(cfg, lat, bg, data, part)):
-            assert np.array_equal(traj.values[0, 0], value)
-            assert np.array_equal(traj.derivs[0, 0], tau0 * deriv / tau0)
+        for run, (value, deriv) in zip(runs, split_seeds(cfg, lat, bg, data, part)):
+            assert np.array_equal(run[0, 0], value)
+            assert np.array_equal(run[0, 1], tau0 * deriv)
 
 
 # ------------------------------------------------------------- integration
@@ -492,7 +499,7 @@ def test_constant_run_rejects_times_outside_the_run():
 
 
 def test_second_family_solution_freed_on_return(part, bg, small_lattice):
-    # integrate leaves no cyclic garbage: its solves are freed by reference
+    # a run leaves no cyclic garbage: its solves are freed by reference
     # counting when they return
     cfg = SystemConfig(n_regular=1, system="second",
                        forcings=(Forcing(1.0), Forcing(0.5)))
@@ -501,12 +508,11 @@ def test_second_family_solution_freed_on_return(part, bg, small_lattice):
         small_lattice, part, bg, O=bounded_field(small_lattice, rng),
         h=bounded_field(small_lattice, rng), phis=[bounded_field(small_lattice, rng)],
     )
-    state = seed_state(cfg, small_lattice, bg, data)
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        integrate(cfg, small_lattice, bg, state, 1.0)
+        seeded_runs(cfg, small_lattice, bg, [data])
         gc.collect()
         held = [type(o).__name__ for o in gc.garbage]
     finally:
@@ -522,11 +528,6 @@ def test_integrate_linearity(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=1, coupling_scale=cs, coupling_psi=cp,
                        rtol=1e-12, atol=1e-14)
     grid = make_time_grid(cfg.tau_seed, 1.0, count=9)
-
-    def run(data):
-        return integrate(cfg, small_lattice, bg, seed_state(cfg, small_lattice, bg, data),
-                         1.0, grid=grid)
-
     d1 = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
                               h=bounded_field(small_lattice, rng),
                               phis=[bounded_field(small_lattice, rng)])
@@ -544,13 +545,12 @@ def test_integrate_linearity(part, bg, small_lattice):
         h=mix(d1.h_field, d2.h_field),
         phis=[mix(d1.phi0_fields[0], d2.phi0_fields[0])],
     )
-    t1, t2, tc = run(d1), run(d2), run(combo)
-    lin = a * t1.values + b * t2.values
-    scale = np.max(np.abs(tc.values))
-    assert np.max(np.abs(tc.values - lin)) / scale <= 1e-10
-    lin_d = a * t1.derivs + b * t2.derivs
-    scale_d = np.max(np.abs(tc.derivs))
-    assert np.max(np.abs(tc.derivs - lin_d)) / scale_d <= 1e-10
+    t1, t2, tc = seeded_runs(cfg, small_lattice, bg, [d1, d2, combo], grid)
+    lin = a * t1 + b * t2
+    # the values rows, then the tau * derivative rows
+    for rows in (slice(0, cfg.n_columns), slice(cfg.n_columns, None)):
+        scale = np.max(np.abs(tc[:, rows]))
+        assert np.max(np.abs(tc[:, rows] - lin[:, rows])) / scale <= 1e-10
 
 
 def test_stored_derivative_matches_finite_difference(part, bg):
@@ -583,8 +583,7 @@ def test_integrate_zero_data_stays_zero(part, bg, small_lattice):
     data = make_asymptotic_data(small_lattice, part, bg, O=zero_like(small_lattice),
                                 h=zero_like(small_lattice),
                                 phis=[zero_like(small_lattice)] * 2)
-    traj = integrate(cfg, small_lattice, bg, seed_state(cfg, small_lattice, bg, data), 1.0)
-    assert np.max(np.abs(traj.values)) == 0.0
+    assert np.max(np.abs(seeded_runs(cfg, small_lattice, bg, [data]))) == 0.0
 
 
 def test_roundtrip_recovery(part, bg):
@@ -593,13 +592,9 @@ def test_roundtrip_recovery(part, bg):
     cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
     data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
                                 h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-    fwd = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0)
-    back = integrate(cfg, lat, bg, fwd.state_at(-1), cfg.tau_seed)
-    rec, diag = extract_asymptotic_data(cfg, lat, bg, back.state_at(-1), part)
-    for got, want in ((rec.O_field, data.O_field), (rec.h_field, data.h_field),
-                      (rec.phi0_fields[0], data.phi0_fields[0])):
-        rel = np.max(np.abs(got.coeffs - want.coeffs) / np.abs(want.coeffs))
-        assert rel <= 1e-6
+    rec, diag = roundtrip_data(cfg, lat, bg, data)
+    want = np.array([data.O_field.coeffs, data.h_field.coeffs, data.phi0_fields[0].coeffs])
+    assert np.max(np.abs(rec - want) / np.abs(want)) <= 1e-6
     assert diag["ill_conditioned_degrees"] == 0
 
 
@@ -646,6 +641,76 @@ def test_extract_warns_when_series_cannot_reach(part, bg):
     assert diag["ill_conditioned_degrees"] > 0
 
 
+@pytest.mark.parametrize("system", ["first", "second"])
+@pytest.mark.parametrize("n_regular", [1, 2])
+def test_extraction_after_seeding_is_the_data_selection(bg, system, n_regular):
+    # per degree the extraction map inverts the seed map column by column: the
+    # data rows read the data vector back, the regular aux-branch rows read 0
+    for l_max in (0, 3, 16):
+        lat = build_lattice(2, l_max)
+        cs, cp = random_coupling(n_regular, system, np.random.default_rng(l_max), 0.1)
+        cfg = SystemConfig(n_regular=n_regular, system=system, coupling_scale=cs,
+                           coupling_psi=cp)
+        tau, n_data = cfg.tau_seed, cfg.n_columns + 1
+        extract, n_flagged = modelsys._extraction_maps(cfg, lat, bg, tau)
+        got = extract @ modelsys._state_maps(cfg, lat, bg, tau)
+        assert n_flagged == 0 and got.shape == (l_max + 1, 2 * cfg.n_columns, n_data)
+        assert np.max(np.abs(got[:, :n_data] - np.eye(n_data))) <= 1e-12
+        # the second family's aux branch is tau^2, so its rows weigh about 1 / tau^2
+        aux_rows = extract[:, n_data:]
+        assert np.max(np.abs(got[:, n_data:])) <= 1e-12 * np.max(np.abs(aux_rows))
+
+
+def test_extraction_reads_flagged_degrees_off_the_two_term_expansion(bg):
+    # at tau = 0.2 the series cannot reach degrees 2..8: those, and only
+    # those, read v0 = 2 O log tau + h, tau v0' = 2 O and v_i = phi0_i
+    lat, tau = build_lattice(2, 8), 0.2
+    cfg = SystemConfig(n_regular=2, rtol=1e-10, atol=1e-12)
+    with pytest.warns(RuntimeWarning, match="7 degrees ill-conditioned"):
+        extract, n_flagged = modelsys._extraction_maps(cfg, lat, bg, tau)
+    flagged = modelsys._branch_table(cfg, lat, bg, tau, strict=False)[1] > 1e-9
+    assert n_flagged == np.count_nonzero(flagged) == 7 and np.all(flagged[2:])
+    data = np.array([0.7, -0.3, 1.1, 0.4])  # (O, h, phi0_1, phi0_2)
+    state = np.array([2.0 * 0.7 * math.log(tau) - 0.3, 1.1, 0.4, 2.0 * 0.7, 0.0, 0.0])
+    np.testing.assert_allclose(extract[flagged, :4] @ state, np.tile(data, (7, 1)),
+                               rtol=1e-15, atol=0.0)
+    # degrees 0 and 1 keep the Cramer rows: exact on degree 0, where the
+    # two-term expansion solves the system, and not on degree 1
+    cramer = np.max(np.abs(extract[~flagged, :4] @ state - data), axis=1)
+    assert cramer[0] <= 1e-15 and cramer[1] > 1e-6
+
+
+@pytest.mark.parametrize("system", ["first", "second"])
+@pytest.mark.parametrize("scale", [0.0, 0.1], ids=["decoupled", "coupled"])
+def test_roundtrip_matches_the_slot_level_chain(part, bg, system, scale):
+    # M_l = X_l P_l(tau_s <- 1) P_l(1 <- tau_s) S_l on each slot against the
+    # seed, the two runs and the extraction applied slot by slot
+    lat = build_lattice(2, 6)
+    rng = np.random.default_rng(61)
+    cs, cp = random_coupling(2, system, rng, scale)
+    cfg = SystemConfig(n_regular=2, system=system, coupling_scale=cs, coupling_psi=cp,
+                       rtol=1e-11, atol=1e-13)
+    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
+                                h=bounded_field(lat, rng),
+                                phis=[bounded_field(lat, rng) for _ in range(2)])
+    rec, diag = roundtrip_data(cfg, lat, bg, data)
+    chain, chain_diag = roundtrip_chain(cfg, lat, bg, data, part)
+    want = np.array([chain.O_field.coeffs, chain.h_field.coeffs,
+                     *(p.coeffs for p in chain.phi0_fields)])
+    assert np.max(np.abs(rec - want) / np.abs(want)) <= 1e-12
+    assert diag["ill_conditioned_degrees"] == chain_diag["ill_conditioned_degrees"] == 0
+    assert diag["singular_contamination"] == pytest.approx(
+        chain_diag["singular_contamination"], rel=0.0, abs=1e-12)
+
+
+def test_roundtrip_rejects_forcing(part, bg, small_lattice):
+    cfg = SystemConfig(n_regular=1, forcings=(Forcing(0.3), Forcing()))
+    data = make_asymptotic_data(small_lattice, part, bg, O=zero_like(small_lattice),
+                                h=zero_like(small_lattice), phis=[zero_like(small_lattice)])
+    with pytest.raises(ValueError, match="unforced"):
+        roundtrip_data(cfg, small_lattice, bg, data)
+
+
 @pytest.mark.parametrize("forcings", [(), tuple(Forcing(a) for a in (0.3, -0.2, 0.1))],
                          ids=["unforced", "forced"])
 def test_second_family_regulars_ignore_singular_data(part, bg, small_lattice, forcings):
@@ -654,17 +719,21 @@ def test_second_family_regulars_ignore_singular_data(part, bg, small_lattice, fo
     cfg = SystemConfig(n_regular=2, system="second", coupling_scale=cs, coupling_psi=cp,
                        forcings=forcings)
     phis = [bounded_field(small_lattice, rng) for _ in range(2)]
-    runs = []
-    for _ in range(2):
-        data = make_asymptotic_data(small_lattice, part, bg,
-                                    O=bounded_field(small_lattice, rng),
-                                    h=bounded_field(small_lattice, rng), phis=phis)
-        traj = integrate(cfg, small_lattice, bg, seed_state(cfg, small_lattice, bg, data), 1.0)
-        runs.append(traj)
-    assert np.array_equal(runs[0].values[:, 1:, :], runs[1].values[:, 1:, :])
-    assert np.array_equal(runs[0].derivs[:, 1:, :], runs[1].derivs[:, 1:, :])
+    draws = [make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
+                                  h=bounded_field(small_lattice, rng), phis=phis)
+             for _ in range(2)]
+    runs = seeded_runs(cfg, small_lattice, bg, draws).reshape(2, -1, 2, cfg.n_columns,
+                                                              small_lattice.n_slots)
+    # (draw, time, values or tau * derivs, column, slot)
+    assert np.array_equal(runs[0, :, :, 1:], runs[1, :, :, 1:])
     # column 0 does depend on its own data
-    assert not np.array_equal(runs[0].values[:, 0, :], runs[1].values[:, 0, :])
+    assert not np.array_equal(runs[0, :, 0, 0], runs[1, :, 0, 0])
+    # because the regular rows of P started from column 0 are exactly 0
+    props = fundamental_matrices(cfg, small_lattice, bg, cfg.tau_seed,
+                                 np.geomspace(cfg.tau_seed, 1.0, 5))
+    n = cfg.n_columns
+    regular, col0 = np.r_[1:n, n + 1 : 2 * n], [0, n]
+    assert np.any(props[..., col0]) and not np.any(props[:, :, regular][..., col0])
 
 
 # ------------------------------------------------------- split & epsilon
@@ -680,17 +749,19 @@ def test_split_reconstructs_and_tags_branches(part, bg):
                                 h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
     grid = make_time_grid(1e-4, 1.0, count=61)
     ty, tj = split_singular_component(cfg, lat, bg, data, grid, part)
-    direct = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0, grid=grid)
-    num = np.max(np.abs(ty.values[:, 0, :] + tj.values[:, 0, :] - direct.values[:, 0, :]))
-    den = np.max(np.abs(direct.values[:, 0, :]))
+    direct = seeded_runs(cfg, lat, bg, [data], grid)[0, :, 0]
+    num = np.max(np.abs(ty[:, 0] + tj[:, 0] - direct))
+    den = np.max(np.abs(direct))
     assert num / den <= 1e-9
     # the log branch is 2 O (log tau + ell) + O(tau^2 log^2 tau)
-    small = ty.taus < 1e-3
+    taus = modelsys._eval_taus(cfg.tau_seed, 1.0, grid)
+    assert len(taus) == len(ty) == len(direct)
+    small = taus < 1e-3
     ell = log_grad_weights(part, eigenvalue_at(bg, lat.lam0[lat.slot_l], 0.0))
-    expect = (2.0 * data.O_field.coeffs[None, :] * (np.log(ty.taus[small])[:, None] + ell))
-    drift = np.max(np.abs(ty.values[small, 0, :] - expect))
+    expect = (2.0 * data.O_field.coeffs[None, :] * (np.log(taus[small])[:, None] + ell))
+    drift = np.max(np.abs(ty[small, 0] - expect))
     assert drift <= 1e-4
-    assert np.max(np.abs(tj.values[small, 0, :])) <= 10.0 * np.max(np.abs(data.frak_h.coeffs))
+    assert np.max(np.abs(tj[small, 0])) <= 10.0 * np.max(np.abs(data.frak_h.coeffs))
 
 
 def test_split_requires_partition(part, bg, small_lattice):
@@ -986,7 +1057,7 @@ def test_propagate_reports_a_failed_solve(monkeypatch, small_lattice):
 
 def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_lattice):
     # the benchmark's modelsys.solves, rhs_evals and solve_s wrap this name;
-    # a forced integrate makes two solves, the propagators and the forced
+    # forced runs of data make two solves, the propagators and the forced
     # part, and a toy run one, on the scalar kernel
     nfevs = _count_solves(monkeypatch)
     cfg = SystemConfig(n_regular=1, forcings=(Forcing(0.3), Forcing()))
@@ -996,8 +1067,7 @@ def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_la
                                 phis=[bounded_field(small_lattice, rng)])
     taus = np.geomspace(cfg.tau_seed, 1.0, 5)
     calls = {
-        "integrate": (2, lambda: integrate(cfg, small_lattice, bg,
-                                           seed_state(cfg, small_lattice, bg, data), 1.0)),
+        "seeded_runs": (2, lambda: seeded_runs(cfg, small_lattice, bg, [data, data])),
         "fundamental_matrices": (1, lambda: fundamental_matrices(cfg, small_lattice, bg,
                                                                  cfg.tau_seed, taus)),
         "forced_profile": (1, lambda: forced_profile(cfg, small_lattice, bg, cfg.tau_seed,
@@ -1060,8 +1130,6 @@ def test_data_to_state_maps_match_seed(part, bg):
 
 def test_mode_state_validation(small_lattice):
     with pytest.raises(ValueError):
-        from shellwave import ModeState
-
         ModeState(tau=0.5, values=np.zeros((2, 3)), derivs=np.zeros((2, 4)))
 
 

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from shellwave import cli, energies, modelsys, parse_config
 
@@ -77,8 +78,8 @@ def test_split_solves_do_not_grow_with_draws(monkeypatch):
         assert verdict["parts"]["blowup"]["n_draws"] == len(series["blowup"]) - 1 == n_draws // 2
         counts[n_draws] = len(calls)
     # (a) P and F for the split and again for the direct run, (b) one P for
-    # every draw (unforced), (c) two runs of P, (d) four rungs of P
-    assert counts == {40: 11, 60: 11}
+    # every draw (unforced), (c) one P for both draws, (d) four rungs of P
+    assert counts == {40: 10, 60: 10}
 
 
 def test_blowup_fails_with_linear_log_normalization(monkeypatch):
@@ -96,3 +97,23 @@ def test_blowup_fails_with_linear_log_normalization(monkeypatch):
     blowup = verdict["parts"]["blowup"]
     assert blowup["worst_drift_per_decade"] > blowup["limit"]
     assert not blowup["passed"] and not verdict["passed"]
+
+
+@pytest.mark.parametrize("dropped", ["log_term", "derivative"])
+def test_ladder_fails_without_a_term_of_the_rung_start(monkeypatch, dropped):
+    # negative control: a rung that starts without 2 log(cut) O in column 0's
+    # value, or without the 2 O of its tau v', misses the log branch by an
+    # amount that does not shrink with the cutoff, so successive rung ends
+    # stop contracting
+    start = modelsys._rung_start
+
+    def mutant(config, cut):
+        out = start(config, cut)
+        out[0 if dropped == "log_term" else config.n_columns, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(modelsys, "_rung_start", mutant)
+    verdict, _ = _run_split(TRAJECTORY.replace("l_max = 32", "l_max = 4"))
+    ladder = verdict["parts"]["epsilon_ladder"]
+    assert max(ladder["ratios"]) < 1.5
+    assert not ladder["passed"] and not verdict["passed"]
