@@ -310,9 +310,12 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     checks.append(PropertyCheck("almost_orthogonality", ortho_emp, 256.0, ortho_ok,
                                 note=f"max separated-shell overlap {disjoint_max:.3e}"))
 
-    # log-derivative smoothing; per-mode bound is attained by concentration
+    # log-derivative smoothing against the closed-form bound: the squared bumps
+    # at lambda sum to at most 1 over cells k < log_4 lambda - shift + 1, so
+    # ell(lambda) <= max(0, log(lambda) / 2 + (1 - shift) log 2)
+    ell_max = 0.5 * np.log(np.maximum(1.0, lam * 4.0 ** (1.0 - part.shift)))
+    log_bound = float(np.max(ell_max / (1.0 + lam) ** (0.5 * LOG_GRAD_ETA)))
     ell = log_grad_weights(part, lam)
-    log_bound = float(np.max(ell / (1.0 + lam) ** (0.5 * LOG_GRAD_ETA)))
     num = np.sqrt(power @ (ell * ell))
     den = np.sqrt(power @ (1.0 + lam) ** LOG_GRAD_ETA)
     log_emp = float(np.max(num / den, initial=0.0))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -847,48 +846,37 @@ def _eval_taus(tau_from, tau_to, grid):
 # ------------------------------------------------------- seeding/extraction
 
 
-def _branch_table(config, lattice, bg, tau, strict=True):
-    """Every column's fundamental system at tau, over all degrees.
+def _branch_maps(config, lattice, bg, tau):
+    """Per-degree maps from one slot's branch coefficients to its state at tau.
 
-    Returns the (n_columns, 2, 2, n_degrees) table indexed [column, (aux,
-    main), (value, tau-derivative), degree], diagonal coupling folded in,
-    and the worst series remainder per degree.  ``strict`` rejects a tau
-    whose remainder is too large for seeding.
+    The coefficients are (O, h, phi0_1..phi0_I, a_1..a_I): O is that of
+    column 0's aux branch with a factor 2, h that of its main branch, phi0_i
+    and a_i those of column i's main and aux branches.  The state is the
+    stacked (values, tau-derivatives) of every column, so the maps have shape
+    (n_degrees, 2 n_columns, 2 n_columns), diagonal coupling folded in.  Their
+    first n_columns + 1 columns seed a slot from its data vector.  A tau whose
+    series remainder is too large to trust raises ``ValueError``.
     """
-    table = np.empty((config.n_columns, 2, 2, lattice.l_max + 1))
-    defect = np.zeros(lattice.l_max + 1)
-    for i in range(config.n_columns):
+    n_cols, n_deg = config.n_columns, lattice.l_max + 1
+    maps = np.zeros((n_deg, 2, n_cols, 2 * n_cols))
+    worst = 0.0
+    for i in range(n_cols):
         basis = frobenius_basis(
             lattice.lam0, bg, drag_sign=int(config.drag_signs[i]),
             diag_psi=int(config.coupling_psi[i, i]), diag_scale=float(config.coupling_scale[i, i]),
         )
-        table[i] = basis.aux(tau), basis.main(tau)
-        defect = np.maximum(defect, basis.truncation_defect(tau))
-    worst, limit = float(np.max(defect)), max(100.0 * config.rtol, 1e-11)
-    if strict and worst > limit:
+        # each (value or tau-derivative, degree)
+        aux, main = np.array(basis.aux(tau)), np.array(basis.main(tau))
+        maps[:, :, i, i + 1] = main.T
+        maps[:, :, i, n_cols + i if i else 0] = (1.0 if i else 2.0) * aux.T
+        worst = max(worst, float(np.max(basis.truncation_defect(tau))))
+    limit = max(100.0 * config.rtol, 1e-11)
+    if worst > limit:
         raise ValueError(
             f"tau_seed={tau:g} too large: series remainder {worst:.2e} exceeds "
             f"{limit:.2e}; move the seed earlier"
         )
-    return table, defect
-
-
-def _seed_maps(config, lattice, bg, tau):
-    """Per-degree maps from one slot's data vector to its state at tau.
-
-    The data vector is (O, h, phi0_1..phi0_I); the state is the stacked
-    (values, tau-derivatives) of every column, so the maps have shape
-    (n_degrees, 2 n_columns, n_columns + 1).  O is the coefficient of column
-    0's log branch with a factor 2, h that of its bounded branch, and phi0_i
-    that of column i's bounded branch.
-    """
-    n_cols = config.n_columns
-    table = _branch_table(config, lattice, bg, tau)[0]
-    maps = np.zeros((lattice.l_max + 1, 2, n_cols, n_cols + 1))
-    maps[:, :, 0, 0] = 2.0 * table[0, 0].T
-    cols = np.arange(n_cols)
-    maps[:, :, cols, 1 + cols] = table[:, 1].transpose(2, 1, 0)
-    return maps.reshape(lattice.l_max + 1, 2 * n_cols, n_cols + 1)
+    return maps.reshape(n_deg, 2 * n_cols, 2 * n_cols)
 
 
 def _data_vectors(config, data):
@@ -901,51 +889,35 @@ def _data_vectors(config, data):
                      *(p.coeffs for p in data.phi0_fields)])
 
 
-def _state_maps(config, lattice, bg, tau):
-    """``_seed_maps`` onto the stacked (values, tau * derivs) state the propagators act on."""
-    maps = _seed_maps(config, lattice, bg, tau)
-    maps[:, config.n_columns:] *= tau
+def data_to_state_maps(config, lattice, bg, tau, part=None):
+    """Per-degree linear maps from data vectors to the state at tau.
+
+    The data vector per slot is (O, h, phi0_1..phi0_I), or (O, frak_h,
+    phi0_1..phi0_I) when the partition ``part`` is given, with h = frak_h +
+    2 ell O folded into the O column.  The output is the stacked (values, tau
+    * derivs) vector of length 2 n_columns that the propagators act on.
+    These are the first n_columns + 1 columns of ``_branch_maps``.
+    """
+    n_cols = config.n_columns
+    maps = np.ascontiguousarray(_branch_maps(config, lattice, bg, tau)[:, :, : n_cols + 1])
+    if part is not None:
+        ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))
+        maps[:, :, 0] += 2.0 * ell[:, None] * maps[:, :, 1]
+    maps[:, n_cols:] *= tau
     return maps
 
 
 def _extraction_maps(config, lattice, bg, tau):
     """Per-degree maps from one slot's stacked (values, tau * derivs) state at tau to its data.
 
-    Column by column this inverts ``_state_maps``: each column's (value,
-    tau * derivative) pair is solved by Cramer's rule against the same
-    ``_branch_table`` blocks, their derivative rows scaled by tau.  The maps
-    have shape (n_degrees, 2 n_columns, 2 n_columns); their rows are the data
-    vector (O, h, phi0_1..phi0_I) and then the aux-branch coefficients of the
-    regular columns.  Degrees whose series remainder exceeds 1e-9 read the data
-    off the two-term expansion instead (v0 ~ 2 O log tau + h, tau v0' ~ 2 O,
-    v_i ~ phi0_i); they are counted, with a warning suggesting a smaller
-    extraction time.  Returns (maps, number of such degrees).
+    The inverse of ``_branch_maps`` with its derivative rows scaled by tau:
+    the rows are the data vector (O, h, phi0_1..phi0_I) and then the
+    aux-branch coefficients of the regular columns.  A tau that cannot seed
+    cannot be extracted from either, and raises the same ``ValueError``.
     """
-    n_cols = config.n_columns
-    table, defect = _branch_table(config, lattice, bg, tau, strict=False)
-    flagged = defect > 1e-9
-    if np.any(flagged):
-        warnings.warn(
-            f"{int(np.count_nonzero(flagged))} degrees ill-conditioned for extraction "
-            f"at tau={tau:g}; using the two-term expansion there (extract from a "
-            "smaller tau for full accuracy)",
-            RuntimeWarning,
-        )
-    (av, ad), (mv, md) = table.transpose(1, 2, 0, 3)  # each (n_columns, n_degrees)
-    ad, md = tau * ad, tau * md
-    det = av * md - mv * ad
-    # [aux or main coefficient, column, state entry, degree]
-    coef = np.zeros((2, n_cols, 2 * n_cols, lattice.l_max + 1))
-    cols = np.arange(n_cols)
-    coef[0, cols, cols], coef[0, cols, n_cols + cols] = md / det, -mv / det
-    coef[1, cols, cols], coef[1, cols, n_cols + cols] = -ad / det, av / det
-    maps = np.concatenate([0.5 * coef[0, :1], coef[1], coef[0, 1:]]).transpose(2, 0, 1)
-    two_term = np.zeros((n_cols + 1, 2 * n_cols))
-    two_term[0, n_cols] = 0.5
-    two_term[1, 0], two_term[1, n_cols] = 1.0, -math.log(tau)
-    two_term[2:, 1:n_cols] = np.eye(n_cols - 1)
-    maps[flagged, : n_cols + 1] = two_term
-    return maps, int(np.count_nonzero(flagged))
+    maps = _branch_maps(config, lattice, bg, tau)
+    maps[:, config.n_columns:] *= tau
+    return np.linalg.inv(maps)
 
 
 # --------------------------------------------------------- per-degree runs
@@ -972,19 +944,19 @@ def seeded_runs(config, lattice, bg, draws, grid=None):
 
     Every slot of degree l obeys the same linear system, so the data vector
     x_s = (O, h, phi0_1..phi0_I) of slot s runs to (P_l S_l) x_s + F_l, with
-    S_l the seed map and P_l, F_l from ``fundamental_matrices`` and
-    ``forced_profile``.  The times are tau_seed, the grid's times inside
-    (tau_seed, 1) (33 log-spaced ones without a grid) and 1.  Returns the
-    stacked (values, tau * derivs) of every draw, shape (n_draws, n_times,
-    2 n_columns, n_slots).  For the second family the regular rows of P
-    started from column 0 are exactly 0, since those rows do not couple back
-    to column 0, and F does not read the data; so the regular rows ignore the
-    singular data bit for bit.
+    S_l from ``data_to_state_maps`` and P_l, F_l from
+    ``fundamental_matrices`` and ``forced_profile``.  The times are tau_seed,
+    the grid's times inside (tau_seed, 1) (33 log-spaced ones without a grid)
+    and 1.  Returns the stacked (values, tau * derivs) of every draw, shape
+    (n_draws, n_times, 2 n_columns, n_slots).  For the second family the
+    regular rows of P started from column 0 are exactly 0, since those rows
+    do not couple back to column 0, and F does not read the data; so the
+    regular rows ignore the singular data bit for bit.
     """
     tau = config.tau_seed
     taus = _eval_taus(tau, 1.0, grid)
     maps = (fundamental_matrices(config, lattice, bg, tau, taus)
-            @ _state_maps(config, lattice, bg, tau)[:, None])
+            @ data_to_state_maps(config, lattice, bg, tau)[:, None])
     forced = forced_profile(config, lattice, bg, tau, taus)
     return np.array([_per_slot(lattice, maps, _data_vectors(config, d), forced) for d in draws])
 
@@ -994,26 +966,25 @@ def roundtrip_data(config, lattice, bg, data):
 
     Slot s of degree l recovers M_l x_s from its data vector x_s = (O, h,
     phi0_1..phi0_I), with M_l = X_l P_l(tau_seed <- 1) P_l(1 <- tau_seed) S_l:
-    S_l the seed map, the P_l from ``fundamental_matrices`` and X_l the
-    extraction map.  Returns the recovered data vectors, shape (n_columns + 1,
-    n_slots), and diagnostics: ``ill_conditioned_degrees`` (extracted by the
-    two-term expansion) and ``singular_contamination``, the largest log-branch
-    coefficient recovered on a regular column (0 for the second family, whose
-    other branch is tau^2).  A forced config is rejected.
+    S_l from ``data_to_state_maps``, the P_l from ``fundamental_matrices``
+    and X_l = ``_extraction_maps``, the inverse of the branch map S_l extends.
+    Returns the recovered data vectors, shape (n_columns + 1, n_slots), and
+    the singular contamination, the largest log-branch coefficient recovered
+    on a regular column (0 for the second family, whose other branch is
+    tau^2).  A forced config is rejected.
     """
     if _forcing_source(config) is not None:
         raise ValueError("the round trip composes unforced runs only")
     tau, n_cols = config.tau_seed, config.n_columns
-    extract, n_flagged = _extraction_maps(config, lattice, bg, tau)
+    extract = _extraction_maps(config, lattice, bg, tau)
     there = fundamental_matrices(config, lattice, bg, tau, np.array([1.0]))[:, 0]
     back = fundamental_matrices(config, lattice, bg, 1.0, np.array([tau]))[:, 0]
-    out = _per_slot(lattice, extract @ back @ there @ _state_maps(config, lattice, bg, tau),
+    out = _per_slot(lattice, extract @ back @ there @ data_to_state_maps(config, lattice, bg, tau),
                     _data_vectors(config, data))
     contamination = 0.0
     if config.system == "first":
         contamination = float(np.max(np.abs(out[n_cols + 1:]), initial=0.0))
-    return out[: n_cols + 1], {"ill_conditioned_degrees": n_flagged,
-                               "singular_contamination": contamination}
+    return out[: n_cols + 1], contamination
 
 
 # -------------------------------------------------------------- scalar mode
@@ -1048,13 +1019,13 @@ def split_singular_component(config, lattice, bg, data, grid, part):
     component solves the full column-0 equation (couplings to the regular
     columns and forcing included) with data frak_h.  Their sum reproduces the
     direct column-0 run.  Both ride along as two extra columns of one
-    augmented first-family system, seeded by ``_seed_maps`` applied to the
-    data vectors (O, h, phi0), (O, 2 ell O, 0) and (0, frak_h, 0), and
-    composed per degree as P[l] @ y0 + F[l].  Returns the (log-branch,
-    renormalized) pair, each the stacked (value, tau * derivative) of its
-    column at the times of ``seeded_runs``, shape (n_times, 2, n_slots).  A
-    second-family config, whose regular rows carry the opposite drag, is
-    rejected.
+    augmented first-family system, seeded by the first n_columns + 1 columns
+    of ``_branch_maps`` applied to the data vectors (O, h, phi0), (O, 2 ell
+    O, 0) and (0, frak_h, 0), and composed per degree as P[l] @ y0 + F[l].
+    Returns the (log-branch, renormalized) pair, each the stacked (value, tau
+    * derivative) of its column at the times of ``seeded_runs``, shape
+    (n_times, 2, n_slots).  A second-family config, whose regular rows carry
+    the opposite drag, is rejected.
     """
     if config.system != "first":
         raise ValueError("the split runs the first system family only")
@@ -1064,7 +1035,7 @@ def split_singular_component(config, lattice, bg, data, grid, part):
     ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))[lattice.slot_l]
     y, j = np.zeros_like(x), np.zeros_like(x)
     y[0], y[1], j[1] = x[0], 2.0 * ell * x[0], data.frak_h.coeffs
-    maps = _seed_maps(config, lattice, bg, tau0)[lattice.slot_l]
+    maps = _branch_maps(config, lattice, bg, tau0)[:, :, : n_cols + 1][lattice.slot_l]
     pairs = np.einsum("sck,vks->vcs", maps, np.array([x, y, j])).reshape(3, 2, n_cols, -1)
     # the original columns, then column 0 of the log-branch and renormalized seeds
     values, derivs = (np.concatenate([pairs[0, r], pairs[1:, r, 0]]) for r in (0, 1))
@@ -1203,17 +1174,3 @@ def forced_profile(config, lattice, bg, tau_anchor, taus):
         return np.zeros((n_deg, len(taus), d))
     rows = _propagate(config, lattice.lam0, bg, src, np.zeros((d, n_deg)), tau_anchor, taus)
     return np.ascontiguousarray(rows.transpose(2, 0, 1))  # (time, row, degree) -> degree first
-
-
-def data_to_state_maps(config, lattice, bg, tau_seed, part):
-    """Per-degree linear maps from data vectors to seed states.
-
-    Data vector per slot: (O, frak_h, phi0_1..phi0_I); output is the stacked
-    (values, tau * derivs) seed vector of length 2 n_columns.  This is
-    ``_seed_maps`` with h = frak_h + 2 ell O folded into the O column.
-    """
-    maps = _seed_maps(config, lattice, bg, tau_seed)
-    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))
-    maps[:, :, 0] += 2.0 * ell[:, None] * maps[:, :, 1]
-    maps[:, config.n_columns:] *= tau_seed
-    return maps

@@ -23,11 +23,11 @@ from shellwave.lattice import Field, eigenvalue_at
 from shellwave.lp import log_grad_weights
 from shellwave.modelsys import (
     SystemConfig,
-    _branch_table,
+    _branch_maps,
     _data_vectors,
     _eval_taus,
-    _seed_maps,
     forced_profile,
+    frobenius_basis,
     fundamental_matrices,
     make_asymptotic_data,
 )
@@ -73,7 +73,8 @@ class Trajectory:
 
 
 def seed_state(config, lattice, bg, data):
-    """Cauchy data at config.tau_seed from each slot's data vector and ``_seed_maps``.
+    """Cauchy data at config.tau_seed from each slot's data vector and the seed
+    columns (the first n_columns + 1) of ``_branch_maps``.
 
     Column 0 combines the log branch (coefficient 2 * O) with the bounded
     branch (coefficient h); regular columns use their bounded branch with
@@ -81,7 +82,7 @@ def seed_state(config, lattice, bg, data):
     2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
     """
     tau, n_cols = float(config.tau_seed), config.n_columns
-    maps = _seed_maps(config, lattice, bg, tau)[lattice.slot_l]
+    maps = _branch_maps(config, lattice, bg, tau)[:, :, : n_cols + 1][lattice.slot_l]
     pairs = np.einsum("sck,ks->cs", maps, _data_vectors(config, data))
     return ModeState(tau=tau, values=pairs[:n_cols], derivs=pairs[n_cols:])
 
@@ -95,7 +96,7 @@ def extract_asymptotic_data(config, lattice, bg, state, part):
     warning suggesting a smaller extraction time).
     """
     tau = state.tau
-    table, defect = _branch_table(config, lattice, bg, tau, strict=False)
+    table, defect = branch_table(config, lattice, bg, tau)
     flagged = defect > 1e-9
     if np.any(flagged):
         warnings.warn(
@@ -244,13 +245,33 @@ def mode_rhs(config, lattice, bg, tau, values, derivs):
 # ------------------------------------------------------------- seeding
 
 
+def branch_table(config, lattice, bg, tau):
+    """Every column's fundamental system at tau, straight from ``frobenius_basis``.
+
+    Returns the (n_columns, 2, 2, n_degrees) table indexed [column, (aux,
+    main), (value, tau-derivative), degree], diagonal coupling folded in, and
+    the worst series remainder per degree.  Unlike the package's branch maps
+    it accepts any tau.
+    """
+    table = np.empty((config.n_columns, 2, 2, lattice.l_max + 1))
+    defect = np.zeros(lattice.l_max + 1)
+    for i in range(config.n_columns):
+        basis = frobenius_basis(
+            lattice.lam0, bg, drag_sign=int(config.drag_signs[i]),
+            diag_psi=int(config.coupling_psi[i, i]), diag_scale=float(config.coupling_scale[i, i]),
+        )
+        table[i] = basis.aux(tau), basis.main(tau)
+        defect = np.maximum(defect, basis.truncation_defect(tau))
+    return table, defect
+
+
 def seed_pairs(config, lattice, bg, data):
     """Every column's (value, tau-derivative) seed at config.tau_seed, (n_columns, 2, n_slots).
 
     Column 0 is 2 O times its log branch plus h times its bounded branch;
     column i is phi0_i times its bounded branch.
     """
-    branches = _branch_table(config, lattice, bg, config.tau_seed)[0][..., lattice.slot_l]
+    branches = branch_table(config, lattice, bg, config.tau_seed)[0][..., lattice.slot_l]
     phis = np.array([p.coeffs for p in data.phi0_fields])
     col0 = 2.0 * data.O_field.coeffs * branches[0, 0] + data.h_field.coeffs * branches[0, 1]
     return np.concatenate([col0[None], phis[:, None] * branches[1:, 1]])
@@ -262,7 +283,7 @@ def split_seeds(config, lattice, bg, data, part):
     The log branch starts as 2 O aux + 2 ell O main, the renormalized
     component as frak_h main, with aux and main column 0's branches.
     """
-    aux, main = _branch_table(config, lattice, bg, config.tau_seed)[0][0][..., lattice.slot_l]
+    aux, main = branch_table(config, lattice, bg, config.tau_seed)[0][0][..., lattice.slot_l]
     ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0[lattice.slot_l], 0.0))
     oc = data.O_field.coeffs
     return 2.0 * oc * aux + 2.0 * ell * oc * main, data.frak_h.coeffs * main

@@ -167,4 +167,4 @@ def test_readme_quickstart_runs_as_written(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(example, "README.md", "exec"), {})
-    assert capsys.readouterr().out.splitlines() == ["(33, 4, 289)", "True", "0"]
+    assert capsys.readouterr().out.splitlines() == ["(33, 4, 289)", "True", "True"]

@@ -17,6 +17,7 @@ from shellwave import (
     check_lp_properties,
     verify_refined_poincare,
 )
+from shellwave import lp
 from shellwave.lp import LOG_GRAD_ETA, _coverage_mask, _shell_table
 from tests.oracles import graded_sobolev_norm, shell_project
 
@@ -290,6 +291,36 @@ def test_lp_props_fail_with_perturbed_bump(part, bg, monkeypatch):
     assert not rep.all_passed
     assert not _checks(rep)["partition_of_unity"].passed
     assert not _checks(rep)["bessel_constant"].passed
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.0, 0.25, 0.5])
+def test_log_grad_weights_obey_the_closed_form_bound(shift):
+    # the squared bumps at lambda sum to at most 1 over cells k below
+    # log_4 lambda - shift + 1, so ell <= max(0, log(lambda) / 2 + (1 - shift) log 2)
+    part = make_partition(-8, 12, 3, shift=shift)
+    lam = np.concatenate([[0.0], np.geomspace(1e-6, 4.0**14, 20001)])
+    bound = np.maximum(0.0, 0.5 * np.log(np.maximum(lam, 1e-300)) + (1.0 - shift) * math.log(2.0))
+    assert np.all(log_grad_weights(part, lam) <= bound * (1.0 + 1e-12))
+
+
+def _log_grad_k_cubed(part, lam):
+    """ell with k^3 in place of k log 2."""
+    lam = np.asarray(lam, dtype=float)
+    return sum(part.bump(lam * 4.0 ** (-k)) ** 2 * float(k) ** 3
+               for k in range(max(0, part.k_min), part.k_max + 1))
+
+
+@pytest.mark.parametrize("mutant", [lambda part, lam: 1000.0 * log_grad_weights(part, lam),
+                                    _log_grad_k_cubed], ids=["times_1000", "k_cubed"])
+def test_log_grad_bound_fails_with_perturbed_weights(part, bg, monkeypatch, mutant):
+    # negative control: the threshold is the closed-form bound, not the max of
+    # the same ratio over the lattice, so a wrong ell fails the check; the
+    # threshold is 2.947 here, the mutants read about 1860 and 48
+    monkeypatch.setattr(lp, "log_grad_weights", mutant)
+    rep = check_lp_properties(part, build_lattice(2, 32), bg, tau=0.5, n_fields=32, seed=0)
+    check = _checks(rep)["log_grad_bound"]
+    assert check.threshold == pytest.approx(2.94697651305725, rel=1e-9)
+    assert not check.passed and not rep.all_passed
 
 
 # ------------------------------------------------ slot-level oracles
