@@ -176,17 +176,18 @@ def singular_blowup_check(config, lattice, bg, part, o_rows, grid):
     from O times the O column of ``data_to_state_maps``, so on a slot of
     degree l it is O_s g_l(tau), with g_l from one per-degree solve on
     ``config``.  The statistic weighs g_l^2 with ``_blowup_weights`` and the
-    degree power Pi_l of O, and divides by the data norm sum_l (1 +
-    lambda_l(0))^(M+1) Pi_l.  It is read at the seed time and the grid times
-    above it, and must settle to a per-decade drift under the report's
-    ``drift_limit`` below tau = 1e-3, over at least two full decades.
+    degree power Pi_l of O, and divides by O's part of the forward data norm
+    (``_data_weights``), sum_l (1 + lambda_l(0))^(M+1) Pi_l.  It is read at
+    the seed time and the grid times above it, and must settle to a
+    per-decade drift under the report's ``drift_limit`` below tau = 1e-3,
+    over at least two full decades.
     """
     if np.any(config.coupling_scale[0, 1:] != 0.0):
         raise ValueError("the log-branch column couples only to itself, not to regular columns")
     o_rows = np.asarray(o_rows, dtype=float)
     if o_rows.ndim != 2 or o_rows.shape[1] != lattice.n_slots:
         raise ValueError(f"need rows of {lattice.n_slots} slot coefficients, got {o_rows.shape}")
-    tau_seed, m_tot = config.tau_seed, config.top_order + 1
+    tau_seed = config.tau_seed
     n_decades = int(math.floor(math.log10(1e-3 / tau_seed) + 1e-9))
     if n_decades < 2:
         raise ValueError(
@@ -199,7 +200,8 @@ def singular_blowup_check(config, lattice, bg, part, o_rows, grid):
     if not np.all(np.any(decades, axis=1)):
         raise ValueError("need a grid time in every decade below 1e-3")
     power = _degree_power(lattice, o_rows)  # (n_draws, n_degrees)
-    data_sq = power @ (1.0 + eigenvalue_at(bg, lattice.lam0, 0.0)) ** m_tot
+    data_sq = power @ _data_weights("first", config.top_order, config.n_columns, bg,
+                                    lattice.lam0)[0]
     if np.any(data_sq == 0.0):
         raise ValueError("log-branch data is identically zero")
 

@@ -56,14 +56,14 @@ class Lattice:
 
     Arrays indexed by degree run over l = 0..l_max; arrays indexed by slot run
     over one entry per harmonic, degree by degree.  Multipliers depend only on
-    the degree; ``slot_l`` indexes a per-degree array by slot.
+    the degree, so the lattice stores nothing per slot: ``np.repeat(a, mult)``
+    spreads a per-degree array over the slots.
     """
 
     n: int
     l_max: int
     lam0: np.ndarray
     mult: np.ndarray
-    slot_l: np.ndarray
     offsets: np.ndarray
 
     @property
@@ -106,13 +106,11 @@ def build_lattice(n, l_max):
     lam0 = np.array([sphere_eigenvalue(n, l) for l in degrees], dtype=float)
     mult = np.array([sphere_multiplicity(n, l) for l in degrees], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(mult)])
-    slot_l = np.repeat(degrees, mult)
     return Lattice(
         n=int(n),
         l_max=int(l_max),
         lam0=lam0,
         mult=mult,
-        slot_l=slot_l,
         offsets=offsets,
     )
 
@@ -223,11 +221,7 @@ def eigenvalue_rate(bg, lam0, tau):
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """One real coefficient per lattice slot.
-
-    Treated as immutable: ``with_coeffs`` returns a new field, and nothing
-    writes into ``coeffs`` in place.
-    """
+    """One real coefficient per lattice slot; nothing writes into ``coeffs`` in place."""
 
     lattice: Lattice
     coeffs: np.ndarray
@@ -239,9 +233,6 @@ class Field:
                 f"coeffs shape {self.coeffs.shape} does not match "
                 f"{self.lattice.n_slots} lattice slots"
             )
-
-    def with_coeffs(self, coeffs):
-        return Field(lattice=self.lattice, coeffs=np.asarray(coeffs, dtype=float))
 
 
 def random_field(lattice, rng, decay=1.0):

@@ -26,18 +26,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lattice import Field, eigenvalue_at
+from .lattice import eigenvalue_at
 from .lp import log_grad_weights
 
 __all__ = [
     "Forcing",
     "SystemConfig",
-    "AsymptoticData",
     "FrobeniusBasis",
     "EpsilonReport",
     "bessel_oracle",
     "frobenius_basis",
-    "make_asymptotic_data",
     "seeded_runs",
     "roundtrip_data",
     "constant_mode_run",
@@ -412,41 +410,6 @@ def random_coupling(n_regular, system, rng, scale):
     if system == "second":
         mat[1:, 0] = 0.0
     return mat, psi
-
-
-# ------------------------------------------------------------ data handling
-
-
-@dataclass(frozen=True, eq=False)
-class AsymptoticData:
-    """Data at the singular time.
-
-    O_field multiplies the logarithmic branch of column 0, h_field is its
-    finite part, frak_h the renormalized finite part (h - 2 ell O, with ell
-    the log-derivative weights), and phi0_fields are the limits of the
-    regular columns.
-    """
-
-    O_field: Field
-    h_field: Field
-    frak_h: Field
-    phi0_fields: tuple[Field, ...]
-
-    @property
-    def n_regular(self):
-        return len(self.phi0_fields)
-
-
-def make_asymptotic_data(lattice, part, bg, O, h=None, frak_h=None, phis=()):
-    """Assemble data, deriving whichever of h / frak_h was not given."""
-    if (h is None) == (frak_h is None):
-        raise ValueError("give exactly one of h and frak_h")
-    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))[lattice.slot_l]
-    if h is None:
-        h = frak_h.with_coeffs(frak_h.coeffs + 2.0 * ell * O.coeffs)
-    else:
-        frak_h = h.with_coeffs(h.coeffs - 2.0 * ell * O.coeffs)
-    return AsymptoticData(O_field=O, h_field=h, frak_h=frak_h, phi0_fields=tuple(phis))
 
 
 # ----------------------------------------------------------------- the RHS
@@ -879,14 +842,16 @@ def _branch_maps(config, lattice, bg, tau):
     return maps.reshape(n_deg, 2 * n_cols, 2 * n_cols)
 
 
-def _data_vectors(config, data):
-    """Every slot's data vector (O, h, phi0_1..phi0_I), shape (n_columns + 1, n_slots)."""
-    if data.n_regular != config.n_regular:
-        raise ValueError(
-            f"data carries {data.n_regular} regular columns, config wants {config.n_regular}"
-        )
-    return np.array([data.O_field.coeffs, data.h_field.coeffs,
-                     *(p.coeffs for p in data.phi0_fields)])
+def _data_vectors(config, lattice, data):
+    """A run's data vectors (O, h, phi0_1..phi0_I), checked to be (n_columns +
+    1, n_slots): O on column 0's log branch, h its finite part, phi0_i the
+    limit of regular column i."""
+    x = np.asarray(data, dtype=float)
+    want = (config.n_columns + 1, lattice.n_slots)
+    if x.shape != want:
+        raise ValueError(f"asymptotic data has shape {x.shape}, expected "
+                         f"(n_columns + 1, n_slots) = {want}")
+    return x
 
 
 def data_to_state_maps(config, lattice, bg, tau, part=None):
@@ -948,7 +913,8 @@ def seeded_runs(config, lattice, bg, draws, grid=None):
     ``fundamental_matrices`` and ``forced_profile``.  The times are tau_seed,
     the grid's times inside (tau_seed, 1) (33 log-spaced ones without a grid)
     and 1.  Returns the stacked (values, tau * derivs) of every draw, shape
-    (n_draws, n_times, 2 n_columns, n_slots).  For the second family the
+    (n_draws, n_times, 2 n_columns, n_slots); each draw is an array of data
+    vectors, shape (n_columns + 1, n_slots).  For the second family the
     regular rows of P started from column 0 are exactly 0, since those rows
     do not couple back to column 0, and F does not read the data; so the
     regular rows ignore the singular data bit for bit.
@@ -958,7 +924,8 @@ def seeded_runs(config, lattice, bg, draws, grid=None):
     maps = (fundamental_matrices(config, lattice, bg, tau, taus)
             @ data_to_state_maps(config, lattice, bg, tau)[:, None])
     forced = forced_profile(config, lattice, bg, tau, taus)
-    return np.array([_per_slot(lattice, maps, _data_vectors(config, d), forced) for d in draws])
+    return np.array([_per_slot(lattice, maps, _data_vectors(config, lattice, d), forced)
+                     for d in draws])
 
 
 def roundtrip_data(config, lattice, bg, data):
@@ -980,7 +947,7 @@ def roundtrip_data(config, lattice, bg, data):
     there = fundamental_matrices(config, lattice, bg, tau, np.array([1.0]))[:, 0]
     back = fundamental_matrices(config, lattice, bg, 1.0, np.array([tau]))[:, 0]
     out = _per_slot(lattice, extract @ back @ there @ data_to_state_maps(config, lattice, bg, tau),
-                    _data_vectors(config, data))
+                    _data_vectors(config, lattice, data))
     contamination = 0.0
     if config.system == "first":
         contamination = float(np.max(np.abs(out[n_cols + 1:]), initial=0.0))
@@ -1017,7 +984,8 @@ def split_singular_component(config, lattice, bg, data, grid, part):
     The log-branch component solves the homogeneous self-coupled column-0
     equation with data (2 O log tau + 2 ell O); the renormalized
     component solves the full column-0 equation (couplings to the regular
-    columns and forcing included) with data frak_h.  Their sum reproduces the
+    columns and forcing included) with data frak_h = h - 2 ell O, ell the
+    log-derivative weights of ``part``.  Their sum reproduces the
     direct column-0 run.  Both ride along as two extra columns of one
     augmented first-family system, seeded by the first n_columns + 1 columns
     of ``_branch_maps`` applied to the data vectors (O, h, phi0), (O, 2 ell
@@ -1031,11 +999,13 @@ def split_singular_component(config, lattice, bg, data, grid, part):
         raise ValueError("the split runs the first system family only")
     tau0 = float(config.tau_seed)
     n_cols = config.n_columns
-    x = _data_vectors(config, data)
-    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0))[lattice.slot_l]
+    x = _data_vectors(config, lattice, data)
+    ell = np.repeat(log_grad_weights(part, eigenvalue_at(bg, lattice.lam0, 0.0)), lattice.mult)
     y, j = np.zeros_like(x), np.zeros_like(x)
-    y[0], y[1], j[1] = x[0], 2.0 * ell * x[0], data.frak_h.coeffs
-    maps = _branch_maps(config, lattice, bg, tau0)[:, :, : n_cols + 1][lattice.slot_l]
+    y[0], y[1] = x[0], 2.0 * ell * x[0]
+    j[1] = x[1] - y[1]  # frak_h = h - 2 ell O
+    maps = np.repeat(_branch_maps(config, lattice, bg, tau0)[:, :, : n_cols + 1], lattice.mult,
+                     axis=0)
     pairs = np.einsum("sck,vks->vcs", maps, np.array([x, y, j])).reshape(3, 2, n_cols, -1)
     # the original columns, then column 0 of the log-branch and renormalized seeds
     values, derivs = (np.concatenate([pairs[0, r], pairs[1:, r, 0]]) for r in (0, 1))
@@ -1114,11 +1084,11 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
         raise ValueError(f"cutoff must lie in (0, 0.1), got {eps}")
     if rungs < 2:
         raise ValueError("need at least two rungs to form a ratio")
-    x = _data_vectors(config, data)
-    if not np.any(x[:, lattice.lam0[lattice.slot_l] > 0.0]):
+    x = _data_vectors(config, lattice, data)
+    if not np.any(x[:, lattice.offsets[1]:]):  # lambda > 0 on every degree l >= 1
         raise ValueError("asymptotic data is identically zero on the modes with lambda > 0")
     lam1 = eigenvalue_at(bg, lattice.lam0, 1.0)
-    omega = (2.0 * np.sqrt(np.maximum(lam1, 1.0)))[lattice.slot_l]
+    omega = np.repeat(2.0 * np.sqrt(np.maximum(lam1, 1.0)), lattice.mult)
 
     ends, one = [], np.array([1.0])
     ladder = [eps / 2.0**j for j in range(rungs + 1)]

@@ -12,7 +12,6 @@ triangle-only reduce in the same summation order.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,22 @@ from shellwave.modelsys import (
     forced_profile,
     frobenius_basis,
     fundamental_matrices,
-    make_asymptotic_data,
 )
+
+
+def slot_lam0(lattice):
+    """lam0 on every slot, degree by degree."""
+    return np.repeat(lattice.lam0, lattice.mult)
+
+
+def renormalized(lattice, part, bg, data, inverse=False):
+    """The data vectors (O, h, phi0) with h replaced by frak_h = h - 2 ell O,
+    ell the log-derivative weights at tau = 0; with ``inverse``, the data
+    vectors whose renormalized form is ``data``."""
+    ell = log_grad_weights(part, eigenvalue_at(bg, slot_lam0(lattice), 0.0))
+    out = np.array(data, dtype=float)
+    out[1] += (2.0 if inverse else -2.0) * ell * out[0]
+    return out
 
 
 # ------------------------------------------------- slot-level trajectories
@@ -82,55 +95,40 @@ def seed_state(config, lattice, bg, data):
     2 O log tau + h + O(tau^2 log^2 tau) and phi0 + O(tau^2 log^2 tau).
     """
     tau, n_cols = float(config.tau_seed), config.n_columns
-    maps = _branch_maps(config, lattice, bg, tau)[:, :, : n_cols + 1][lattice.slot_l]
-    pairs = np.einsum("sck,ks->cs", maps, _data_vectors(config, data))
+    maps = np.repeat(_branch_maps(config, lattice, bg, tau)[:, :, : n_cols + 1], lattice.mult,
+                     axis=0)
+    pairs = np.einsum("sck,ks->cs", maps, _data_vectors(config, lattice, data))
     return ModeState(tau=tau, values=pairs[:n_cols], derivs=pairs[n_cols:])
 
 
-def extract_asymptotic_data(config, lattice, bg, state, part):
+def extract_asymptotic_data(config, lattice, bg, state):
     """Invert a small-tau state into asymptotic data, slot by slot.
 
     Per mode and column this is a 2x2 solve against the fundamental system at
-    state.tau.  Degrees whose series remainder is untrustworthy fall back to
-    the raw two-term expansion and are counted in the diagnostics (with a
-    warning suggesting a smaller extraction time).
+    state.tau.  Returns the data vectors (O, h, phi0_1..phi0_I), shape
+    (n_columns + 1, n_slots), and the first family's singular contamination,
+    the largest log-branch coefficient on a regular column.  A time whose
+    series remainder exceeds the package's seeding limit raises
+    ``ValueError``, as ``_extraction_maps`` does: no degree is read off
+    another expansion.
     """
     tau = state.tau
     table, defect = branch_table(config, lattice, bg, tau)
-    flagged = defect > 1e-9
-    if np.any(flagged):
-        warnings.warn(
-            f"{int(np.count_nonzero(flagged))} degrees ill-conditioned for extraction "
-            f"at tau={tau:g}; using the two-term expansion there (extract from a "
-            "smaller tau for full accuracy)",
-            RuntimeWarning,
-        )
-    flagged_slots = flagged[lattice.slot_l]
-    (av, ad), (mv, md) = table[..., lattice.slot_l].transpose(1, 2, 0, 3)
+    limit = max(100.0 * config.rtol, 1e-11)
+    if np.max(defect) > limit:
+        raise ValueError(f"tau={tau:g} too large: series remainder {np.max(defect):.2e} "
+                         f"exceeds {limit:.2e}; extract from an earlier time")
+    (av, ad), (mv, md) = np.repeat(table, lattice.mult, axis=-1).transpose(1, 2, 0, 3)
     det = av * md - mv * ad
     v, d = state.values, state.derivs
     c_aux = (md * v - mv * d) / det
     c_main = (-ad * v + av * d) / det
-
-    # two-term fallback: v' ~ 2 O / tau, v ~ 2 O log tau + h
-    crude_o = 0.5 * tau * state.derivs[0]
-    crude_h = state.values[0] - 2.0 * crude_o * math.log(tau)
-    o_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_o, 0.5 * c_aux[0]))
-    h_field = Field(lattice=lattice, coeffs=np.where(flagged_slots, crude_h, c_main[0]))
-    phis = [Field(lattice=lattice, coeffs=np.where(flagged_slots, state.values[i], c_main[i]))
-            for i in range(1, config.n_columns)]
     contamination = 0.0
     if config.system == "first":
         # with a +1/tau drag the aux branch is the log branch; a clean
         # regular column should not contain it
         contamination = float(np.max(np.abs(c_aux[1:]), initial=0.0))
-    data = make_asymptotic_data(lattice, part, bg, O=o_field, h=h_field, phis=phis)
-    diagnostics = {
-        "ill_conditioned_degrees": int(np.count_nonzero(flagged)),
-        "singular_contamination": contamination,
-        "extraction_tau": tau,
-    }
-    return data, diagnostics
+    return np.array([0.5 * c_aux[0], c_main[0], *c_main[1:]]), contamination
 
 
 def integrate(config, lattice, bg, state, tau_to, grid=None):
@@ -168,11 +166,11 @@ def _compose(config, lattice, bg, taus, propagators, start):
                       config=config, lattice=lattice, bg=bg)
 
 
-def roundtrip_chain(config, lattice, bg, data, part):
+def roundtrip_chain(config, lattice, bg, data):
     """Seed, run to 1, run back to config.tau_seed and extract, slot by slot."""
     fwd = integrate(config, lattice, bg, seed_state(config, lattice, bg, data), 1.0)
     back = integrate(config, lattice, bg, fwd.state_at(-1), config.tau_seed)
-    return extract_asymptotic_data(config, lattice, bg, back.state_at(-1), part)
+    return extract_asymptotic_data(config, lattice, bg, back.state_at(-1))
 
 
 # ------------------------------------------------------------ energies
@@ -181,7 +179,7 @@ def roundtrip_chain(config, lattice, bg, data, part):
 def trajectory_energy(traj, system):
     """Energy of ``system``'s functional along a trajectory; returns (taus, energies)."""
     taus, lat = traj.taus, traj.lattice
-    lam = eigenvalue_at(traj.bg, lat.lam0[lat.slot_l][None, :], taus[:, None])
+    lam = eigenvalue_at(traj.bg, slot_lam0(lat)[None, :], taus[:, None])
     weights, _ = _energy_weights(system, traj.config.top_order, traj.config.n_columns,
                                  lam, taus[:, None])
     sq = np.stack([traj.values**2, traj.derivs**2])  # (2, n_times, n_cols, n_slots)
@@ -201,12 +199,10 @@ def energy_second(traj):
     return trajectory_energy(traj, "second")
 
 
-def data_energy_first(data, bg, top_order):
+def data_energy_first(lattice, part, bg, data, top_order):
     """Data norm: O, renormalized finite part and the regular limits in H^(M+1)."""
-    entries = np.stack([data.O_field.coeffs, data.frak_h.coeffs]
-                       + [phi.coeffs for phi in data.phi0_fields])
-    lat = data.O_field.lattice
-    weights = _data_weights("first", top_order, data.n_regular + 1, bg, lat.lam0[lat.slot_l])
+    entries = renormalized(lattice, part, bg, data)
+    weights = _data_weights("first", top_order, len(entries) - 1, bg, slot_lam0(lattice))
     return float(np.sum(weights * entries**2))
 
 
@@ -215,8 +211,7 @@ def data_energy_second(state, bg, lattice, top_order):
     if abs(state.tau - 1.0) > 1e-12:
         raise ValueError("backward data norm is defined at tau = 1")
     entries = np.concatenate([state.values, state.derivs])
-    weights = _data_weights("second", top_order, state.values.shape[0], bg,
-                            lattice.lam0[lattice.slot_l])
+    weights = _data_weights("second", top_order, state.values.shape[0], bg, slot_lam0(lattice))
     return float(np.sum(weights * entries**2))
 
 
@@ -232,7 +227,7 @@ def mode_rhs(config, lattice, bg, tau, values, derivs):
     """
     values = np.asarray(values, dtype=float)
     derivs = np.asarray(derivs, dtype=float)
-    lam = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], tau)
+    lam = eigenvalue_at(bg, slot_lam0(lattice), tau)
     kappa = bg.kappa(tau)
     psi = np.array([1.0, kappa, tau * tau * kappa])
     amat = config.coupling_scale * psi[config.coupling_psi]
@@ -271,10 +266,11 @@ def seed_pairs(config, lattice, bg, data):
     Column 0 is 2 O times its log branch plus h times its bounded branch;
     column i is phi0_i times its bounded branch.
     """
-    branches = branch_table(config, lattice, bg, config.tau_seed)[0][..., lattice.slot_l]
-    phis = np.array([p.coeffs for p in data.phi0_fields])
-    col0 = 2.0 * data.O_field.coeffs * branches[0, 0] + data.h_field.coeffs * branches[0, 1]
-    return np.concatenate([col0[None], phis[:, None] * branches[1:, 1]])
+    branches = np.repeat(branch_table(config, lattice, bg, config.tau_seed)[0], lattice.mult,
+                         axis=-1)
+    o, h, *phis = data
+    col0 = 2.0 * o * branches[0, 0] + h * branches[0, 1]
+    return np.concatenate([col0[None], np.array(phis)[:, None] * branches[1:, 1]])
 
 
 def split_seeds(config, lattice, bg, data, part):
@@ -283,10 +279,11 @@ def split_seeds(config, lattice, bg, data, part):
     The log branch starts as 2 O aux + 2 ell O main, the renormalized
     component as frak_h main, with aux and main column 0's branches.
     """
-    aux, main = branch_table(config, lattice, bg, config.tau_seed)[0][0][..., lattice.slot_l]
-    ell = log_grad_weights(part, eigenvalue_at(bg, lattice.lam0[lattice.slot_l], 0.0))
-    oc = data.O_field.coeffs
-    return 2.0 * oc * aux + 2.0 * ell * oc * main, data.frak_h.coeffs * main
+    aux, main = np.repeat(branch_table(config, lattice, bg, config.tau_seed)[0][0],
+                          lattice.mult, axis=-1)
+    ell = log_grad_weights(part, eigenvalue_at(bg, slot_lam0(lattice), 0.0))
+    oc, frak_h = data[0], renormalized(lattice, part, bg, data)[1]
+    return 2.0 * oc * aux + 2.0 * ell * oc * main, frak_h * main
 
 
 # ----------------------------------------------------------- blow-up rate
@@ -298,11 +295,11 @@ def blowup_check(lattice, bg, taus, y_values, o_coeffs, top_order, drift_limit):
     ``y_values`` holds the log-branch values, shape (n_times, n_slots).
     """
     m_tot = top_order + 1
-    lam0 = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], 0.0)
+    lam0 = eigenvalue_at(bg, slot_lam0(lattice), 0.0)
     data_sq = float(np.sum((1.0 + lam0) ** m_tot * o_coeffs**2))
     vals = np.empty(len(taus))
     for t, tau in enumerate(taus):
-        lam = eigenvalue_at(bg, lattice.lam0[lattice.slot_l], tau)
+        lam = eigenvalue_at(bg, slot_lam0(lattice), tau)
         w = np.zeros_like(lam)
         lam_pow = np.ones_like(lam)
         for _ in range(m_tot):
@@ -332,13 +329,13 @@ def blowup_check(lattice, bg, taus, y_values, o_coeffs, top_order, drift_limit):
 
 def shell_project(part, k, field, tau, bg):
     """P_k F: every coefficient times the plain bump of cell k at its eigenvalue."""
-    lam = eigenvalue_at(bg, field.lattice.lam0[field.lattice.slot_l], tau)
-    return field.with_coeffs(part.bump(lam * 4.0**-k) * field.coeffs)
+    lam = eigenvalue_at(bg, slot_lam0(field.lattice), tau)
+    return Field(lattice=field.lattice, coeffs=part.bump(lam * 4.0**-k) * field.coeffs)
 
 
 def graded_sobolev_norm(field, grad_order, s, tau, bg):
     """Norm of the grad_order-fold derivative: weights lambda^m (1+lambda)^s."""
-    lam = eigenvalue_at(bg, field.lattice.lam0[field.lattice.slot_l], tau)
+    lam = eigenvalue_at(bg, slot_lam0(field.lattice), tau)
     w = lam**grad_order * (1.0 + lam) ** s
     return float(np.sqrt(np.dot(w, field.coeffs * field.coeffs)))
 

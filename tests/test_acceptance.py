@@ -17,7 +17,6 @@ from shellwave import (
     check_lp_properties,
     constant_mode_run,
     epsilon_construction_check,
-    make_asymptotic_data,
     make_time_grid,
     random_coupling,
     roundtrip_data,
@@ -29,7 +28,7 @@ from shellwave import (
     verify_refined_poincare,
     verify_theorem_ratio,
 )
-from tests.conftest import bounded_field
+from tests.conftest import bounded_data, bounded_field
 
 
 def test_criterion_1_toy_shell_decay():
@@ -71,13 +70,10 @@ def test_criterion_3_singular_blowup_bounded(part, bg):
     cfg = SystemConfig(n_regular=1, top_order=1, tau_seed=1e-7,
                        rtol=1e-10, atol=1e-12)
     grid = make_time_grid(1e-6, 1.0, count=121)
-    draws = [make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng, decay=6.0),
-                                  h=bounded_field(lat, rng, decay=6.0),
-                                  phis=[bounded_field(lat, rng, decay=6.0)])
-             for _ in range(20)]
-    o_rows = [data.O_field.coeffs for data in draws]
+    # the O rows of 20 data draws (O, h, phi0)
+    o_rows = [bounded_data(lat, rng, 1, decay=6.0)[0] for _ in range(20)]
     reports = singular_blowup_check(cfg, lat, bg, part, o_rows, grid)
-    assert len(reports) == len(draws)
+    assert len(reports) == len(o_rows)
     for draw, rep in enumerate(reports):
         assert rep.drift_limit == 0.10
         assert rep.passed, (draw, rep.drifts)
@@ -111,14 +107,9 @@ def test_criterion_5_backward_ratio_and_roundtrip(part, bg):
                 cs, cp = random_coupling(2, family, rng, scale)
             cfg = SystemConfig(n_regular=2, system=family, coupling_scale=cs,
                                coupling_psi=cp, rtol=1e-11, atol=1e-13)
-            data = make_asymptotic_data(
-                lat, part, bg, O=bounded_field(lat, rng), h=bounded_field(lat, rng),
-                phis=[bounded_field(lat, rng) for _ in range(2)],
-            )
+            data = bounded_data(lat, rng, 2)
             rec, _ = roundtrip_data(cfg, lat, bg, data)
-            want = np.array([data.O_field.coeffs, data.h_field.coeffs,
-                             *(p.coeffs for p in data.phi0_fields)])
-            rel = np.max(np.abs(rec - want) / np.abs(want), axis=1)
+            rel = np.max(np.abs(rec - data) / np.abs(data), axis=1)
             assert np.all(rel <= tol), (family, scale, rel)
 
 
@@ -169,8 +160,7 @@ def test_criterion_9_decomposition_exactness(part, bg):
     cs, cp = random_coupling(1, "first", rng, 0.05)
     cfg = SystemConfig(n_regular=1, coupling_scale=cs, coupling_psi=cp,
                        tau_seed=1e-5, rtol=1e-11, atol=1e-13)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
+    data = bounded_data(lat, rng, 1)
     grid = make_time_grid(1e-4, 1.0, count=41)
     ty, tj = split_singular_component(cfg, lat, bg, data, grid, part)
     direct = seeded_runs(cfg, lat, bg, [data], grid)[0, :, 0]
@@ -180,18 +170,15 @@ def test_criterion_9_decomposition_exactness(part, bg):
     # (b) backward-family regular block ignores the singular data bit for bit
     cfg2 = SystemConfig(n_regular=2, system="second")
     phis = [bounded_field(lat, rng) for _ in range(2)]
-    draws = [make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                  h=bounded_field(lat, rng), phis=phis) for _ in range(2)]
+    draws = [np.array([bounded_field(lat, rng), bounded_field(lat, rng), *phis])
+             for _ in range(2)]
     runs = seeded_runs(cfg2, lat, bg, draws).reshape(2, -1, 2, cfg2.n_columns, lat.n_slots)
     assert np.array_equal(runs[0, :, :, 1:], runs[1, :, :, 1:])
 
     # (c) cutoff-regularized runs contract by >= 3 per halving; 1e-3 sits deep
     # enough in the asymptotic regime for the hard ratio gate
     cfg3 = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
-    data3 = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                 h=bounded_field(lat, rng),
-                                 phis=[bounded_field(lat, rng)])
-    rep = epsilon_construction_check(cfg3, lat, bg, data3, eps=1e-3, rungs=3)
+    rep = epsilon_construction_check(cfg3, lat, bg, bounded_data(lat, rng, 1), eps=1e-3, rungs=3)
     assert rep.passed
     assert rep.monotone
     for r in rep.ratios:

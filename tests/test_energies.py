@@ -5,7 +5,6 @@ import pytest
 
 from shellwave import energies, modelsys
 from shellwave import (
-    Field,
     Forcing,
     SystemConfig,
     TimeGrid,
@@ -15,7 +14,6 @@ from shellwave import (
     fit_power_exponent,
     forcing_energy_first,
     forcing_energy_second,
-    make_asymptotic_data,
     make_time_grid,
     random_coupling,
     random_field,
@@ -25,7 +23,7 @@ from shellwave import (
     verify_theorem_ratio,
 )
 from shellwave.energies import _default_forcing, _ensemble_ratios
-from tests.conftest import bounded_field, zero_like
+from tests.conftest import bounded_data, bounded_field, zero_data
 from tests.oracles import (
     ModeState,
     blowup_check,
@@ -34,7 +32,9 @@ from tests.oracles import (
     energy_first,
     energy_second,
     integrate,
+    renormalized,
     seed_state,
+    slot_lam0,
 )
 
 
@@ -116,17 +116,14 @@ BLOWUP_CFG = SystemConfig(n_regular=1, top_order=1, tau_seed=1e-7, rtol=1e-10, a
 def blowup_run(part, bg):
     lat = build_lattice(2, 4)
     rng = np.random.default_rng(101)
-    data = make_asymptotic_data(
-        lat, part, bg, O=bounded_field(lat, rng, decay=6.0),
-        h=bounded_field(lat, rng, decay=6.0), phis=[bounded_field(lat, rng, decay=6.0)],
-    )
+    o_row = bounded_field(lat, rng, decay=6.0)
     grid = make_time_grid(1e-6, 1.0, count=97)
-    return lat, grid, data
+    return lat, grid, o_row
 
 
 def test_blowup_statistic_settles(part, bg, blowup_run):
-    lat, grid, data = blowup_run
-    (rep,) = singular_blowup_check(BLOWUP_CFG, lat, bg, part, [data.O_field.coeffs], grid)
+    lat, grid, o_row = blowup_run
+    (rep,) = singular_blowup_check(BLOWUP_CFG, lat, bg, part, [o_row], grid)
     assert rep.passed
     assert math.isfinite(rep.sup_value)
     assert len(rep.decade_sups) >= 3
@@ -136,24 +133,24 @@ def test_blowup_statistic_settles(part, bg, blowup_run):
 
 
 def test_blowup_rejects_zero_data(part, bg, blowup_run):
-    lat, grid, data = blowup_run
-    rows = [data.O_field.coeffs, np.zeros(lat.n_slots)]
+    lat, grid, o_row = blowup_run
+    rows = [o_row, np.zeros(lat.n_slots)]
     with pytest.raises(ValueError, match="zero"):
         singular_blowup_check(BLOWUP_CFG, lat, bg, part, rows, grid)
 
 
 def test_blowup_rejects_rows_it_cannot_read(part, bg, blowup_run):
     # the per-degree solve carries column 0 alone, and each row is one draw
-    lat, grid, data = blowup_run
+    lat, grid, o_row = blowup_run
     cs = np.zeros((2, 2))
     cs[0, 1] = 0.05
     coupled = SystemConfig(n_regular=1, top_order=1, coupling_scale=cs, tau_seed=1e-7)
     with pytest.raises(ValueError, match="couples only to itself"):
-        singular_blowup_check(coupled, lat, bg, part, [data.O_field.coeffs], grid)
+        singular_blowup_check(coupled, lat, bg, part, [o_row], grid)
     with pytest.raises(ValueError, match="slot coefficients"):
-        singular_blowup_check(BLOWUP_CFG, lat, bg, part, data.O_field.coeffs, grid)
+        singular_blowup_check(BLOWUP_CFG, lat, bg, part, o_row, grid)
     with pytest.raises(ValueError, match="slot coefficients"):
-        singular_blowup_check(BLOWUP_CFG, lat, bg, part, [data.O_field.coeffs[1:]], grid)
+        singular_blowup_check(BLOWUP_CFG, lat, bg, part, [o_row[1:]], grid)
 
 
 def test_blowup_needs_two_decades(part, bg, small_lattice):
@@ -162,7 +159,7 @@ def test_blowup_needs_two_decades(part, bg, small_lattice):
     grid = make_time_grid(1e-4, 1.0, count=17)
     with pytest.raises(ValueError, match="decade"):
         singular_blowup_check(cfg, small_lattice, bg, part,
-                              [bounded_field(small_lattice, rng).coeffs], grid)
+                              [bounded_field(small_lattice, rng)], grid)
 
 
 @pytest.mark.parametrize("background", ["desitter", "constant"])
@@ -174,13 +171,13 @@ def test_blowup_reports_match_slot_level_statistic(part, background, l_max):
     bg = desitter_background() if background == "desitter" else constant_background(1.5)
     lat = build_lattice(2, l_max)
     rng = np.random.default_rng(l_max)
-    o_rows = [bounded_field(lat, rng, decay=6.0).coeffs for _ in range(3)]
+    o_rows = [bounded_field(lat, rng, decay=6.0) for _ in range(3)]
     grid = make_time_grid(1e-6, 1.0, count=121)
     reports = singular_blowup_check(BLOWUP_CFG, lat, bg, part, o_rows, grid)
     assert len(reports) == len(o_rows)
     for o, rep in zip(o_rows, reports):
-        data = make_asymptotic_data(lat, part, bg, O=Field(lattice=lat, coeffs=o),
-                                    frak_h=zero_like(lat), phis=[zero_like(lat)])
+        # the log-branch column reads O alone
+        data = np.array([o, np.zeros_like(o), np.zeros_like(o)])
         log_branch, _ = split_singular_component(BLOWUP_CFG, lat, bg, data, grid, part)
         taus = modelsys._eval_taus(BLOWUP_CFG.tau_seed, 1.0, grid)
         want = blowup_check(lat, bg, taus, log_branch[:, 0], o, top_order=1,
@@ -198,38 +195,27 @@ def test_blowup_reports_match_slot_level_statistic(part, background, l_max):
 def test_data_energy_first_hand_value(part, bg):
     # single zero-degree slot: every weight is (1+0)^(M+1) = 1 and ell(0) = 0
     lat = build_lattice(2, 0)
-    O = Field(lattice=lat, coeffs=np.array([2.0]))
-    h = Field(lattice=lat, coeffs=np.array([0.25]))
-    phi = Field(lattice=lat, coeffs=np.array([1.0]))
-    data = make_asymptotic_data(lat, part, bg, O=O, h=h, phis=[phi])
-    assert data_energy_first(data, bg, top_order=2) == pytest.approx(4.0 + 0.0625 + 1.0)
+    data = np.array([[2.0], [0.25], [1.0]])  # O, h, phi0
+    assert data_energy_first(lat, part, bg, data, top_order=2) == pytest.approx(4.0 + 0.0625 + 1.0)
 
 
 def test_data_energy_first_quadratic(part, bg, small_lattice):
-    rng = np.random.default_rng(9)
-    O = bounded_field(small_lattice, rng)
-    h = bounded_field(small_lattice, rng)
-    phi = bounded_field(small_lattice, rng)
-    d1 = make_asymptotic_data(small_lattice, part, bg, O=O, h=h, phis=[phi])
-    d2 = make_asymptotic_data(small_lattice, part, bg, O=O.with_coeffs(2.0 * O.coeffs),
-                              h=h.with_coeffs(2.0 * h.coeffs),
-                              phis=[phi.with_coeffs(2.0 * phi.coeffs)])
-    assert data_energy_first(d2, bg, 2) == pytest.approx(4.0 * data_energy_first(d1, bg, 2),
-                                                         rel=1e-12)
+    data = bounded_data(small_lattice, np.random.default_rng(9), 1)
+
+    def energy(d):
+        return data_energy_first(small_lattice, part, bg, d, 2)
+
+    assert energy(2.0 * data) == pytest.approx(4.0 * energy(data), rel=1e-12)
 
 
 def test_energy_first_zero_and_positive(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=1)
-    dead = make_asymptotic_data(small_lattice, part, bg, O=zero_like(small_lattice),
-                                h=zero_like(small_lattice), phis=[zero_like(small_lattice)])
+    dead = zero_data(small_lattice, 1)
     traj = integrate(cfg, small_lattice, bg, seed_state(cfg, small_lattice, bg, dead), 1.0)
     taus, es = energy_first(traj)
     assert np.all(es == 0.0)
     rng = np.random.default_rng(13)
-    live = make_asymptotic_data(small_lattice, part, bg,
-                                O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    live = bounded_data(small_lattice, rng, 1)
     traj2 = integrate(cfg, small_lattice, bg, seed_state(cfg, small_lattice, bg, live), 1.0)
     _, es2 = energy_first(traj2)
     assert np.all(es2 > 0.0)
@@ -252,11 +238,7 @@ def test_forcing_energy_first_budget(bg, small_lattice):
 
 def test_energy_second_requires_descending(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=1, system="second")
-    rng = np.random.default_rng(15)
-    data = make_asymptotic_data(small_lattice, part, bg,
-                                O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = bounded_data(small_lattice, np.random.default_rng(15), 1)
     traj = integrate(cfg, small_lattice, bg, seed_state(cfg, small_lattice, bg, data), 1.0)
     with pytest.raises(ValueError, match="descending|down"):
         energy_second(traj)
@@ -349,19 +331,16 @@ def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
                        forcings=tuple(_default_forcing(i) for i in range(3)),
                        rtol=1e-11, atol=1e-13)
     n_cols = cfg.n_columns
-    damp = ((1.0 + lat.lam0[lat.slot_l]) ** -3.5)[:, None]
+    damp = ((1.0 + slot_lam0(lat)) ** -3.5)[:, None]
     if system == "first":
         taus = np.geomspace(cfg.tau_seed, 1.0, 25)
         draw = rng.standard_normal((lat.n_slots, n_cols + 1)) * damp
-        data = make_asymptotic_data(
-            lat, part, bg, O=Field(lattice=lat, coeffs=draw[:, 0]),
-            frak_h=Field(lattice=lat, coeffs=draw[:, 1]),
-            phis=[Field(lattice=lat, coeffs=c) for c in draw[:, 2:].T],
-        )
+        # a draw holds (O, frak_h, phi0_1, phi0_2) per slot; the seed reads h
+        data = renormalized(lat, part, bg, draw.T, inverse=True)
         traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0,
                          grid=TimeGrid(taus=taus))
         _, energy = energy_first(traj)
-        budget = data_energy_first(data, bg, cfg.top_order)
+        budget = data_energy_first(lat, part, bg, data, cfg.top_order)
         budget = budget + forcing_energy_first(cfg, lat, bg, taus)
     else:
         taus = np.geomspace(1.0, 1e-3, 25)
@@ -397,9 +376,7 @@ def test_trajectory_energies_golden(part, bg, system):
     cfg = SystemConfig(n_regular=2, system=system, coupling_scale=cs, coupling_psi=cp,
                        forcings=tuple(_default_forcing(i) for i in range(3)))
     if system == "first":
-        data = make_asymptotic_data(lat, part, bg, O=random_field(lat, rng, decay=3.0),
-                                    h=random_field(lat, rng, decay=3.0),
-                                    phis=[random_field(lat, rng, decay=3.0) for _ in range(2)])
+        data = np.array([random_field(lat, rng, decay=3.0).coeffs for _ in range(4)])
         traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0,
                          grid=make_time_grid(cfg.tau_seed, 1.0, count=5))
         _, energy = energy_first(traj)

@@ -19,7 +19,7 @@ from shellwave import (
 )
 from shellwave import lp
 from shellwave.lp import LOG_GRAD_ETA, _coverage_mask, _shell_table
-from tests.oracles import graded_sobolev_norm, shell_project
+from tests.oracles import graded_sobolev_norm, shell_project, slot_lam0
 
 
 def _checks(report):
@@ -118,7 +118,7 @@ def test_log_grad_weights_centers(part):
 
 def test_log_nabla_zero_mode(part, small_lattice, bg):
     # the log-derivative weights kill the constant mode on every slice
-    lam0 = small_lattice.lam0[small_lattice.slot_l]
+    lam0 = slot_lam0(small_lattice)
     ell = log_grad_weights(part, eigenvalue_at(bg, lam0, 0.5))
     assert np.all(ell[small_lattice.slots_of_degree(0)] == 0.0)
 
@@ -128,7 +128,7 @@ def test_r_k_center_cancellation(part, small_lattice, bg):
     # a lattice mode at the center of cell k: there M = 1 and ell = log 2^k
     sl = small_lattice.slots_of_degree(1)
     tau = math.sqrt((math.sqrt(0.5) - 0.5) / 2.0)  # lambda(tau) = 4 = center of cell 1
-    lam = eigenvalue_at(bg, small_lattice.lam0[small_lattice.slot_l][sl], tau)
+    lam = eigenvalue_at(bg, slot_lam0(small_lattice)[sl], tau)
     cross = 2.0 * part.bump(lam / 4.0) * (log_grad_weights(part, lam) - math.log(2.0))
     assert np.max(np.abs(cross)) <= 1e-12
 
@@ -152,9 +152,9 @@ def test_commutator_uniform_bound(part, bg):
     tau, seed, n_fields = 0.5, 4, 5
     sup_grid = np.geomspace(0.25, 4.0, 4001)
     bound = bg.kappa(tau) * float(np.max(sup_grid * np.abs(part.bump_prime(sup_grid))))
-    lam = eigenvalue_at(bg, lat.lam0[lat.slot_l], tau)
-    rate = eigenvalue_rate(bg, lat.lam0[lat.slot_l], tau)
-    covered = _coverage_mask(part, eigenvalue_at(bg, lat.lam0, tau))[lat.slot_l]
+    lam = eigenvalue_at(bg, slot_lam0(lat), tau)
+    rate = eigenvalue_rate(bg, slot_lam0(lat), tau)
+    covered = np.repeat(_coverage_mask(part, eigenvalue_at(bg, lat.lam0, tau)), lat.mult)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_fields):

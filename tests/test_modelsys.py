@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -11,7 +13,6 @@ from scipy.integrate import DOP853, solve_ivp
 
 from shellwave import (
     ConformalBackground,
-    Field,
     Forcing,
     SystemConfig,
     TimeGrid,
@@ -27,24 +28,25 @@ from shellwave import (
     frobenius_basis,
     fundamental_matrices,
     log_grad_weights,
-    make_asymptotic_data,
     make_time_grid,
     random_coupling,
     roundtrip_data,
     seeded_runs,
     split_singular_component,
 )
-from shellwave import modelsys
+from shellwave import cli, energies, modelsys, parse_config
 from shellwave.energies import _oracle_envelope
-from tests.conftest import bounded_field, zero_like
+from tests.conftest import bounded_data, bounded_field, zero_data
 from tests.oracles import (
     ModeState,
     extract_asymptotic_data,
     integrate,
     mode_rhs,
+    renormalized,
     roundtrip_chain,
     seed_pairs,
     seed_state,
+    slot_lam0,
     split_seeds,
 )
 
@@ -279,38 +281,31 @@ def test_forcing_validation():
         SystemConfig(n_regular=2, forcings=(Forcing(),))
 
 
-def test_asymptotic_data_requires_one_finite_part(small_lattice, part, bg):
-    z = zero_like(small_lattice)
-    with pytest.raises(ValueError):
-        make_asymptotic_data(small_lattice, part, bg, O=z)
-    with pytest.raises(ValueError):
-        make_asymptotic_data(small_lattice, part, bg, O=z, h=z, frak_h=z)
-
-
 def test_renormalize_round_trips(small_lattice, part, bg):
-    # frak_h = h - 2 ell O with ell the log-derivative weights at tau = 0;
-    # giving that frak_h instead reproduces h
+    # given part, the seed maps read frak_h = h - 2 ell O (ell the
+    # log-derivative weights at tau = 0) where the plain maps read h, so both
+    # seed every slot alike
+    lat = small_lattice
     rng = np.random.default_rng(0)
-    O = bounded_field(small_lattice, rng)
-    h = bounded_field(small_lattice, rng)
-    data = make_asymptotic_data(small_lattice, part, bg, O=O, h=h, phis=())
-    ell = log_grad_weights(part, eigenvalue_at(bg, small_lattice.lam0[small_lattice.slot_l], 0.0))
-    assert np.allclose(data.frak_h.coeffs, h.coeffs - 2.0 * ell * O.coeffs, atol=1e-15)
-    data2 = make_asymptotic_data(small_lattice, part, bg, O=O, frak_h=data.frak_h)
-    assert np.allclose(data2.h_field.coeffs, h.coeffs, atol=1e-14)
+    cfg = SystemConfig(n_regular=1)
+    data = bounded_data(lat, rng, cfg.n_regular)
+    plain = data_to_state_maps(cfg, lat, bg, cfg.tau_seed)
+    folded = data_to_state_maps(cfg, lat, bg, cfg.tau_seed, part)
+    frak = renormalized(lat, part, bg, data)
+    assert not np.array_equal(frak[1], data[1])
+    for l in range(lat.l_max + 1):
+        sl = lat.slots_of_degree(l)
+        want = plain[l] @ data[:, sl]
+        assert np.max(np.abs(folded[l] @ frak[:, sl] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_renormalize_zero_mode_is_identity(small_lattice, part, bg):
-    # ell(0) = 0: a zero-mode-only O leaves h untouched
-    coeffs = np.zeros(small_lattice.n_slots)
-    coeffs[small_lattice.slots_of_degree(0)] = 2.0
-    O = Field(lattice=small_lattice, coeffs=coeffs)
-    rng = np.random.default_rng(1)
-    h = bounded_field(small_lattice, rng)
-    data = make_asymptotic_data(small_lattice, part, bg, O=O, h=h)
-    assert np.array_equal(data.frak_h.coeffs, h.coeffs)
-    back = make_asymptotic_data(small_lattice, part, bg, O=O, frak_h=h)
-    assert np.array_equal(back.h_field.coeffs, h.coeffs)
+    # ell(0) = 0: on degree 0 the maps given part are the plain maps
+    cfg = SystemConfig(n_regular=1)
+    plain = data_to_state_maps(cfg, small_lattice, bg, cfg.tau_seed)
+    folded = data_to_state_maps(cfg, small_lattice, bg, cfg.tau_seed, part)
+    assert np.array_equal(folded[0], plain[0])
+    assert not np.array_equal(folded[1:], plain[1:])
 
 
 # ----------------------------------------------------------------- seeding
@@ -319,37 +314,34 @@ def test_renormalize_zero_mode_is_identity(small_lattice, part, bg):
 def test_seed_state_log_conventions(part, bg):
     lat = build_lattice(2, 2)
     tau_s = 1e-4
-    unit = np.zeros(lat.n_slots)
     sl = lat.slots_of_degree(1)
-    unit[sl.start] = 1.0
-    O = Field(lattice=lat, coeffs=unit)
     cfg = SystemConfig(n_regular=1, tau_seed=tau_s)
     lam_at0 = 4.0 * 2.0  # lam0 = 2 quadrupled at tau = 0
     ell = log_grad_weights(part, np.array([lam_at0]))[0]
 
-    # frak_h = 0: the finite part is the 2 ell correction
-    d1 = make_asymptotic_data(lat, part, bg, O=O, frak_h=zero_like(lat), phis=[zero_like(lat)])
-    s1 = seed_state(cfg, lat, bg, d1)
+    # frak_h = 0: the finite part is the 2 ell correction; degree 1's map
+    # given part takes (O, frak_h, phi0) = (1, 0, 0)
+    s1 = data_to_state_maps(cfg, lat, bg, tau_s, part)[1] @ np.array([1.0, 0.0, 0.0])
     # expansions hold up to the tau^2 log^2 tau correction, here ~1e-6
     expect1 = 2.0 * math.log(tau_s) + 2.0 * ell
-    assert s1.values[0, sl.start] == pytest.approx(expect1, abs=1e-5)
+    assert s1[0] == pytest.approx(expect1, abs=1e-5)
 
     # raw h = 0: no correction survives
-    d2 = make_asymptotic_data(lat, part, bg, O=O, h=zero_like(lat), phis=[zero_like(lat)])
+    d2 = zero_data(lat, 1)
+    d2[0, sl.start] = 1.0
     s2 = seed_state(cfg, lat, bg, d2)
     assert s2.values[0, sl.start] == pytest.approx(2.0 * math.log(tau_s), abs=1e-5)
 
     # either way the derivative is 2 O / tau to leading order
-    assert s1.derivs[0, sl.start] == pytest.approx(2.0 / tau_s, rel=1e-5)
+    assert s1[cfg.n_columns] == pytest.approx(2.0, rel=1e-5)  # tau v'(tau)
+    assert s2.derivs[0, sl.start] == pytest.approx(2.0 / tau_s, rel=1e-5)
 
 
 def test_seed_state_zero_mode_exact(part, bg):
     # lam0 = 0 solves u'' + u'/tau = 0 exactly: column is 2 O log tau + h
     lat = build_lattice(2, 0)
-    O = Field(lattice=lat, coeffs=np.array([1.0]))
-    h = Field(lattice=lat, coeffs=np.array([0.25]))
     cfg = SystemConfig(n_regular=1, tau_seed=1e-4, rtol=1e-12, atol=1e-14)
-    data = make_asymptotic_data(lat, part, bg, O=O, h=h, phis=[zero_like(lat)])
+    data = np.array([[1.0], [0.25], [0.0]])  # O, h, phi0
     state = seed_state(cfg, lat, bg, data)
     assert state.values[0, 0] == pytest.approx(2.0 * math.log(1e-4) + 0.25, rel=1e-12)
     traj = integrate(cfg, lat, bg, state, 1.0)
@@ -360,24 +352,48 @@ def test_seed_state_zero_mode_exact(part, bg):
 
 def test_seed_rejects_large_tau(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=1, tau_seed=0.3)
-    rng = np.random.default_rng(0)
-    data = make_asymptotic_data(
-        small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-        h=bounded_field(small_lattice, rng), phis=[bounded_field(small_lattice, rng)],
-    )
+    data = bounded_data(small_lattice, np.random.default_rng(0), 1)
     with pytest.raises(ValueError, match="tau"):
         seeded_runs(cfg, small_lattice, bg, [data])
 
 
 def test_seed_data_shape_mismatch(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=2)
-    rng = np.random.default_rng(0)
-    data = make_asymptotic_data(
-        small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-        h=bounded_field(small_lattice, rng), phis=[bounded_field(small_lattice, rng)],
-    )
-    with pytest.raises(ValueError, match="regular columns"):
+    data = bounded_data(small_lattice, np.random.default_rng(0), 1)
+    with pytest.raises(ValueError, match=re.escape("expected (n_columns + 1, n_slots) = (4, 49)")):
         seeded_runs(cfg, small_lattice, bg, [data])
+
+
+def _run_data(name, cfg, lat, bg, part, data):
+    """Call ``name``, one of the four functions that take a run's data, on ``data``."""
+    if name == "seeded_runs":
+        return seeded_runs(cfg, lat, bg, [data])
+    if name == "split_singular_component":
+        grid = make_time_grid(cfg.tau_seed, 1.0, count=5)
+        return split_singular_component(cfg, lat, bg, data, grid, part)
+    return getattr(modelsys, name)(cfg, lat, bg, data)
+
+
+@pytest.mark.parametrize("name", ["seeded_runs", "roundtrip_data", "split_singular_component",
+                                  "epsilon_construction_check"])
+@pytest.mark.parametrize("wrong", ["slots", "rows"])
+def test_data_of_another_shape_is_rejected(part, bg, name, wrong):
+    # data drawn on build_lattice(2, 4) was once cut to the first 16 slots of
+    # build_lattice(2, 3) by seeded_runs and roundtrip_data, and raised an
+    # IndexError or a broadcast error in the other two; a wrong row count is
+    # a wrong number of regular columns
+    lat = build_lattice(2, 3)
+    cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
+    rng = np.random.default_rng(5)
+    if wrong == "slots":
+        data, shape = bounded_data(build_lattice(2, 4), rng, 1), (3, 25)
+    else:
+        data, shape = bounded_data(lat, rng, 2), (4, 16)
+    message = f"asymptotic data has shape {shape}, expected (n_columns + 1, n_slots) = (3, 16)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _run_data(name, cfg, lat, bg, part, data)
+    # the same call runs on data of the right shape
+    _run_data(name, cfg, lat, bg, part, bounded_data(lat, rng, 1))
 
 
 @pytest.mark.parametrize("background", ["desitter", "constant"])
@@ -393,9 +409,7 @@ def test_seeds_equal_slot_level_oracle(part, background, system, n_regular):
         cs, cp = random_coupling(n_regular, system, rng, 0.1)
         cfg = SystemConfig(n_regular=n_regular, system=system, coupling_scale=cs,
                            coupling_psi=cp, tau_seed=1e-4)
-        data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                    h=bounded_field(lat, rng),
-                                    phis=[bounded_field(lat, rng) for _ in range(n_regular)])
+        data = bounded_data(lat, rng, n_regular)
         state, want = seed_state(cfg, lat, bg, data), seed_pairs(cfg, lat, bg, data)
         assert np.array_equal(state.values, want[:, 0])
         assert np.array_equal(state.derivs, want[:, 1])
@@ -503,11 +517,7 @@ def test_second_family_solution_freed_on_return(part, bg, small_lattice):
     # counting when they return
     cfg = SystemConfig(n_regular=1, system="second",
                        forcings=(Forcing(1.0), Forcing(0.5)))
-    rng = np.random.default_rng(0)
-    data = make_asymptotic_data(
-        small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-        h=bounded_field(small_lattice, rng), phis=[bounded_field(small_lattice, rng)],
-    )
+    data = bounded_data(small_lattice, np.random.default_rng(0), 1)
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -528,23 +538,9 @@ def test_integrate_linearity(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=1, coupling_scale=cs, coupling_psi=cp,
                        rtol=1e-12, atol=1e-14)
     grid = make_time_grid(cfg.tau_seed, 1.0, count=9)
-    d1 = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                              h=bounded_field(small_lattice, rng),
-                              phis=[bounded_field(small_lattice, rng)])
-    d2 = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                              h=bounded_field(small_lattice, rng),
-                              phis=[bounded_field(small_lattice, rng)])
+    d1, d2 = bounded_data(small_lattice, rng, 1), bounded_data(small_lattice, rng, 1)
     a, b = 2.0, -0.5
-
-    def mix(f1, f2):
-        return f1.with_coeffs(a * f1.coeffs + b * f2.coeffs)
-
-    combo = make_asymptotic_data(
-        small_lattice, part, bg,
-        O=mix(d1.O_field, d2.O_field),
-        h=mix(d1.h_field, d2.h_field),
-        phis=[mix(d1.phi0_fields[0], d2.phi0_fields[0])],
-    )
+    combo = a * d1 + b * d2
     t1, t2, tc = seeded_runs(cfg, small_lattice, bg, [d1, d2, combo], grid)
     lin = a * t1 + b * t2
     # the values rows, then the tau * derivative rows
@@ -558,9 +554,7 @@ def test_stored_derivative_matches_finite_difference(part, bg):
     lat = build_lattice(2, 3)
     rng = np.random.default_rng(3)
     cfg = SystemConfig(n_regular=1, rtol=1e-12, atol=1e-14)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-    state = seed_state(cfg, lat, bg, data)
+    state = seed_state(cfg, lat, bg, bounded_data(lat, rng, 1))
 
     def fd_error(n_pts):
         traj = integrate(cfg, lat, bg, state, 0.9, grid=TimeGrid(np.linspace(0.5, 0.9, n_pts)))
@@ -580,9 +574,7 @@ def test_stored_derivative_matches_finite_difference(part, bg):
 
 def test_integrate_zero_data_stays_zero(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=2)
-    data = make_asymptotic_data(small_lattice, part, bg, O=zero_like(small_lattice),
-                                h=zero_like(small_lattice),
-                                phis=[zero_like(small_lattice)] * 2)
+    data = zero_data(small_lattice, 2)
     assert np.max(np.abs(seeded_runs(cfg, small_lattice, bg, [data]))) == 0.0
 
 
@@ -590,11 +582,9 @@ def test_roundtrip_recovery(part, bg):
     lat = build_lattice(2, 4)
     rng = np.random.default_rng(11)
     cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
+    data = bounded_data(lat, rng, 1)
     rec, _ = roundtrip_data(cfg, lat, bg, data)
-    want = np.array([data.O_field.coeffs, data.h_field.coeffs, data.phi0_fields[0].coeffs])
-    assert np.max(np.abs(rec - want) / np.abs(want)) <= 1e-6
+    assert np.max(np.abs(rec - data) / np.abs(data)) <= 1e-6
 
 
 @pytest.mark.parametrize("system, tau_seed", [("first", 0.06), ("second", 0.055)])
@@ -606,24 +596,20 @@ def test_roundtrip_recovers_data_seeded_near_the_series_limit(part, bg, system, 
     lat = build_lattice(2, 16)
     rng = np.random.default_rng(3)
     cfg = SystemConfig(n_regular=2, system=system, tau_seed=tau_seed, rtol=1e-10, atol=1e-12)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng),
-                                phis=[bounded_field(lat, rng) for _ in range(2)])
+    data = bounded_data(lat, rng, 2)
     rec, _ = roundtrip_data(cfg, lat, bg, data)
-    want = modelsys._data_vectors(cfg, data)
-    assert np.max(np.abs(rec - want) / np.abs(want)) <= 1e-6
+    assert np.max(np.abs(rec - data) / np.abs(data)) <= 1e-6
 
 
 def test_extract_pure_regular_has_no_log_branch(part, bg, small_lattice):
     rng = np.random.default_rng(13)
     cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
-    data = make_asymptotic_data(small_lattice, part, bg, O=zero_like(small_lattice),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = np.array([np.zeros(small_lattice.n_slots), bounded_field(small_lattice, rng),
+                     bounded_field(small_lattice, rng)])
     state = seed_state(cfg, small_lattice, bg, data)
-    rec, diag = extract_asymptotic_data(cfg, small_lattice, bg, state, part)
-    assert np.max(np.abs(rec.O_field.coeffs)) <= 1e-10
-    assert diag["singular_contamination"] <= 1e-10
+    rec, contamination = extract_asymptotic_data(cfg, small_lattice, bg, state)
+    assert np.max(np.abs(rec[0])) <= 1e-10
+    assert contamination <= 1e-10
 
 
 @pytest.mark.parametrize("family", ["first", "second"])
@@ -634,27 +620,24 @@ def test_extract_inverts_seed_directly(part, bg, family):
     cs, cp = random_coupling(2, family, rng, 0.1)
     cfg = SystemConfig(n_regular=2, system=family, coupling_scale=cs, coupling_psi=cp,
                        rtol=1e-11, atol=1e-13)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng),
-                                phis=[bounded_field(lat, rng) for _ in range(2)])
-    rec, diag = extract_asymptotic_data(cfg, lat, bg, seed_state(cfg, lat, bg, data), part)
-    assert diag["ill_conditioned_degrees"] == 0
-    pairs = [(rec.O_field, data.O_field), (rec.h_field, data.h_field),
-             *zip(rec.phi0_fields, data.phi0_fields)]
-    for got, want in pairs:
-        assert np.max(np.abs(got.coeffs - want.coeffs) / np.abs(want.coeffs)) <= 1e-12
+    data = bounded_data(lat, rng, 2)
+    rec, _ = extract_asymptotic_data(cfg, lat, bg, seed_state(cfg, lat, bg, data))
+    assert rec.shape == data.shape
+    assert np.max(np.abs(rec - data) / np.abs(data)) <= 1e-12
 
 
-def test_extract_warns_when_series_cannot_reach(part, bg):
+def test_extract_raises_when_series_cannot_reach(bg):
+    # at tau = 0.3 the series cannot reach the upper degrees; the slot-level
+    # extraction raises there, like the package's extraction maps, rather
+    # than read those degrees off the two-term expansion
     lat = build_lattice(2, 8)
     rng = np.random.default_rng(17)
     cfg = SystemConfig(n_regular=1, rtol=1e-10, atol=1e-12)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-    traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 0.3)
-    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        rec, diag = extract_asymptotic_data(cfg, lat, bg, traj.state_at(-1), part)
-    assert diag["ill_conditioned_degrees"] > 0
+    traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, bounded_data(lat, rng, 1)), 0.3)
+    with pytest.raises(ValueError, match="tau=0.3 too large: series remainder"):
+        extract_asymptotic_data(cfg, lat, bg, traj.state_at(-1))
+    with pytest.raises(ValueError, match="tau_seed=0.3 too large: series remainder"):
+        modelsys._extraction_maps(cfg, lat, bg, 0.3)
 
 
 @pytest.mark.parametrize("system", ["first", "second"])
@@ -675,6 +658,23 @@ def test_extraction_after_seeding_is_the_data_selection(bg, system, n_regular):
         # the second family's aux branch is tau^2, so its rows weigh about 1 / tau^2
         aux_rows = extract[:, n_data:]
         assert np.max(np.abs(got[:, n_data:])) <= 1e-12 * np.max(np.abs(aux_rows))
+
+
+def test_paper_dimensions_run_on_the_degree_axis(bg):
+    # S^6 through degree 128, the paper's even n >= 4: the lattice keeps
+    # per-degree arrays only, so it allocates a few kB for 14e9 slots, and
+    # the seed and extraction maps are one per degree
+    tracemalloc.start()
+    try:
+        lat = build_lattice(6, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.n_slots == 14_034_557_537
+    assert peak < 2**20  # measured 9.5 kB
+    cfg = SystemConfig(n_regular=2)
+    assert data_to_state_maps(cfg, lat, bg, cfg.tau_seed).shape == (129, 6, 4)
+    assert modelsys._extraction_maps(cfg, lat, bg, cfg.tau_seed).shape == (129, 6, 6)
 
 
 def test_extraction_rejects_a_time_the_series_cannot_reach(bg):
@@ -757,24 +757,17 @@ def test_roundtrip_matches_the_slot_level_chain(part, bg, system, scale):
     cs, cp = random_coupling(2, system, rng, scale)
     cfg = SystemConfig(n_regular=2, system=system, coupling_scale=cs, coupling_psi=cp,
                        rtol=1e-11, atol=1e-13)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng),
-                                phis=[bounded_field(lat, rng) for _ in range(2)])
+    data = bounded_data(lat, rng, 2)
     rec, contamination = roundtrip_data(cfg, lat, bg, data)
-    chain, chain_diag = roundtrip_chain(cfg, lat, bg, data, part)
-    want = np.array([chain.O_field.coeffs, chain.h_field.coeffs,
-                     *(p.coeffs for p in chain.phi0_fields)])
+    want, chain_contamination = roundtrip_chain(cfg, lat, bg, data)
     assert np.max(np.abs(rec - want) / np.abs(want)) <= 1e-12
-    assert chain_diag["ill_conditioned_degrees"] == 0
-    assert contamination == pytest.approx(chain_diag["singular_contamination"], rel=0.0, abs=1e-12)
+    assert contamination == pytest.approx(chain_contamination, rel=0.0, abs=1e-12)
 
 
 def test_roundtrip_rejects_forcing(part, bg, small_lattice):
     cfg = SystemConfig(n_regular=1, forcings=(Forcing(0.3), Forcing()))
-    data = make_asymptotic_data(small_lattice, part, bg, O=zero_like(small_lattice),
-                                h=zero_like(small_lattice), phis=[zero_like(small_lattice)])
     with pytest.raises(ValueError, match="unforced"):
-        roundtrip_data(cfg, small_lattice, bg, data)
+        roundtrip_data(cfg, small_lattice, bg, zero_data(small_lattice, 1))
 
 
 @pytest.mark.parametrize("forcings", [(), tuple(Forcing(a) for a in (0.3, -0.2, 0.1))],
@@ -785,9 +778,8 @@ def test_second_family_regulars_ignore_singular_data(part, bg, small_lattice, fo
     cfg = SystemConfig(n_regular=2, system="second", coupling_scale=cs, coupling_psi=cp,
                        forcings=forcings)
     phis = [bounded_field(small_lattice, rng) for _ in range(2)]
-    draws = [make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                                  h=bounded_field(small_lattice, rng), phis=phis)
-             for _ in range(2)]
+    draws = [np.array([bounded_field(small_lattice, rng), bounded_field(small_lattice, rng),
+                       *phis]) for _ in range(2)]
     runs = seeded_runs(cfg, small_lattice, bg, draws).reshape(2, -1, 2, cfg.n_columns,
                                                               small_lattice.n_slots)
     # (draw, time, values or tau * derivs, column, slot)
@@ -811,8 +803,7 @@ def test_split_reconstructs_and_tags_branches(part, bg):
     cs, cp = random_coupling(1, "first", rng, 0.05)
     cfg = SystemConfig(n_regular=1, coupling_scale=cs, coupling_psi=cp,
                        tau_seed=1e-5, rtol=1e-11, atol=1e-13)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
+    data = bounded_data(lat, rng, 1)
     grid = make_time_grid(1e-4, 1.0, count=61)
     ty, tj = split_singular_component(cfg, lat, bg, data, grid, part)
     direct = seeded_runs(cfg, lat, bg, [data], grid)[0, :, 0]
@@ -823,19 +814,17 @@ def test_split_reconstructs_and_tags_branches(part, bg):
     taus = modelsys._eval_taus(cfg.tau_seed, 1.0, grid)
     assert len(taus) == len(ty) == len(direct)
     small = taus < 1e-3
-    ell = log_grad_weights(part, eigenvalue_at(bg, lat.lam0[lat.slot_l], 0.0))
-    expect = (2.0 * data.O_field.coeffs[None, :] * (np.log(taus[small])[:, None] + ell))
+    ell = log_grad_weights(part, eigenvalue_at(bg, slot_lam0(lat), 0.0))
+    expect = (2.0 * data[0][None, :] * (np.log(taus[small])[:, None] + ell))
     drift = np.max(np.abs(ty[small, 0] - expect))
     assert drift <= 1e-4
-    assert np.max(np.abs(tj[small, 0])) <= 10.0 * np.max(np.abs(data.frak_h.coeffs))
+    frak_h = renormalized(lat, part, bg, data)[1]
+    assert np.max(np.abs(tj[small, 0])) <= 10.0 * np.max(np.abs(frak_h))
 
 
 def test_split_requires_partition(part, bg, small_lattice):
-    rng = np.random.default_rng(29)
     cfg = SystemConfig(n_regular=1)
-    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = bounded_data(small_lattice, np.random.default_rng(29), 1)
     grid = make_time_grid(1e-3, 1.0, count=9)
     with pytest.raises(TypeError, match="part"):
         split_singular_component(cfg, small_lattice, bg, data, grid)
@@ -843,11 +832,8 @@ def test_split_requires_partition(part, bg, small_lattice):
 
 def test_split_rejects_second_family(part, bg, small_lattice):
     # one first-family augmented run cannot carry the -1/tau regular drag
-    rng = np.random.default_rng(30)
     cfg = SystemConfig(n_regular=1, system="second")
-    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = bounded_data(small_lattice, np.random.default_rng(30), 1)
     grid = make_time_grid(1e-3, 1.0, count=9)
     with pytest.raises(ValueError, match="first system family"):
         split_singular_component(cfg, small_lattice, bg, data, grid, part)
@@ -855,11 +841,8 @@ def test_split_rejects_second_family(part, bg, small_lattice):
 
 def test_epsilon_check_rejects_second_family(part, bg, small_lattice):
     # the -1/tau drag keeps successive rung differences near constant there
-    rng = np.random.default_rng(32)
     cfg = SystemConfig(n_regular=1, system="second")
-    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = bounded_data(small_lattice, np.random.default_rng(32), 1)
     with pytest.raises(ValueError, match="first system family"):
         epsilon_construction_check(cfg, small_lattice, bg, data, eps=1e-2)
 
@@ -871,14 +854,13 @@ def test_expansion_state_is_exact_at_zero_eigenvalue(part, bg, small_lattice):
     lat = small_lattice
     rng = np.random.default_rng(34)
     cfg = SystemConfig(n_regular=2, rtol=1e-11, atol=1e-13)
-    oc, hc = bounded_field(lat, rng).coeffs, bounded_field(lat, rng).coeffs
-    phis = [bounded_field(lat, rng).coeffs for _ in range(2)]
+    oc, hc, *phis = bounded_data(lat, rng, 2)
     cut = 1e-3
     values = np.array([2.0 * oc * math.log(cut) + hc] + phis)
     derivs = np.zeros_like(values)
     derivs[0] = 2.0 * oc / cut
     run = integrate(cfg, lat, bg, ModeState(tau=cut, values=values, derivs=derivs), 1.0)
-    zero = lat.lam0[lat.slot_l] == 0.0
+    zero = slot_lam0(lat) == 0.0
     assert np.count_nonzero(zero) >= 1 and run.taus[-1] == 1.0
     assert np.max(np.abs(run.values[-1, 0, zero] - hc[zero])) <= 1e-9
     assert np.max(np.abs(run.derivs[-1, 0, zero] - 2.0 * oc[zero])) <= 1e-9
@@ -890,10 +872,8 @@ def test_expansion_state_is_exact_at_zero_eigenvalue(part, bg, small_lattice):
 def test_epsilon_check_zero_data(part, bg, small_lattice):
     # every rung of zero data ends at 0: no discrepancy, nothing measured
     cfg = SystemConfig(n_regular=1)
-    data = make_asymptotic_data(small_lattice, part, bg, O=zero_like(small_lattice),
-                                h=zero_like(small_lattice), phis=[zero_like(small_lattice)])
     with pytest.raises(ValueError, match="identically zero"):
-        epsilon_construction_check(cfg, small_lattice, bg, data, eps=1e-2)
+        epsilon_construction_check(cfg, small_lattice, bg, zero_data(small_lattice, 1), eps=1e-2)
 
 
 def test_epsilon_check_rejects_degree_zero_data(part, bg):
@@ -902,22 +882,18 @@ def test_epsilon_check_rejects_degree_zero_data(part, bg):
     # 7.1e-15, 1.1e-14 and failed)
     lat = build_lattice(2, 6)
     cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
-    o_field = zero_like(lat).with_coeffs(np.where(lat.lam0[lat.slot_l] == 0.0, 1.0, 0.0))
-    data = make_asymptotic_data(lat, part, bg, O=o_field, h=zero_like(lat), phis=[zero_like(lat)])
+    data = zero_data(lat, 1)
+    data[0] = np.where(slot_lam0(lat) == 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="identically zero on the modes with lambda > 0"):
         epsilon_construction_check(cfg, lat, bg, data, eps=1e-3)
     # with the degree-1 slots as well the ladder measures the cutoff again
-    o_field = o_field.with_coeffs(np.where(lat.slot_l <= 1, 1.0, 0.0))
-    data = make_asymptotic_data(lat, part, bg, O=o_field, h=zero_like(lat), phis=[zero_like(lat)])
+    data[0, lat.slots_of_degree(1)] = 1.0
     assert epsilon_construction_check(cfg, lat, bg, data, eps=1e-3).discrepancies[0] > 1e-9
 
 
 def test_epsilon_check_range(part, bg, small_lattice):
-    rng = np.random.default_rng(31)
     cfg = SystemConfig(n_regular=1)
-    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = bounded_data(small_lattice, np.random.default_rng(31), 1)
     with pytest.raises(ValueError):
         epsilon_construction_check(cfg, small_lattice, bg, data, eps=0.5)
 
@@ -927,9 +903,7 @@ def test_epsilon_ladder_soft_at_centi(part, bg):
     lat = build_lattice(2, 4)
     rng = np.random.default_rng(37)
     cfg = SystemConfig(n_regular=1, rtol=1e-11, atol=1e-13)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-    rep = epsilon_construction_check(cfg, lat, bg, data, eps=1e-2)
+    rep = epsilon_construction_check(cfg, lat, bg, bounded_data(lat, rng, 1), eps=1e-2)
     assert rep.monotone
     for r in rep.ratios:
         assert 2.7 <= r <= 3.6
@@ -941,8 +915,8 @@ def test_epsilon_ladder_soft_at_centi(part, bg):
 def _end_state(lat, rng, n_cols):
     """A state at tau = 1, where the backward family starts."""
     return ModeState(tau=1.0,
-                     values=np.array([bounded_field(lat, rng).coeffs for _ in range(n_cols)]),
-                     derivs=np.array([bounded_field(lat, rng).coeffs for _ in range(n_cols)]))
+                     values=np.array([bounded_field(lat, rng) for _ in range(n_cols)]),
+                     derivs=np.array([bounded_field(lat, rng) for _ in range(n_cols)]))
 
 
 def _reference_rhs(config, lam0, bg, source, n):
@@ -984,9 +958,7 @@ def test_integrate_matches_a_slot_level_solve(part, bg, system):
     cfg = SystemConfig(n_regular=1, system=system, coupling_scale=cs, coupling_psi=cp,
                        forcings=forcings, rtol=1e-11, atol=1e-13)
     if system == "first":
-        data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                    h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-        state, tau_end = seed_state(cfg, lat, bg, data), 1.0
+        state, tau_end = seed_state(cfg, lat, bg, bounded_data(lat, rng, 1)), 1.0
     else:
         state, tau_end = _end_state(lat, rng, cfg.n_columns), 1e-3
     grid = make_time_grid(min(state.tau, tau_end), max(state.tau, tau_end), count=9)
@@ -995,7 +967,7 @@ def test_integrate_matches_a_slot_level_solve(part, bg, system):
     def source(tau):
         return np.array([f.profile(tau) for f in forcings])[:, None]
 
-    sol = solve_ivp(_reference_rhs(cfg, lat.lam0[lat.slot_l], bg, source, lat.n_slots),
+    sol = solve_ivp(_reference_rhs(cfg, slot_lam0(lat), bg, source, lat.n_slots),
                     (math.log(state.tau), math.log(tau_end)),
                     np.concatenate([state.values, state.tau * state.derivs]).ravel(),
                     method="DOP853", t_eval=np.log(run.taus), rtol=cfg.rtol, atol=cfg.atol)
@@ -1062,9 +1034,7 @@ def _solver_case(case, part, bg):
     if case == "backward":
         run = integrate(cfg, lat, bg, _end_state(lat, rng, cfg.n_columns), 1e-2)
     else:
-        data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                    h=bounded_field(lat, rng), phis=[bounded_field(lat, rng)])
-        run = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0)
+        run = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, bounded_data(lat, rng, 1)), 1.0)
     return run.values, run.derivs
 
 
@@ -1121,16 +1091,83 @@ def test_propagate_reports_a_failed_solve(monkeypatch, small_lattice):
         fundamental_matrices(SystemConfig(n_regular=1), small_lattice, vanishing, 1e-3, taus)
 
 
+# a scenario small enough to run every target that solves in about a second;
+# the theorem targets build both families' configs at rtol 1e-9, coupled and
+# decoupled, roundtrip its four at 1e-11, and singular-split the augmented
+# first-family system, the blow-up config, the second-family isolation
+# config and the cutoff ladder's
+_LIOUVILLE_SCENARIO = "[lattice]\nl_max = 16\n[verify]\nn_draws = 2\nresolutions = 16, 32\n"
+_SOLVING_TARGETS = ["forward-first", "backward-second", "roundtrip", "singular-split"]
+
+
+def _liouville_defects(monkeypatch, target):
+    """(defect, rtol) of every propagator ``target`` builds.
+
+    The defect is the worst |det P_l(tau <- sigma) / (tau / sigma)^p - 1|
+    over degrees and times, p = sum_i (1 - sign_i) over the config's drag
+    signs.
+    """
+    found, real = [], modelsys.fundamental_matrices
+
+    def recording(config, lattice, bg, tau_anchor, taus):
+        props = real(config, lattice, bg, tau_anchor, taus)
+        exact = (np.asarray(taus) / tau_anchor) ** np.sum(1.0 - config.drag_signs)
+        found.append((float(np.max(np.abs(np.linalg.det(props) / exact - 1.0))), config.rtol))
+        return props
+
+    for module in (modelsys, energies):  # energies imports the name
+        monkeypatch.setattr(module, "fundamental_matrices", recording)
+    cli._RUNNERS[target](parse_config(_LIOUVILLE_SCENARIO))
+    return found
+
+
+@pytest.mark.parametrize("target", _SOLVING_TARGETS)
+def test_propagators_obey_liouvilles_identity(monkeypatch, target):
+    # in the log chart the only diagonal term of the stacked (v, tau v') system
+    # is the drag flip (1 - sign_i) on theta_i, so the propagator's determinant
+    # is exp of its integral: (tau / sigma)^p, 1 on the first family.  The
+    # tolerance is 1e4 rtol; measured at most 134 rtol (theorem configs, rtol
+    # 1e-9) and 1830 rtol (roundtrip's second-family run from 1 back to 1e-4,
+    # rtol 1e-11, whose exact determinant is 1e-16)
+    found = _liouville_defects(monkeypatch, target)
+    assert found
+    for defect, rtol in found:
+        assert defect <= 1e4 * rtol
+
+
+class _ChartlessDragFlip:
+    """A config whose drag flip 1 - sign reads -sign: the physical-time drag
+    without the log chart's own +theta."""
+
+    def __init__(self, config):
+        self._config = config
+
+    def __getattr__(self, name):
+        return getattr(self._config, name)
+
+    @property
+    def drag_signs(self):
+        return self._config.drag_signs + 1.0
+
+
+@pytest.mark.parametrize("target", _SOLVING_TARGETS)
+def test_liouvilles_identity_fails_with_a_wrong_drag_flip(monkeypatch, target):
+    # negative control: with the flip off by one every propagator's defect
+    # reads at least 1
+    real = modelsys._propagate
+    monkeypatch.setattr(modelsys, "_propagate",
+                        lambda config, *args: real(_ChartlessDragFlip(config), *args))
+    found = _liouville_defects(monkeypatch, target)
+    assert found and all(defect > 1e4 * rtol for defect, rtol in found)
+
+
 def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_lattice):
     # the benchmark's modelsys.solves, rhs_evals and solve_s wrap this name;
     # forced runs of data make two solves, the propagators and the forced
     # part, and a toy run one, on the scalar kernel
     nfevs = _count_solves(monkeypatch)
     cfg = SystemConfig(n_regular=1, forcings=(Forcing(0.3), Forcing()))
-    rng = np.random.default_rng(59)
-    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = bounded_data(small_lattice, np.random.default_rng(59), 1)
     taus = np.geomspace(cfg.tau_seed, 1.0, 5)
     calls = {
         "seeded_runs": (2, lambda: seeded_runs(cfg, small_lattice, bg, [data, data])),
@@ -1172,20 +1209,15 @@ def test_data_to_state_maps_match_seed(part, bg):
     lat = build_lattice(2, 3)
     rng = np.random.default_rng(43)
     cfg = SystemConfig(n_regular=2)
-    data = make_asymptotic_data(lat, part, bg, O=bounded_field(lat, rng),
-                                h=bounded_field(lat, rng),
-                                phis=[bounded_field(lat, rng) for _ in range(2)])
+    data = bounded_data(lat, rng, 2)
     state = seed_state(cfg, lat, bg, data)
     maps = data_to_state_maps(cfg, lat, bg, cfg.tau_seed, part)
+    frak = renormalized(lat, part, bg, data)  # (O, frak_h, phi0_1, phi0_2)
     n_cols = cfg.n_columns
     for l in range(lat.l_max + 1):
         sl = lat.slots_of_degree(l)
         for s in range(sl.start, sl.stop):
-            vec = np.concatenate([
-                [data.O_field.coeffs[s], data.frak_h.coeffs[s]],
-                [p.coeffs[s] for p in data.phi0_fields],
-            ])
-            y = maps[l] @ vec
+            y = maps[l] @ frak[:, s]
             assert np.allclose(y[:n_cols], state.values[:, s], rtol=1e-12, atol=1e-12)
             assert np.allclose(y[n_cols:], cfg.tau_seed * state.derivs[:, s],
                                rtol=1e-12, atol=1e-12)
@@ -1200,11 +1232,8 @@ def test_mode_state_validation(small_lattice):
 
 
 def test_trajectory_helpers(part, bg, small_lattice):
-    rng = np.random.default_rng(47)
     cfg = SystemConfig(n_regular=1)
-    data = make_asymptotic_data(small_lattice, part, bg, O=bounded_field(small_lattice, rng),
-                                h=bounded_field(small_lattice, rng),
-                                phis=[bounded_field(small_lattice, rng)])
+    data = bounded_data(small_lattice, np.random.default_rng(47), 1)
     grid = make_time_grid(cfg.tau_seed, 1.0, count=5)
     traj = integrate(cfg, small_lattice, bg, seed_state(cfg, small_lattice, bg, data),
                      1.0, grid=grid)
