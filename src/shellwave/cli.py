@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .lattice import (
     desitter_background,
     eigenvalue_at,
     make_time_grid,
-    sphere_eigenvalue,
+    sphere_multiplicity,
 )
 from .lp import (
     _coverage_mask,
@@ -43,6 +43,7 @@ from .lp import (
 from .modelsys import (
     Forcing,
     SystemConfig,
+    data_to_state_maps,
     epsilon_construction_check,
     random_coupling,
     roundtrip_data,
@@ -55,9 +56,7 @@ __all__ = ["Scenario", "parse_config", "run_scenario", "main", "TARGETS"]
 # the time slice on which lp-props and poincare read the spectrum
 _SLICE_TAU = 0.5
 
-# the largest lattices roundtrip and singular-split build: roundtrip and the
-# split's reconstruction cap the scenario's l_max, the split's blowup and
-# isolation parts and its cutoff ladder use fixed degrees
+# the largest lattices roundtrip and singular-split build (see _largest_draws)
 _ROUNDTRIP_L_MAX = 16
 _SPLIT_L_MAX = 12
 _SPLIT_FIXED_L_MAX = 8
@@ -66,6 +65,9 @@ _LADDER_L_MAX = 6
 # the top frequency 2 sqrt(lambda) the ODE targets may meet: the toy's top
 # shell, so the highest at which the integrator is checked against the oracle
 _MAX_OMEGA = 2.0**12
+
+# the most memory one array a target draws may take: 1 GiB
+_MAX_DRAW_BYTES = 2**30
 
 @dataclass(frozen=True)
 class Scenario:
@@ -111,17 +113,9 @@ class Scenario:
         return make_partition(self.k_min, self.k_max, self.smoothness, self.shift)
 
     def expanded_targets(self):
-        out = []
-        for t in self.targets:
-            if t == "verify-all":
-                out.extend(TARGETS)
-            else:
-                out.append(t)
-        seen = []
-        for t in out:
-            if t not in seen:
-                seen.append(t)
-        return tuple(seen)
+        """The targets in the order named, verify-all expanded, each once."""
+        return tuple(dict.fromkeys(x for t in self.targets
+                                   for x in (TARGETS if t == "verify-all" else (t,))))
 
 
 class ConfigError(ValueError):
@@ -289,27 +283,49 @@ def _parse(text, flags):
                     raise ConfigError(f"{where}{need.format(key=name)}, got {value!r}")
                 fields[field] = value
     scn = Scenario(**fields)
-    problem = _spectrum_problem(scn)
-    if problem:
-        # only a set background, lattice, partition or resolution list can
-        # leave a target no mode or too fast a one
-        line_no = next(section_lines[s] for s in ("background", "lattice", "partition", "verify")
-                       if s in section_lines)
-        raise ConfigError(f"line {line_no}: {problem}")
+    # each problem names the first set section among those whose keys can
+    # cause it; the defaults cause none
+    for check, sections in ((_size_problem, ("lattice", "verify", "system")),
+                            (_spectrum_problem, ("background", "lattice", "partition", "verify")),
+                            (_seed_problem, ("system", "background", "lattice"))):
+        problem = check(scn)
+        if problem:
+            line_no = next(section_lines[s] for s in sections if s in section_lines)
+            raise ConfigError(f"line {line_no}: {problem}")
     return scn
+
+
+def _largest_draws(scn):
+    """Per target: the degree of the largest lattice it builds, and the floats
+    per slot of the largest array it draws there (the theorem ensemble, one
+    data vector (O, h, phi0_1..phi0_I) per slot, or one corpus field)."""
+    top = max(scn.resolutions)
+    return {"lp-props": (scn.l_max, 1),
+            "forward-first": (top, scn.n_draws * (scn.n_regular + 2)),
+            "backward-second": (top, scn.n_draws * 2 * (scn.n_regular + 1)),
+            "roundtrip": (min(scn.l_max, _ROUNDTRIP_L_MAX), scn.n_regular + 2),
+            "singular-split": (max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX,
+                                   _LADDER_L_MAX), 3),
+            "poincare": (top, 1)}
+
+
+def _size_problem(scn):
+    """Why a target would draw an array above _MAX_DRAW_BYTES, or None."""
+    for t, (l_max, per_slot) in _largest_draws(scn).items():
+        # the lattice's slot count, in Python ints so that no count overflows
+        size = 8 * per_slot * sum(sphere_multiplicity(scn.n_sphere, l) for l in range(l_max + 1))
+        if t in scn.expanded_targets() and size > _MAX_DRAW_BYTES:
+            return (f"{t} would draw {size:,} bytes at once on S^{scn.n_sphere} at "
+                    f"l_max = {l_max}, above the {_MAX_DRAW_BYTES:,} allowed")
+    return None
 
 
 def _spectrum_problem(scn):
     """Why lp-props or poincare would have no mode to check, why an ODE target
     would meet a frequency above _MAX_OMEGA, or None."""
     targets, bg, part = scn.expanded_targets(), scn.background(), scn.partition()
-
-    def spectrum(l_max):
-        return eigenvalue_at(bg, [sphere_eigenvalue(scn.n_sphere, l) for l in range(l_max + 1)],
-                             _SLICE_TAU)
-
     if "lp-props" in targets:
-        lam = spectrum(scn.l_max)
+        lam = eigenvalue_at(bg, build_lattice(scn.n_sphere, scn.l_max).lam0, _SLICE_TAU)
         if not np.any(_coverage_mask(part, lam)):
             return (f"lp-props needs an eigenvalue at tau = {_SLICE_TAU} inside the cell range "
                     f"[{4.0 ** (part.k_min + part.shift):.3g}, "
@@ -318,27 +334,42 @@ def _spectrum_problem(scn):
     if "poincare" in targets:
         # a finer lattice adds modes, so the coarsest one decides
         r = min(scn.resolutions)
+        lam = eigenvalue_at(bg, build_lattice(scn.n_sphere, r).lam0, _SLICE_TAU)
         try:
-            _poincare_cells(part, spectrum(r))
+            _poincare_cells(part, lam)
         except ValueError as exc:
             return (f"poincare needs a finite top eigenvalue >= 1 and a mode in a cell k >= 0 "
                     f"at tau = {_SLICE_TAU} at every resolution; at l_max = {r} {exc}")
-    largest = {
-        "forward-first": max(scn.resolutions),
-        "backward-second": max(scn.resolutions),
-        "roundtrip": min(scn.l_max, _ROUNDTRIP_L_MAX),
-        "singular-split": max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX, _LADDER_L_MAX),
-    }
-    ode_targets = [t for t in largest if t in targets]
-    if ode_targets:
+    for t in (t for t in ("forward-first", "backward-second", "roundtrip", "singular-split")
+              if t in targets):
+        l_max = _largest_draws(scn)[t][0]
         # lambda(tau) = lambda0 / f(tau)^2 peaks where f is least
-        f_min = bg.f_min
-        for t in ode_targets:
-            omega = 2.0 * math.sqrt(sphere_eigenvalue(scn.n_sphere, largest[t])) / f_min
-            if omega > _MAX_OMEGA:
-                return (f"{t} would integrate frequencies 2 sqrt(lambda) up to {omega:.4g} "
-                        f"(l_max = {largest[t]}, min f = {f_min:.4g} on tau in [0, 1]), above "
-                        f"the {_MAX_OMEGA:g} the integrator is checked at")
+        omega = 2.0 * math.sqrt(build_lattice(scn.n_sphere, l_max).lam0[-1]) / bg.f_min
+        if omega > _MAX_OMEGA:
+            return (f"{t} would integrate frequencies 2 sqrt(lambda) up to {omega:.4g} "
+                    f"(l_max = {l_max}, min f = {bg.f_min:.4g} on tau in [0, 1]), above "
+                    f"the {_MAX_OMEGA:g} the integrator is checked at")
+    return None
+
+
+def _seed_problem(scn):
+    """Why roundtrip or singular-split could not seed a run at tau_seed, or None.
+
+    Each run's seed map is built decoupled, on its lattice and at its rtol;
+    the regular columns of a family share one series, so one stands for all.
+    """
+    for target, family, rtol, l_max in (
+            ("roundtrip", "first", 1e-11, min(scn.l_max, _ROUNDTRIP_L_MAX)),
+            ("roundtrip", "second", 1e-11, min(scn.l_max, _ROUNDTRIP_L_MAX)),
+            ("singular-split", "first", 1e-11, min(scn.l_max, _SPLIT_L_MAX)),
+            ("singular-split", "second", SystemConfig.rtol, _SPLIT_FIXED_L_MAX)):
+        if target in scn.expanded_targets():
+            try:
+                data_to_state_maps(SystemConfig(n_regular=1, system=family, rtol=rtol),
+                                   build_lattice(scn.n_sphere, l_max), scn.background(),
+                                   scn.tau_seed)
+            except ValueError as exc:
+                return f"{target} cannot seed its {family}-family runs at l_max = {l_max}: {exc}"
     return None
 
 
@@ -352,71 +383,43 @@ def _bounded_field(lattice, rng, decay=3.0):
     return mag * sign * lattice.damping(decay)
 
 
+def _verdict(key, reports, **shared):
+    """The verdict over named reports: each report's fields under its name."""
+    return {"passed": all(rep.passed for rep in reports.values()),
+            key: {name: asdict(rep) for name, rep in reports.items()}, **shared}
+
+
 def _target_lp_props(scn):
-    bg = scn.background()
-    part = scn.partition()
-    lattice = build_lattice(scn.n_sphere, scn.l_max)
-    report = check_lp_properties(part, lattice, bg, tau=_SLICE_TAU, n_fields=32, seed=scn.seed)
-    verdict = {
-        "passed": report.all_passed,
-        "checks": {
-            c.name: {"constant": c.constant, "threshold": c.threshold, "passed": c.passed}
-            for c in report.checks
-        },
-        "meta": report.meta,
-    }
-    series = {"lp_props": [("check", "constant", "threshold", "passed")] + list(report.csv_rows())}
-    return verdict, series
+    report = check_lp_properties(scn.partition(), build_lattice(scn.n_sphere, scn.l_max),
+                                 scn.background(), tau=_SLICE_TAU, n_fields=32, seed=scn.seed)
+    rows = [("check", "constant", "threshold", "passed")]
+    rows += [(name, c.constant, c.threshold, int(c.passed)) for name, c in report.checks.items()]
+    return asdict(report), {"lp_props": rows}
 
 
 def _target_toy_shells(scn):
     rows = [("branch", "degree", "amplitude")]
-    branch_info = {}
-    passed = True
-    worst_dev = 0.0
+    branches = {}
     for branch in ("J", "Y"):
-        rep = shell_decay_check(branch=branch)
-        branch_info[branch] = {
-            "slope": rep.slope,
-            "target": rep.slope_target,
-            "tolerance": rep.tolerance,
-            "max_oracle_deviation": rep.max_oracle_deviation,
-            "deviation_limit": rep.deviation_limit,
-            "passed": rep.passed,
-        }
-        worst_dev = max(worst_dev, rep.max_oracle_deviation)
-        passed = passed and rep.passed
-        for l, a in zip(rep.degrees, rep.amplitudes):
-            rows.append((branch, l, a))
-    verdict = {"passed": passed, "branches": branch_info, "max_oracle_deviation": worst_dev,
-               "deviation_limit": rep.deviation_limit}
-    return verdict, {"toy_shells": rows}
+        branches[branch], amplitudes = shell_decay_check(branch=branch)
+        rows += [(branch, l, a) for l, a in amplitudes.items()]
+    worst = max(branches.values(), key=lambda rep: rep.max_oracle_deviation)
+    return _verdict("branches", branches, max_oracle_deviation=worst.max_oracle_deviation,
+                    deviation_limit=worst.deviation_limit), {"toy_shells": rows}
 
 
 def _theorem_target(scn, system):
-    bg = scn.background()
-    part = scn.partition()
-    reports = {}
+    bg, part = scn.background(), scn.partition()
+    variants = {}
     rows = [("variant", "l_max", "max_ratio", "median_ratio")]
-    passed = True
     for label, scale in (("decoupled", 0.0), ("coupled", 0.1)):
-        rep = verify_theorem_ratio(
+        rep = variants[label] = verify_theorem_ratio(
             system, part, bg, resolutions=scn.resolutions, n_draws=scn.n_draws,
             n_regular=scn.n_regular, top_order=scn.top_order,
             coupling_scale=scale, seed=scn.seed, n_sphere=scn.n_sphere,
         )
-        reports[label] = {
-            "resolutions": list(rep.resolutions),
-            "max_ratios": list(rep.max_ratios),
-            "median_ratios": list(rep.median_ratios),
-            "doubling_factors": list(rep.doubling_factors),
-            "passed": rep.passed,
-        }
-        passed = passed and rep.passed
-        for r, mx, md in zip(rep.resolutions, rep.max_ratios, rep.median_ratios):
-            rows.append((label, r, mx, md))
-    verdict = {"passed": passed, "n_draws": scn.n_draws, "variants": reports}
-    return verdict, {f"theorem_{system}": rows}
+        rows += [(label, *row) for row in zip(rep.resolutions, rep.max_ratios, rep.median_ratios)]
+    return _verdict("variants", variants, n_draws=scn.n_draws), {f"theorem_{system}": rows}
 
 
 def _target_roundtrip(scn):
@@ -424,12 +427,9 @@ def _target_roundtrip(scn):
     lattice = build_lattice(scn.n_sphere, min(scn.l_max, _ROUNDTRIP_L_MAX))
     rng = np.random.default_rng(scn.seed)
     runs = {}
-    passed = True
     for family in ("first", "second"):
         for label, scale, tol in (("decoupled", 0.0, 1e-6), ("coupled", 0.1, 1e-4)):
-            cs, cp = (None, None)
-            if scale:
-                cs, cp = random_coupling(scn.n_regular, family, rng, scale)
+            cs, cp = random_coupling(scn.n_regular, family, rng, scale) if scale else (None, None)
             config = SystemConfig(
                 n_regular=scn.n_regular, system=family, top_order=scn.top_order,
                 coupling_scale=cs, coupling_psi=cp, tau_seed=scn.tau_seed,
@@ -439,15 +439,14 @@ def _target_roundtrip(scn):
             data = np.array([_bounded_field(lattice, rng) for _ in range(scn.n_regular + 2)])
             rec, contamination = roundtrip_data(config, lattice, bg, data)
             err = float(np.max(np.abs(rec - data) / np.abs(data)))
-            ok = err <= tol
-            passed = passed and ok
             runs[f"{family}_{label}"] = {
                 "max_mode_rel_error": err,
                 "tolerance": tol,
                 "contamination": contamination,
-                "passed": ok,
+                "passed": err <= tol,
             }
-    verdict = {"passed": passed, "l_max": lattice.l_max, "runs": runs}
+    verdict = {"passed": all(run["passed"] for run in runs.values()), "l_max": lattice.l_max,
+               "runs": runs}
     rows = [("run", "max_mode_rel_error", "tolerance", "passed")]
     rows += [(k, v["max_mode_rel_error"], v["tolerance"], int(v["passed"])) for k, v in runs.items()]
     return verdict, {"roundtrip": rows}
@@ -484,23 +483,18 @@ def _target_singular_split(scn):
         n_regular=1, system="first", top_order=1, tau_seed=1e-7, rtol=1e-10, atol=1e-12,
     )
     blow_grid = make_time_grid(1e-6, 1.0, count=120 * scn.grid_refine + 1)
-    worst_drift, sup_stat = 0.0, 0.0
     n_draws = max(20, scn.n_draws // 2)
-    blow_pass = True
-    stat_rows = [("draw", "sup_statistic", "max_drift")]
     o_rows = [_bounded_field(lat_blow, rng, decay=6.0) for _ in range(n_draws)]
     reports = singular_blowup_check(blow_cfg, lat_blow, bg, part, o_rows, blow_grid)
-    for d, rep in enumerate(reports):
-        worst = max(rep.drifts) if rep.drifts else 0.0
-        worst_drift = max(worst_drift, worst)
-        sup_stat = max(sup_stat, rep.sup_value)
-        blow_pass = blow_pass and rep.passed
-        stat_rows.append((d, rep.sup_value, worst))
+    # per draw: the sup of the statistic and its worst drift per decade
+    stats = [(rep.sup_value, max(rep.drifts, default=0.0)) for rep in reports]
     sub["blowup"] = {
-        "n_draws": n_draws, "sup_statistic": sup_stat, "worst_drift_per_decade": worst_drift,
-        "limit": reports[0].drift_limit, "passed": blow_pass,
+        "n_draws": n_draws, "sup_statistic": max(sup for sup, _ in stats),
+        "worst_drift_per_decade": max(drift for _, drift in stats),
+        "limit": reports[0].drift_limit, "passed": all(rep.passed for rep in reports),
     }
-    series["blowup"] = stat_rows
+    series["blowup"] = [("draw", "sup_statistic", "max_drift")] + [
+        (d, *stat) for d, stat in enumerate(stats)]
 
     # (c) second-family regular block ignores singular data bit for bit
     lat2 = build_lattice(scn.n_sphere, _SPLIT_FIXED_L_MAX)
@@ -525,51 +519,26 @@ def _target_singular_split(scn):
     eps_data = np.array([_bounded_field(lat_eps, rng) for _ in range(3)])
     # 1e-3 sits deep enough in the asymptotic regime for the hard ratio gate
     eps_rep = epsilon_construction_check(eps_cfg, lat_eps, bg, eps_data, eps=1e-3)
-    sub["epsilon_ladder"] = {
-        "ladder": list(eps_rep.eps_ladder),
-        "discrepancies": list(eps_rep.discrepancies),
-        "ratios": list(eps_rep.ratios),
-        "monotone": eps_rep.monotone,
-        "passed": eps_rep.passed,
-    }
+    sub["epsilon_ladder"] = asdict(eps_rep)
 
     passed = all(entry["passed"] for entry in sub.values())
     return {"passed": passed, "parts": sub}, series
 
 
 def _target_gronwall(scn):
-    verdict = verify_gronwall_lemma(seed=scn.seed, count=scn.gronwall_count,
-                                    grid_count=256, k_max=12)
-    out = {
-        "passed": verdict.passed,
-        "n_instances": verdict.n_instances,
-        "worst_defect_rel": verdict.worst_defect_rel,
-        "preset_defect_rel": verdict.preset_defect_rel,
-        "worst_discrete_gap": verdict.worst_discrete_gap,
-    }
-    return out, {}
+    return asdict(verify_gronwall_lemma(seed=scn.seed, count=scn.gronwall_count,
+                                        grid_count=256, k_max=12)), {}
 
 
 def _target_poincare(scn):
-    bg = scn.background()
-    part = scn.partition()
     rep = verify_refined_poincare(
-        part, bg, resolutions=scn.resolutions, deltas=(0.1, 1.0, 10.0),
+        scn.partition(), scn.background(), resolutions=scn.resolutions, deltas=(0.1, 1.0, 10.0),
         n_fields=scn.n_fields, tau=_SLICE_TAU, seed=scn.seed, n_sphere=scn.n_sphere,
     )
     rows = [("delta", "l_max", "constant")]
-    for d, row in zip(rep.deltas, rep.constants):
-        for r, cval in zip(rep.resolutions, row):
-            rows.append((d, r, cval))
-    verdict = {
-        "passed": rep.passed,
-        "deltas": list(rep.deltas),
-        "resolutions": list(rep.resolutions),
-        "constants": [list(r) for r in rep.constants],
-        "drift_factors": [list(r) for r in rep.drift_factors],
-        "n_fields": rep.n_fields,
-    }
-    return verdict, {"poincare": rows}
+    rows += [(d, r, c) for d, row in zip(rep.deltas, rep.constants)
+             for r, c in zip(rep.resolutions, row)]
+    return asdict(rep), {"poincare": rows}
 
 
 _RUNNERS = {
@@ -586,12 +555,6 @@ _RUNNERS = {
 TARGETS = tuple(_RUNNERS)
 
 
-def _format_cell(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def run_scenario(scn, quiet=False):
     """Execute the scenario's targets and write the artifact bundle.
 
@@ -605,9 +568,8 @@ def run_scenario(scn, quiet=False):
     all_passed = True
     lines = [f"scenario {scn.name} (hash {scn.config_hash()}, seed {scn.seed})"]
     for target in scn.expanded_targets():
-        runner = _RUNNERS[target]
         try:
-            verdict, series = runner(scn)
+            verdict, series = _RUNNERS[target](scn)
         except Exception as exc:
             raise RuntimeError(f"target {target!r} failed: {exc}") from exc
         verdicts[target] = verdict
@@ -618,7 +580,8 @@ def run_scenario(scn, quiet=False):
             print(lines[-1])
         for name, rows in series.items():
             path = series_dir / f"{name}.csv"
-            text = "\n".join(",".join(_format_cell(c) for c in row) for row in rows)
+            text = "\n".join(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
+                                       for c in row) for row in rows)
             path.write_text(text + "\n")
     verdicts["all_passed"] = all_passed
     (out_dir / "verdicts.json").write_text(json.dumps(verdicts, sort_keys=True, indent=2) + "\n")

@@ -210,25 +210,16 @@ def refined_poincare_defect(part, k, delta, field, tau, bg):
 
 @dataclass(frozen=True)
 class PropertyCheck:
-    name: str
     constant: float
     threshold: float
     passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
 class PropertyReport:
-    checks: tuple[PropertyCheck, ...]
+    passed: bool
+    checks: dict  # name -> PropertyCheck, in the order they ran
     meta: dict
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
-    def csv_rows(self):
-        """One row per check: (name, constant, threshold, passed)."""
-        return [(c.name, c.constant, c.threshold, int(c.passed)) for c in self.checks]
 
 
 def _coverage_mask(part, lam):
@@ -239,10 +230,10 @@ def _coverage_mask(part, lam):
     return ok & (u >= part.k_min) & (u <= part.k_max)
 
 
-def _within_roundoff(name, constant, bound):
+def _within_roundoff(constant, bound):
     """A check that the empirical constant stays below a computed sup bound."""
     threshold = bound * (1.0 + 1e-9)
-    return PropertyCheck(name, constant, threshold, constant <= threshold)
+    return PropertyCheck(constant, threshold, constant <= threshold)
 
 
 def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
@@ -265,14 +256,12 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     if not np.any(covered):
         raise ValueError("no lattice mode is covered by the cell range at this tau")
     ks = np.asarray(part.ks)
-    checks = []
+    checks = {}
 
     # partition of unity on a fine grid spanning the covered window
     grid = np.geomspace(4.0 ** (part.k_min + part.shift), 4.0 ** (part.k_max + part.shift), 4096)
     pou_defect = float(np.max(np.abs(np.sum(_shell_table(part, grid) ** 2, axis=0) - 1.0)))
-    checks.append(
-        PropertyCheck("partition_of_unity", pou_defect, 1e-12, pou_defect <= 1e-12)
-    )
+    checks["partition_of_unity"] = PropertyCheck(pou_defect, 1e-12, pou_defect <= 1e-12)
 
     # the corpus restricted to covered modes, kept only as per-degree power
     power = []
@@ -290,14 +279,14 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
 
     # summed shells against the plain square norm
     bessel_dev = float(np.max(np.abs(np.einsum("kl,fl->f", w, power) / total - 1.0), initial=0.0))
-    checks.append(PropertyCheck("bessel_constant", bessel_dev, 1e-10, bessel_dev <= 1e-10))
+    checks["bessel_constant"] = PropertyCheck(bessel_dev, 1e-10, bessel_dev <= 1e-10)
 
     # single-shell derivative bound; threshold = sup sqrt(mu) M(mu) over the support
     sup_grid = np.geomspace(4.0 ** (part.shift - 1.0), 4.0 ** (part.shift + 1.0), 4001)
     band_bound = float(np.max(np.sqrt(sup_grid) * part.bump(sup_grid)))
     grad = np.sqrt(np.einsum("kl,fl->fk", w * lam, power))
     band_emp = float(np.max(grad / (2.0**ks * nf), initial=0.0))
-    checks.append(_within_roundoff("finite_band", band_emp, band_bound))
+    checks["finite_band"] = _within_roundoff(band_emp, band_bound)
 
     # staggered second family: shells three or more cells apart must vanish
     other = make_partition(part.k_min, part.k_max, part.smoothness,
@@ -307,8 +296,7 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     disjoint_max = float(np.max(cross[:, gap >= 3], initial=0.0))
     ortho_emp = float(np.max(2.0 ** (4 * gap) * cross / nf[:, :, None], initial=0.0))
     ortho_ok = ortho_emp <= 256.0 and disjoint_max == 0.0
-    checks.append(PropertyCheck("almost_orthogonality", ortho_emp, 256.0, ortho_ok,
-                                note=f"max separated-shell overlap {disjoint_max:.3e}"))
+    checks["almost_orthogonality"] = PropertyCheck(ortho_emp, 256.0, ortho_ok)
 
     # log-derivative smoothing against the closed-form bound: the squared bumps
     # at lambda sum to at most 1 over cells k < log_4 lambda - shift + 1, so
@@ -319,7 +307,7 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     num = np.sqrt(power @ (ell * ell))
     den = np.sqrt(power @ (1.0 + lam) ** LOG_GRAD_ETA)
     log_emp = float(np.max(num / den, initial=0.0))
-    checks.append(_within_roundoff("log_grad_bound", log_emp, log_bound))
+    checks["log_grad_bound"] = _within_roundoff(log_emp, log_bound)
 
     # time-commutator uniformity in k
     comm_bound = float(bg.kappa(tau) * np.max(sup_grid * np.abs(part.bump_prime(sup_grid))))
@@ -327,7 +315,7 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
     wc = -_shell_table(part, lam, prime=True) * 4.0 ** (-ks[:, None]) * rate / (2.0 * tau)
     comm = np.sqrt(np.einsum("kl,fl->fk", wc * wc, power))
     comm_emp = float(np.max(comm / nf, initial=0.0))
-    checks.append(_within_roundoff("commutator_bound", comm_emp, comm_bound))
+    checks["commutator_bound"] = _within_roundoff(comm_emp, comm_bound)
 
     meta = {
         "n": lattice.n,
@@ -341,7 +329,7 @@ def check_lp_properties(part, lattice, bg, tau, n_fields=32, seed=0):
         "shift": part.shift,
         "eta": LOG_GRAD_ETA,
     }
-    return PropertyReport(checks=tuple(checks), meta=meta)
+    return PropertyReport(passed=all(c.passed for c in checks.values()), checks=checks, meta=meta)
 
 
 @dataclass(frozen=True)

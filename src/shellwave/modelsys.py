@@ -1036,7 +1036,7 @@ def split_singular_component(config, lattice, bg, data, grid, part):
 
 @dataclass(frozen=True)
 class EpsilonReport:
-    eps_ladder: tuple[float, ...]
+    ladder: tuple[float, ...]
     discrepancies: tuple[float, ...]
     ratios: tuple[float, ...]
     monotone: bool
@@ -1108,7 +1108,7 @@ def epsilon_construction_check(config, lattice, bg, data, eps=1e-2, rungs=3):
     monotone = all(a >= b for a, b in zip(discrepancies[:-1], discrepancies[1:]))
     passed = monotone and all(r >= 3.0 for r in ratios)
     return EpsilonReport(
-        eps_ladder=tuple(ladder), discrepancies=tuple(discrepancies),
+        ladder=tuple(ladder), discrepancies=tuple(discrepancies),
         ratios=tuple(ratios), monotone=monotone, passed=passed,
     )
 

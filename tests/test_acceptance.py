@@ -34,8 +34,8 @@ from tests.conftest import bounded_data, bounded_field
 def test_criterion_1_toy_shell_decay():
     # dyadic amplitude decay 2^(-l/2) on shells l = 4..12, both branches
     for branch in ("J", "Y"):
-        rep = shell_decay_check(l_lo=4, l_hi=12, branch=branch,
-                                slope_target=-0.5, tolerance=0.025)
+        rep, _ = shell_decay_check(l_lo=4, l_hi=12, branch=branch,
+                                   slope_target=-0.5, tolerance=0.025)
         assert rep.passed, (branch, rep.slope)
         assert abs(rep.slope + 0.5) <= 0.025
 
@@ -120,8 +120,8 @@ def test_criterion_6_lp_property_suite(part, bg):
     for l_max in (16, 32):
         report = check_lp_properties(part, build_lattice(2, l_max), bg,
                                      tau=0.5, n_fields=32, seed=5)
-        assert report.all_passed
-        checks = {c.name: c for c in report.checks}
+        assert report.passed
+        checks = report.checks
         assert tuple(checks) == names
         for name in names:
             assert checks[name].passed, (l_max, name)

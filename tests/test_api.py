@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -140,6 +141,28 @@ def test_every_definition_is_reached_by_a_target(tmp_path):
             value = getattr(module, name)
             if inspect.isclass(value):
                 assert value in built, f"{module.__name__}.{name} is built by no target"
+
+
+def _leaf_paths(node, prefix=()):
+    """Dotted key path of every leaf of a JSON value, each list index read as '*'."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for value in node:
+            yield from _leaf_paths(value, prefix + ("*",))
+    else:
+        yield ".".join(prefix)
+
+
+def test_verdict_keys_match_the_committed_list(tmp_path):
+    # a verdict is its report's fields, so renaming, adding or dropping a
+    # report field changes the bundle; every key path of verdicts.json is
+    # pinned in verdict_keys.txt, one a line, sorted
+    cli.run_scenario(cli.parse_config(_REACH_SCENARIO.format(out=tmp_path)), quiet=True)
+    verdicts = json.loads((tmp_path / "verdicts.json").read_text())
+    committed = Path(__file__).with_name("verdict_keys.txt").read_text().split()
+    assert sorted(set(_leaf_paths(verdicts))) == committed
 
 
 def test_targets_load_no_scipy(tmp_path):

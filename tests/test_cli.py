@@ -344,9 +344,11 @@ def test_frequency_limit_reads_each_targets_largest_lattice(target):
 
 
 def test_frequency_limit_set_by_resolutions_names_verify_line():
-    # de Sitter at l_max 1200: 4 sqrt(1200 * 1201), about 4802
+    # de Sitter at l_max 1200: 4 sqrt(1200 * 1201), about 4802; two draws keep
+    # the ensemble under the size limit, which 50 draws (2.15 GiB) exceed
     with pytest.raises(ConfigError, match="line 3: forward-first would integrate .* 4802"):
-        parse_config("[scenario]\ntargets = forward-first\n[verify]\nresolutions = 600, 1200\n")
+        parse_config("[scenario]\ntargets = forward-first\n[verify]\nresolutions = 600, 1200\n"
+                     "n_draws = 2\n")
 
 
 def test_bench_scenarios_pass_the_frequency_limit():
@@ -358,6 +360,54 @@ def test_bench_scenarios_pass_the_frequency_limit():
         sys.path.pop(0)
     for name in workloads.WORKLOADS:
         parse_config(workloads.scenario_text(name))
+
+
+@pytest.mark.parametrize("target", ["roundtrip", "singular-split"])
+def test_main_rejects_a_tau_seed_the_series_cannot_reach(tmp_path, capsys, target):
+    # at tau_seed 0.1 the seed's series remainder is 5.8e-4 on roundtrip's
+    # lattice and 3.2e-6 on the split's, above the 1e-9 the runs trust; the
+    # target raised at run time with a traceback and exit 1
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\ntargets = {target}\nout = {tmp_path / 'run'}\n"
+                   "[system]\ntau_seed = 0.1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"line 4: {target} cannot seed its first-family runs" in message
+    assert "Traceback" not in message and not (tmp_path / "run").exists()
+    # a reachable seed time and the defaults parse; a target that seeds
+    # nothing runs at any tau_seed
+    assert parse_config(f"[scenario]\ntargets = {target}\n[system]\ntau_seed = 0.05\n")
+    assert parse_config(f"[scenario]\ntargets = {target}\n").tau_seed == 1e-4
+    cfg.write_text(f"[scenario]\nout = {tmp_path / 'run'}\n[system]\ntau_seed = 0.3\n")
+    assert main(["--config", str(cfg), "--quiet", "--target", "gronwall"]) == 0
+
+
+@pytest.mark.parametrize("target,lattice", [
+    ("forward-first", "n = 6"), ("backward-second", "n = 6"), ("poincare", "n = 6"),
+    ("lp-props", "n = 6\nl_max = 128"), ("roundtrip", "n = 20"), ("singular-split", "n = 20"),
+    ("lp-props", "n = 1000"),
+])
+def test_main_rejects_draws_above_the_size_limit(tmp_path, capsys, target, lattice):
+    # forward-first's ensemble at n = 6 would take 20,913 GiB at l_max 128;
+    # at n = 1000 the slot count exceeds an int64
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\ntargets = {target}\nout = {tmp_path / 'run'}\n"
+                   f"[lattice]\n{lattice}\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet"])
+    assert err.value.code == 2
+    assert f"line 4: {target} would draw" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_paper_dimensions_parse_at_resolutions_that_fit():
+    # n = 4 at resolutions 8/16/24 draws 61 MB per ensemble, and its lp-props
+    # field at l_max 32 takes 0.9 MB; the default scenario parses too
+    scn = parse_config("[lattice]\nn = 4\n[verify]\nresolutions = 8, 16, 24\n")
+    assert (scn.n_sphere, scn.resolutions) == (4, (8, 16, 24))
+    assert parse_config("") == Scenario()
 
 
 @settings(max_examples=40, deadline=None)

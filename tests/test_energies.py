@@ -61,12 +61,13 @@ def test_fit_validation():
 
 
 def test_shell_decay_short_ladder():
-    rep = shell_decay_check(l_lo=4, l_hi=8)
+    rep, amplitudes = shell_decay_check(l_lo=4, l_hi=8)
     assert rep.passed
     assert rep.slope == pytest.approx(-0.5, abs=rep.tolerance)
     assert rep.max_oracle_deviation < 1e-6
     assert rep.deviation_limit == 1e-6
-    amps = rep.amplitudes
+    assert list(amplitudes) == [4, 5, 6, 7, 8]
+    amps = list(amplitudes.values())
     assert all(a > b for a, b in zip(amps[:-1], amps[1:]))
 
 
@@ -81,8 +82,8 @@ def test_shell_decay_fails_against_the_other_branch(monkeypatch, branch):
         return real(other[kind] if tau == 1.0 else kind, omega, tau)
 
     monkeypatch.setattr(energies, "_oracle_envelope", swapped)
-    rep = shell_decay_check(l_lo=4, l_hi=8, branch=branch)
-    assert abs(rep.slope - rep.slope_target) <= rep.tolerance
+    rep, _ = shell_decay_check(l_lo=4, l_hi=8, branch=branch)
+    assert abs(rep.slope - rep.target) <= rep.tolerance
     assert rep.max_oracle_deviation > rep.deviation_limit
     assert not rep.passed
 
@@ -94,7 +95,7 @@ GOLDEN_TOY_SLOPES = {"J": -0.498684443277434, "Y": -0.5013374912576504}
 
 @pytest.mark.parametrize("branch", list(GOLDEN_TOY_SLOPES))
 def test_shell_decay_slope_golden(branch):
-    rep = shell_decay_check(branch=branch)
+    rep, _ = shell_decay_check(branch=branch)
     assert rep.slope == pytest.approx(GOLDEN_TOY_SLOPES[branch], rel=1e-12, abs=0.0)
 
 
@@ -298,7 +299,6 @@ def test_theorem_report_small_smoke(part, bg):
     rep = verify_theorem_ratio("first", part, bg, resolutions=(8, 16), n_draws=6,
                                coupling_scale=0.0, seed=4)
     assert rep.passed
-    assert rep.variant == "decoupled"
     assert len(rep.max_ratios) == 2
     assert all(math.isfinite(r) for r in rep.max_ratios)
     for f in rep.doubling_factors:
@@ -314,7 +314,6 @@ def test_theorem_report_small_smoke(part, bg):
 def test_theorem_coupled_variant_and_validation(part, bg):
     rep = verify_theorem_ratio("second", part, bg, resolutions=(8, 16), n_draws=4,
                                coupling_scale=0.1, seed=2)
-    assert rep.variant == "coupled"
     assert rep.passed
     with pytest.raises(ValueError):
         verify_theorem_ratio("third", part, bg)

@@ -22,10 +22,6 @@ from shellwave.lp import LOG_GRAD_ETA, _coverage_mask, _shell_table
 from tests.oracles import graded_sobolev_norm, shell_project, slot_lam0
 
 
-def _checks(report):
-    return {c.name: c for c in report.checks}
-
-
 # ------------------------------------------------------------ bump geometry
 
 
@@ -140,7 +136,7 @@ def test_commutator_constant_background(part):
     # a frozen profile moves no eigenvalue, so the time commutator is 0
     cb = constant_background(1.5)
     rep = check_lp_properties(part, build_lattice(2, 20), cb, tau=0.4, n_fields=8, seed=3)
-    comm = _checks(rep)["commutator_bound"]
+    comm = rep.checks["commutator_bound"]
     assert comm.constant == 0.0 and comm.threshold == 0.0 and comm.passed
 
 
@@ -165,7 +161,7 @@ def test_commutator_uniform_bound(part, bg):
             assert ratio <= bound * (1.0 + 1e-9)
             worst = max(worst, ratio)
     rep = check_lp_properties(part, lat, bg, tau=tau, n_fields=n_fields, seed=seed)
-    assert _checks(rep)["commutator_bound"].constant == pytest.approx(worst, rel=1e-12, abs=0.0)
+    assert rep.checks["commutator_bound"].constant == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------- inequality suite
@@ -196,8 +192,7 @@ def test_refined_poincare_defect_finite(part, bg):
 def test_check_lp_properties_all_pass(part, bg):
     lat = build_lattice(2, 24)
     rep = check_lp_properties(part, lat, bg, tau=0.5, n_fields=16, seed=0)
-    names = [c.name for c in rep.checks]
-    assert names == [
+    assert list(rep.checks) == [
         "partition_of_unity",
         "bessel_constant",
         "finite_band",
@@ -205,9 +200,9 @@ def test_check_lp_properties_all_pass(part, bg):
         "log_grad_bound",
         "commutator_bound",
     ]
-    for c in rep.checks:
-        assert c.passed, f"{c.name}: {c.constant} vs {c.threshold}"
-    assert rep.all_passed
+    for name, c in rep.checks.items():
+        assert c.passed, f"{name}: {c.constant} vs {c.threshold}"
+    assert rep.passed
     assert rep.meta["eta"] == LOG_GRAD_ETA
 
 
@@ -270,7 +265,7 @@ GOLDEN_POINCARE = ((0.13524860008776493, 0.13520125614621442),
 
 def test_check_lp_properties_golden(part, bg):
     rep = check_lp_properties(part, build_lattice(2, 24), bg, tau=0.5, n_fields=16, seed=0)
-    checks = _checks(rep)
+    checks = rep.checks
     for name, want in GOLDEN_LP_PROPS.items():
         np.testing.assert_allclose(checks[name].constant, want, rtol=1e-12, atol=0.0)
     for name, want in GOLDEN_LP_ROUNDOFF.items():
@@ -288,9 +283,9 @@ def test_lp_props_fail_with_perturbed_bump(part, bg, monkeypatch):
     bump = LPPartition.bump
     monkeypatch.setattr(LPPartition, "bump", lambda self, mu: bump(self, mu) * (1.0 + 1e-6))
     rep = check_lp_properties(part, build_lattice(2, 24), bg, tau=0.5, n_fields=16, seed=0)
-    assert not rep.all_passed
-    assert not _checks(rep)["partition_of_unity"].passed
-    assert not _checks(rep)["bessel_constant"].passed
+    assert not rep.passed
+    assert not rep.checks["partition_of_unity"].passed
+    assert not rep.checks["bessel_constant"].passed
 
 
 @pytest.mark.parametrize("shift", [-0.5, 0.0, 0.25, 0.5])
@@ -318,9 +313,9 @@ def test_log_grad_bound_fails_with_perturbed_weights(part, bg, monkeypatch, muta
     # threshold is 2.947 here, the mutants read about 1860 and 48
     monkeypatch.setattr(lp, "log_grad_weights", mutant)
     rep = check_lp_properties(part, build_lattice(2, 32), bg, tau=0.5, n_fields=32, seed=0)
-    check = _checks(rep)["log_grad_bound"]
+    check = rep.checks["log_grad_bound"]
     assert check.threshold == pytest.approx(2.94697651305725, rel=1e-9)
-    assert not check.passed and not rep.all_passed
+    assert not check.passed and not rep.passed
 
 
 # ------------------------------------------------ slot-level oracles

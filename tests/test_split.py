@@ -56,7 +56,7 @@ def test_split_outputs_match_goldens():
     assert parts["reconstruction"]["rel_error"] == GOLDENS["reconstruction_rel_error"]
     assert parts["blowup"]["worst_drift_per_decade"] == GOLDENS["worst_drift_per_decade"]
     assert [list(r) for r in series["blowup"][1:]] == GOLDENS["blowup_rows"]
-    assert parts["epsilon_ladder"]["discrepancies"] == GOLDENS["epsilon_discrepancies"]
+    assert list(parts["epsilon_ladder"]["discrepancies"]) == GOLDENS["epsilon_discrepancies"]
 
 
 def test_split_solves_do_not_grow_with_draws(monkeypatch):
