@@ -295,28 +295,37 @@ def _parse(text, flags):
     return scn
 
 
+def _blowup_draws(scn):
+    """The number of O rows singular-split's blow-up statistic draws."""
+    return max(20, scn.n_draws // 2)
+
+
 def _largest_draws(scn):
-    """Per target: the degree of the largest lattice it builds, and the floats
-    per slot of the largest array it draws there (the theorem ensemble, one
-    data vector (O, h, phi0_1..phi0_I) per slot, or one corpus field)."""
+    """Per target: its largest drawn arrays, each as the degree of its lattice
+    and its floats per slot (the theorem ensemble, one data vector (O, h,
+    phi0_1..phi0_I) per slot, one corpus field, or the blow-up's O rows).
+    The largest lattice a target builds is the first one named."""
     top = max(scn.resolutions)
-    return {"lp-props": (scn.l_max, 1),
-            "forward-first": (top, scn.n_draws * (scn.n_regular + 2)),
-            "backward-second": (top, scn.n_draws * 2 * (scn.n_regular + 1)),
-            "roundtrip": (min(scn.l_max, _ROUNDTRIP_L_MAX), scn.n_regular + 2),
-            "singular-split": (max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX,
-                                   _LADDER_L_MAX), 3),
-            "poincare": (top, 1)}
+    return {"lp-props": ((scn.l_max, 1),),
+            "forward-first": ((top, scn.n_draws * (scn.n_regular + 2)),),
+            "backward-second": ((top, scn.n_draws * 2 * (scn.n_regular + 1)),),
+            "roundtrip": ((min(scn.l_max, _ROUNDTRIP_L_MAX), scn.n_regular + 2),),
+            "singular-split": ((max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX,
+                                    _LADDER_L_MAX), 3),
+                               (_SPLIT_FIXED_L_MAX, _blowup_draws(scn))),
+            "poincare": ((top, 1),)}
 
 
 def _size_problem(scn):
     """Why a target would draw an array above _MAX_DRAW_BYTES, or None."""
-    for t, (l_max, per_slot) in _largest_draws(scn).items():
-        # the lattice's slot count, in Python ints so that no count overflows
-        size = 8 * per_slot * sum(sphere_multiplicity(scn.n_sphere, l) for l in range(l_max + 1))
-        if t in scn.expanded_targets() and size > _MAX_DRAW_BYTES:
-            return (f"{t} would draw {size:,} bytes at once on S^{scn.n_sphere} at "
-                    f"l_max = {l_max}, above the {_MAX_DRAW_BYTES:,} allowed")
+    for t, arrays in _largest_draws(scn).items():
+        for l_max, per_slot in arrays:
+            # the lattice's slot count, in Python ints so that no count overflows
+            size = 8 * per_slot * sum(sphere_multiplicity(scn.n_sphere, l)
+                                      for l in range(l_max + 1))
+            if t in scn.expanded_targets() and size > _MAX_DRAW_BYTES:
+                return (f"{t} would draw {size:,} bytes at once on S^{scn.n_sphere} at "
+                        f"l_max = {l_max}, above the {_MAX_DRAW_BYTES:,} allowed")
     return None
 
 
@@ -342,7 +351,7 @@ def _spectrum_problem(scn):
                     f"at tau = {_SLICE_TAU} at every resolution; at l_max = {r} {exc}")
     for t in (t for t in ("forward-first", "backward-second", "roundtrip", "singular-split")
               if t in targets):
-        l_max = _largest_draws(scn)[t][0]
+        l_max = _largest_draws(scn)[t][0][0]
         # lambda(tau) = lambda0 / f(tau)^2 peaks where f is least
         omega = 2.0 * math.sqrt(build_lattice(scn.n_sphere, l_max).lam0[-1]) / bg.f_min
         if omega > _MAX_OMEGA:
@@ -355,8 +364,10 @@ def _spectrum_problem(scn):
 def _seed_problem(scn):
     """Why roundtrip or singular-split could not seed a run at tau_seed, or None.
 
-    Each run's seed map is built decoupled, on its lattice and at its rtol;
-    the regular columns of a family share one series, so one stands for all.
+    Each run's seed map is built decoupled, on its lattice, against half the
+    series remainder its rtol allows: the targets' random diagonal couplings
+    move the remainder by a few percent.  The regular columns of a family
+    share one series, so one stands for all.
     """
     for target, family, rtol, l_max in (
             ("roundtrip", "first", 1e-11, min(scn.l_max, _ROUNDTRIP_L_MAX)),
@@ -365,7 +376,7 @@ def _seed_problem(scn):
             ("singular-split", "second", SystemConfig.rtol, _SPLIT_FIXED_L_MAX)):
         if target in scn.expanded_targets():
             try:
-                data_to_state_maps(SystemConfig(n_regular=1, system=family, rtol=rtol),
+                data_to_state_maps(SystemConfig(n_regular=1, system=family, rtol=rtol / 2),
                                    build_lattice(scn.n_sphere, l_max), scn.background(),
                                    scn.tau_seed)
             except ValueError as exc:
@@ -483,7 +494,7 @@ def _target_singular_split(scn):
         n_regular=1, system="first", top_order=1, tau_seed=1e-7, rtol=1e-10, atol=1e-12,
     )
     blow_grid = make_time_grid(1e-6, 1.0, count=120 * scn.grid_refine + 1)
-    n_draws = max(20, scn.n_draws // 2)
+    n_draws = _blowup_draws(scn)
     o_rows = [_bounded_field(lat_blow, rng, decay=6.0) for _ in range(n_draws)]
     reports = singular_blowup_check(blow_cfg, lat_blow, bg, part, o_rows, blow_grid)
     # per draw: the sup of the statistic and its worst drift per decade

@@ -7,10 +7,11 @@ draws and several lattice resolutions.
 Each energy functional is defined once, in the weight tables
 ``_energy_weights`` (per column, weights on value^2 and derivative^2, plus the
 backward family's integrand accumulated from tau up to 1) and
-``_data_weights``; the forcing budgets and the one ensemble kernel of both
-families read them.  Ensembles never re-integrate per draw: per degree a draw
-reduces to its Gram matrix and slot sum against the propagators of
-:mod:`.modelsys`.
+``_data_weights``.  The one ensemble kernel of both families builds the first
+table once on its (degree, time) grid and reads the energy, the tail and the
+forcing budget from it.  Ensembles never re-integrate per draw: a draw enters
+through its per-degree Gram matrix and slot sum, against the forms P^T W P of
+the propagators of :mod:`.modelsys`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
     "fit_power_exponent",
     "shell_decay_check",
     "singular_blowup_check",
-    "forcing_energy_first",
-    "forcing_energy_second",
     "verify_theorem_ratio",
 ]
 
@@ -277,36 +276,6 @@ def _cumtrapz(taus, integrand):
                           axis=-1)
 
 
-def _forcing_budget(config, lattice, bg, taus, system):
-    """Time-integrated forcing squares along the grid from its first time."""
-    taus = np.asarray(taus, dtype=float)
-    lam = eigenvalue_at(bg, lattice.lam0[None, :], taus[:, None])
-    _, weight = _energy_weights(system, config.top_order, config.n_columns,
-                                lam, taus[:, None])
-    # summed over columns per time; every slot of every degree is forced alike
-    forcing_sq = np.zeros(len(taus))
-    for f in config.forcing_list():
-        forcing_sq += np.array([f.profile(tau) for tau in taus]) ** 2
-    return _cumtrapz(taus, (weight * forcing_sq[:, None]) @ lattice.mult)
-
-
-def forcing_energy_first(config, lattice, bg, taus):
-    """Cumulative forcing budget from the start of the grid.
-
-    Per column: the L^2 squares of the graded forcings through order M plus
-    the tau-weighted H^(1/2) square at the top order, both time-integrated.
-    """
-    return _forcing_budget(config, lattice, bg, taus, "first")
-
-
-def forcing_energy_second(config, lattice, bg, taus):
-    """Accumulated tau-weighted H^(1/2) forcing squares from tau up to 1."""
-    taus = np.asarray(taus, dtype=float)
-    if len(taus) > 1 and taus[0] < taus[-1]:
-        raise ValueError("backward forcing budget expects a descending grid")
-    return _forcing_budget(config, lattice, bg, taus, "second")
-
-
 # ------------------------------------------------------- theorem ensembles
 
 
@@ -326,36 +295,38 @@ def _ensemble_ratios(config, lattice, bg, part, draws, taus):
     phi0_1..phi0_I) and taus ascend from the seed time.  Backward family: a
     draw holds the per-slot (values, derivs) state at tau = 1 and taus
     descend from 1.  All slots of degree l share the propagator P (with the
-    data-to-seed map folded in) and the forced response f, so a draw enters
+    data-to-seed map folded in), the forced response f and, per time, the
+    diagonal weights W that ``_energy_weights`` puts on the stacked (values,
+    tau * derivs), pointwise and in the tail integrand.  So a draw enters
     only through its Gram matrix G = sum_s x_s x_s^T and slot sum S:
-    sum_s (P x_s + f)^2 = diag(P G P^T) + 2 diag(P S) f + m_l f^2.
+    sum_s (P x_s + f)^T W (P x_s + f) = tr(Q G) + 2 c.S + m_l f^T W f, with
+    the forms Q = P^T W P and c = P^T W f built once per (degree, time).  The
+    forcing budget integrates the same table's forcing weight.
     """
     system, n_cols, m = config.system, config.n_columns, config.top_order
     props = fundamental_matrices(config, lattice, bg, taus[0], taus)
     if system == "first":
         props = props @ data_to_state_maps(config, lattice, bg, taus[0], part)[:, None]
-        budget = forcing_energy_first(config, lattice, bg, taus)
-    else:
-        budget = forcing_energy_second(config, lattice, bg, taus)
-    forced = forced_profile(config, lattice, bg, taus[0], taus)
-    data_w = _data_weights(system, m, n_cols, bg, lattice.lam0)
-    acc = np.zeros((2, draws.shape[0], len(taus)))  # pointwise energy, tail integrand
-    data_sq = np.zeros(draws.shape[0])
-    for l in range(lattice.l_max + 1):
-        x = draws[:, lattice.slots_of_degree(l), :]
-        gram = np.einsum("nsa,nsb->nab", x, x)
-        p, f = props[l], forced[l]  # (n_times, d, k), (n_times, d)
-        # slot sums of squared (values, tau * derivs), (n_draws, n_times, d)
-        sq = (np.einsum("ntak,tak->nta", p @ gram[:, None], p)
-              + 2.0 * np.einsum("tak,nk->nta", p, x.sum(axis=1)) * f
-              + lattice.mult[l] * f * f)
-        lam = eigenvalue_at(bg, lattice.lam0[l], taus)
-        weights, _ = _energy_weights(system, m, n_cols, lam, taus)
-        weights[:, 1] /= taus**2  # the kernel carries tau * derivs
-        acc += np.einsum("nta,jat->jnt", sq, weights.reshape(2, 2 * n_cols, -1))
-        data_sq += np.einsum("naa,a->n", gram, data_w[:, l])
+    forced = forced_profile(config, lattice, bg, taus[0], taus)  # (n_degrees, n_times, d)
+    lam = eigenvalue_at(bg, lattice.lam0[:, None], taus)
+    weights, forcing = _energy_weights(system, m, n_cols, lam, taus)
+    weights[:, 1] /= taus**2  # the propagators carry tau * derivs
+    w = np.moveaxis(weights.reshape(2, 2 * n_cols, *lam.shape), 1, -1)  # (2, degree, time, d)
+    p_t = props.swapaxes(-1, -2)
+    forms = p_t @ (w[..., None] * props)
+    cross = (p_t @ (w * forced)[..., None])[..., 0]
+    const = np.einsum("l,jlta,lta->jt", lattice.mult, w, forced * forced)
+
+    per_degree = [draws[:, lattice.slots_of_degree(l), :] for l in range(lattice.l_max + 1)]
+    gram = np.stack([x.swapaxes(1, 2) @ x for x in per_degree], axis=1)  # (n_draws, degree, k, k)
+    sums = np.stack([x.sum(axis=1) for x in per_degree], axis=1)
+    acc = (np.einsum("nlab,jltab->jnt", gram, forms, optimize=True)
+           + 2.0 * np.einsum("nla,jlta->jnt", sums, cross, optimize=True) + const[:, None])
     energies = acc[0] + _cumtrapz(taus, acc[1])
-    return energies / (data_sq[:, None] + budget[None, :])
+    data_sq = np.einsum("nlaa,al->n", gram, _data_weights(system, m, n_cols, bg, lattice.lam0))
+    forcing_sq = sum(np.array([f.profile(t) for t in taus]) ** 2 for f in config.forcing_list())
+    budget = _cumtrapz(taus, lattice.mult @ forcing * forcing_sq)
+    return energies / (data_sq[:, None] + budget)
 
 
 def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50,

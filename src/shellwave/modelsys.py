@@ -103,7 +103,19 @@ def _j0y0_asymptotic(x):
     return j0, y0
 
 
-def _bessel_scalar(kind, x):
+def bessel_oracle(kind, lam, tau):
+    """Reference cylinder-function value J0 or Y0 at the scalar argument 2 sqrt(lam) tau.
+
+    This is the closed-form solution pair of  u'' + u'/tau + 4 lam u = 0  at
+    constant lam, used as the independent check on every constant-coefficient
+    integration.  Power series below x = 12, Hankel asymptotics above; both
+    branches are accurate to well below 1e-8 relative for lam <= 1e4.
+    """
+    if kind not in ("J", "Y"):
+        raise ValueError(f"kind must be 'J' or 'Y', got {kind!r}")
+    if lam < 0.0:
+        raise ValueError("negative eigenvalue")
+    x = 2.0 * math.sqrt(lam) * tau
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
@@ -114,30 +126,6 @@ def _bessel_scalar(kind, x):
         return _j0_series(x) if kind == "J" else _y0_series(x)
     j0, y0 = _j0y0_asymptotic(x)
     return j0 if kind == "J" else y0
-
-
-def bessel_oracle(kind, lam, tau):
-    """Reference cylinder-function values J0/Y0 at argument 2 sqrt(lam) tau.
-
-    This is the closed-form solution pair of  u'' + u'/tau + 4 lam u = 0  at
-    constant lam, used as the independent check on every constant-coefficient
-    integration.  Power series below x = 12, Hankel asymptotics above; both
-    branches are accurate to well below 1e-8 relative for lam <= 1e4.
-    """
-    if kind not in ("J", "Y"):
-        raise ValueError(f"kind must be 'J' or 'Y', got {kind!r}")
-    lam = np.asarray(lam, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(lam < 0.0):
-        raise ValueError("negative eigenvalue")
-    x = 2.0 * np.sqrt(lam) * tau
-    if x.ndim == 0:
-        return _bessel_scalar(kind, float(x))
-    out = np.empty(x.shape)
-    flat, oflat = x.ravel(), out.ravel()
-    for i in range(flat.size):
-        oflat[i] = _bessel_scalar(kind, float(flat[i]))
-    return out
 
 
 # -------------------------------------------------- even-series utilities

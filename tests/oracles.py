@@ -2,7 +2,8 @@
 
 No target runs these.  Each one computes, slot by slot, a quantity that the
 package reaches another way: the energies through the per-degree ensemble
-kernel, the right-hand side through the log-chart solver, the shell and
+kernel, and that kernel's ratios and forcing budget here degree by degree
+and draw by draw, the right-hand side through the log-chart solver, the shell and
 gradient norms through the degree-axis shell table, the seeds through the
 per-degree data-to-seed maps, the trajectories, round trip and extraction
 through maps composed per degree before any slot is touched, and the blow-up
@@ -25,6 +26,7 @@ from shellwave.modelsys import (
     _branch_maps,
     _data_vectors,
     _eval_taus,
+    data_to_state_maps,
     forced_profile,
     frobenius_basis,
     fundamental_matrices,
@@ -213,6 +215,71 @@ def data_energy_second(state, bg, lattice, top_order):
     entries = np.concatenate([state.values, state.derivs])
     weights = _data_weights("second", top_order, state.values.shape[0], bg, slot_lam0(lattice))
     return float(np.sum(weights * entries**2))
+
+
+def _forcing_budget(config, lattice, bg, taus, system):
+    """Time-integrated forcing squares along the grid from its first time."""
+    taus = np.asarray(taus, dtype=float)
+    lam = eigenvalue_at(bg, lattice.lam0[None, :], taus[:, None])
+    _, weight = _energy_weights(system, config.top_order, config.n_columns,
+                                lam, taus[:, None])
+    # summed over columns per time; every slot of every degree is forced alike
+    forcing_sq = np.zeros(len(taus))
+    for f in config.forcing_list():
+        forcing_sq += np.array([f.profile(tau) for tau in taus]) ** 2
+    return _cumtrapz(taus, (weight * forcing_sq[:, None]) @ lattice.mult)
+
+
+def forcing_energy_first(config, lattice, bg, taus):
+    """Cumulative forcing budget from the start of the grid.
+
+    Per column: the L^2 squares of the graded forcings through order M plus
+    the tau-weighted H^(1/2) square at the top order, both time-integrated.
+    """
+    return _forcing_budget(config, lattice, bg, taus, "first")
+
+
+def forcing_energy_second(config, lattice, bg, taus):
+    """Accumulated tau-weighted H^(1/2) forcing squares from tau up to 1."""
+    taus = np.asarray(taus, dtype=float)
+    if len(taus) > 1 and taus[0] < taus[-1]:
+        raise ValueError("backward forcing budget expects a descending grid")
+    return _forcing_budget(config, lattice, bg, taus, "second")
+
+
+def ensemble_ratios(config, lattice, bg, part, draws, taus):
+    """Energy / (data + forcing) of every draw at every time, degree by degree.
+
+    Per degree, each draw's slot sums of squared (values, tau * derivs),
+    diag(P G P^T) + 2 diag(P S) f + m_l f^2, are weighed by that degree's
+    own call of ``_energy_weights``, and the forcing budget is the
+    per-(time, degree) one above.
+    """
+    system, n_cols, m = config.system, config.n_columns, config.top_order
+    props = fundamental_matrices(config, lattice, bg, taus[0], taus)
+    if system == "first":
+        props = props @ data_to_state_maps(config, lattice, bg, taus[0], part)[:, None]
+        budget = forcing_energy_first(config, lattice, bg, taus)
+    else:
+        budget = forcing_energy_second(config, lattice, bg, taus)
+    forced = forced_profile(config, lattice, bg, taus[0], taus)
+    data_w = _data_weights(system, m, n_cols, bg, lattice.lam0)
+    acc = np.zeros((2, draws.shape[0], len(taus)))  # pointwise energy, tail integrand
+    data_sq = np.zeros(draws.shape[0])
+    for l in range(lattice.l_max + 1):
+        x = draws[:, lattice.slots_of_degree(l), :]
+        gram = np.einsum("nsa,nsb->nab", x, x)
+        p, f = props[l], forced[l]  # (n_times, d, k), (n_times, d)
+        sq = (np.einsum("ntak,tak->nta", p @ gram[:, None], p)
+              + 2.0 * np.einsum("tak,nk->nta", p, x.sum(axis=1)) * f
+              + lattice.mult[l] * f * f)
+        lam = eigenvalue_at(bg, lattice.lam0[l], taus)
+        weights, _ = _energy_weights(system, m, n_cols, lam, taus)
+        weights[:, 1] /= taus**2  # the kernel carries tau * derivs
+        acc += np.einsum("nta,jat->jnt", sq, weights.reshape(2, 2 * n_cols, -1))
+        data_sq += np.einsum("naa,a->n", gram, data_w[:, l])
+    energies = acc[0] + _cumtrapz(taus, acc[1])
+    return energies / (data_sq[:, None] + budget[None, :])
 
 
 # ------------------------------------------------------- right-hand side

@@ -6,8 +6,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -384,6 +386,38 @@ def test_main_rejects_a_tau_seed_the_series_cannot_reach(tmp_path, capsys, targe
     assert main(["--config", str(cfg), "--quiet", "--target", "gronwall"]) == 0
 
 
+def test_seed_check_leaves_room_for_the_coupled_diagonal(tmp_path, capsys, monkeypatch):
+    # at tau_seed 0.05408 the decoupled second-family remainder on roundtrip's
+    # lattice is 9.9e-10, under the 1e-9 its runs allow; seed 1's coupled
+    # diagonal moved it to 1.01e-9, and the run raised with a traceback, exit 1
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[scenario]\ntargets = roundtrip\nseed = 1\nout = {tmp_path / 'run'}\n"
+                   "[system]\ntau_seed = 0.05408\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "--quiet"])
+    assert err.value.code == 2
+    assert "line 5: roundtrip cannot seed its second-family runs" in capsys.readouterr().err
+    # every run seeds at the largest tau_seed the check accepts, at 30 seeds;
+    # only seeding can fail there, so the identity stands in for each solve
+    monkeypatch.setattr(modelsys, "_propagate", lambda config, lam0, bg, source, start,
+                        tau_from, taus: np.repeat(start[None], len(taus), axis=0))
+    for target, run in (("roundtrip", cli._target_roundtrip),
+                        ("singular-split", cli._target_singular_split)):
+        text = f"[scenario]\ntargets = {target}\n[system]\ntau_seed = {{!r}}\n"
+        lo, hi = 0.05, 0.1
+        scn = parse_config(text.format(lo))
+        with pytest.raises(ConfigError):
+            parse_config(text.format(hi))
+        while hi - lo > 1e-7:
+            mid = 0.5 * (lo + hi)
+            try:
+                scn, lo = parse_config(text.format(mid)), mid
+            except ConfigError:
+                hi = mid
+        for seed in range(30):
+            run(replace(scn, seed=seed))
+
+
 @pytest.mark.parametrize("target,lattice", [
     ("forward-first", "n = 6"), ("backward-second", "n = 6"), ("poincare", "n = 6"),
     ("lp-props", "n = 6\nl_max = 128"), ("roundtrip", "n = 20"), ("singular-split", "n = 20"),
@@ -400,6 +434,15 @@ def test_main_rejects_draws_above_the_size_limit(tmp_path, capsys, target, latti
     assert err.value.code == 2
     assert f"line 4: {target} would draw" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_size_limit_counts_the_split_blowup_rows():
+    # 5e7 rows of O on the 81 slots of l_max 8 would take 32.4 GB; the split
+    # drew them after this parsed.  Checked at parse time only, so a lost
+    # check fails here instead of drawing them
+    with pytest.raises(ConfigError, match="line 3: singular-split would draw 32,400,000,000"):
+        parse_config("[scenario]\ntargets = singular-split\n[verify]\nn_draws = 100000000\n")
+    assert parse_config("[scenario]\ntargets = singular-split\n[verify]\nn_draws = 3000000\n")
 
 
 def test_paper_dimensions_parse_at_resolutions_that_fit():

@@ -12,8 +12,6 @@ from shellwave import (
     constant_background,
     desitter_background,
     fit_power_exponent,
-    forcing_energy_first,
-    forcing_energy_second,
     make_time_grid,
     random_coupling,
     random_field,
@@ -31,6 +29,9 @@ from tests.oracles import (
     data_energy_second,
     energy_first,
     energy_second,
+    ensemble_ratios,
+    forcing_energy_first,
+    forcing_energy_second,
     integrate,
     renormalized,
     seed_state,
@@ -354,6 +355,30 @@ def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
     assert ratios.shape == (1, len(taus))
     # the whole series: the backward maximum sits at tau = 1, before any propagation
     np.testing.assert_allclose(ratios[0], energy / budget, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("system", ["first", "second"])
+def test_ensemble_kernel_matches_per_degree_contraction(part, bg, system, monkeypatch):
+    # the forms P^T W P met through each draw's Gram matrix and slot sum,
+    # against the contraction degree by degree and draw by draw, with the
+    # coupling, the forcing and so the cross term 2 c.S in play
+    table, calls = energies._energy_weights, []
+    monkeypatch.setattr(energies, "_energy_weights",
+                        lambda *args: calls.append(args) or table(*args))
+    lat = build_lattice(2, 8)
+    rng = np.random.default_rng(23)
+    cs, cp = random_coupling(2, system, rng, 0.1)
+    cfg = SystemConfig(n_regular=2, system=system, coupling_scale=cs, coupling_psi=cp,
+                       forcings=tuple(_default_forcing(i) for i in range(3)))
+    if system == "first":
+        taus, entries = np.geomspace(cfg.tau_seed, 1.0, 17), cfg.n_columns + 1
+    else:
+        taus, entries = np.geomspace(1.0, 1e-3, 17), 2 * cfg.n_columns
+    draws = rng.standard_normal((4, lat.n_slots, entries)) * lat.damping(7.0)[None, :, None]
+    np.testing.assert_allclose(_ensemble_ratios(cfg, lat, bg, part, draws, taus),
+                               ensemble_ratios(cfg, lat, bg, part, draws, taus),
+                               rtol=1e-12, atol=0.0)
+    assert len(calls) == 1  # one weight table on the (degree, time) grid
 
 
 # energies at the five grid times of a coupled, forced run on S^2 with

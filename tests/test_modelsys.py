@@ -105,13 +105,6 @@ def test_bessel_oracle_origin_and_errors():
         bessel_oracle("K", 1.0, 0.5)
 
 
-def test_bessel_oracle_vectorized():
-    taus = np.array([0.25, 0.5, 1.0])
-    vals = bessel_oracle("J", 1.0, taus)
-    assert vals.shape == (3,)
-    assert vals[1] == pytest.approx(0.7651976865579666, abs=1e-14)
-
-
 # --------------------------------------------------------- frobenius bases
 
 
