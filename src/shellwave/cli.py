@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .energies import (
+    _ENSEMBLE_TIMES,
+    _chunk_draws,
     shell_decay_check,
     singular_blowup_check,
     verify_theorem_ratio,
@@ -66,7 +68,7 @@ _LADDER_L_MAX = 6
 # shell, so the highest at which the integrator is checked against the oracle
 _MAX_OMEGA = 2.0**12
 
-# the most memory one array a target draws may take: 1 GiB
+# the most memory a target's draws may take at once: 1 GiB
 _MAX_DRAW_BYTES = 2**30
 
 @dataclass(frozen=True)
@@ -301,30 +303,40 @@ def _blowup_draws(scn):
 
 
 def _largest_draws(scn):
-    """Per target: its largest drawn arrays, each as the degree of its lattice
-    and its floats per slot (the theorem ensemble, one data vector (O, h,
-    phi0_1..phi0_I) per slot, one corpus field, or the blow-up's O rows).
-    The largest lattice a target builds is the first one named."""
+    """Per target: what its largest draws hold at once, each as the degree of
+    its lattice and a float count (one corpus field, one data vector (O, h,
+    phi0_1..phi0_I) per slot, or the blow-up's O rows).  A theorem ensemble
+    holds one chunk of draws at its top resolution, plus its per-draw tables:
+    the Gram matrices of every degree and the ratios at every time.  The
+    largest lattice a target builds is the first one named."""
     top = max(scn.resolutions)
-    return {"lp-props": ((scn.l_max, 1),),
-            "forward-first": ((top, scn.n_draws * (scn.n_regular + 2)),),
-            "backward-second": ((top, scn.n_draws * 2 * (scn.n_regular + 1)),),
-            "roundtrip": ((min(scn.l_max, _ROUNDTRIP_L_MAX), scn.n_regular + 2),),
-            "singular-split": ((max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX,
-                                    _LADDER_L_MAX), 3),
-                               (_SPLIT_FIXED_L_MAX, _blowup_draws(scn))),
-            "poincare": ((top, 1),)}
+
+    def slots(l_max):  # in Python ints, so that no count overflows
+        return sum(sphere_multiplicity(scn.n_sphere, l) for l in range(l_max + 1))
+
+    def ensemble(entries):
+        draw = slots(top) * entries
+        tables = scn.n_draws * ((top + 1) * entries**2 + _ENSEMBLE_TIMES)
+        return ((top, min(scn.n_draws, _chunk_draws(draw)) * draw + tables),)
+
+    split_l_max = max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX, _LADDER_L_MAX)
+    roundtrip_l_max = min(scn.l_max, _ROUNDTRIP_L_MAX)
+    return {"lp-props": ((scn.l_max, slots(scn.l_max)),),
+            "forward-first": ensemble(scn.n_regular + 2),
+            "backward-second": ensemble(2 * (scn.n_regular + 1)),
+            "roundtrip": ((roundtrip_l_max, (scn.n_regular + 2) * slots(roundtrip_l_max)),),
+            "singular-split": ((split_l_max, 3 * slots(split_l_max)),
+                               (_SPLIT_FIXED_L_MAX,
+                                _blowup_draws(scn) * slots(_SPLIT_FIXED_L_MAX))),
+            "poincare": ((top, slots(top)),)}
 
 
 def _size_problem(scn):
-    """Why a target would draw an array above _MAX_DRAW_BYTES, or None."""
+    """Why a target would hold draws above _MAX_DRAW_BYTES at once, or None."""
     for t, arrays in _largest_draws(scn).items():
-        for l_max, per_slot in arrays:
-            # the lattice's slot count, in Python ints so that no count overflows
-            size = 8 * per_slot * sum(sphere_multiplicity(scn.n_sphere, l)
-                                      for l in range(l_max + 1))
-            if t in scn.expanded_targets() and size > _MAX_DRAW_BYTES:
-                return (f"{t} would draw {size:,} bytes at once on S^{scn.n_sphere} at "
+        for l_max, floats in arrays:
+            if t in scn.expanded_targets() and 8 * floats > _MAX_DRAW_BYTES:
+                return (f"{t} would draw {8 * floats:,} bytes at once on S^{scn.n_sphere} at "
                         f"l_max = {l_max}, above the {_MAX_DRAW_BYTES:,} allowed")
     return None
 

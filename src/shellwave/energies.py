@@ -11,7 +11,8 @@ backward family's integrand accumulated from tau up to 1) and
 table once on its (degree, time) grid and reads the energy, the tail and the
 forcing budget from it.  Ensembles never re-integrate per draw: a draw enters
 through its per-degree Gram matrix and slot sum, against the forms P^T W P of
-the propagators of :mod:`.modelsys`.
+the propagators of :mod:`.modelsys`, and the draws are folded into those
+tables chunk by chunk, never held all at once.
 """
 
 from __future__ import annotations
@@ -204,9 +205,10 @@ def singular_blowup_check(config, lattice, bg, part, o_rows, grid):
     props = fundamental_matrices(config, lattice, bg, tau_seed, taus)
     o_column = data_to_state_maps(config, lattice, bg, tau_seed, part)[:, :, 0]
     g = np.einsum("ltj,lj->tl", props[:, :, 0], o_column)
-    vals = (power @ (_blowup_weights(bg, lattice.lam0, taus, config.top_order) * g * g).T
-            / data_sq[:, None])
-    sups = np.where(decades, vals[:, None], -np.inf).max(axis=2)  # (n_draws, n_decades)
+    vals = power @ (_blowup_weights(bg, lattice.lam0, taus, config.top_order) * g * g).T
+    vals /= data_sq[:, None]
+    # one decade at a time, so that no working array outgrows vals
+    sups = np.stack([vals[:, d].max(axis=1) for d in decades], axis=1)  # (n_draws, n_decades)
     drifts = np.abs(sups[:, :-1] - sups[:, 1:]) / sups[:, 1:]
     finite = np.all(np.isfinite(vals), axis=1)
     return [BlowupReport(taus=taus, values=row, sup_value=float(np.max(row)),
@@ -279,6 +281,48 @@ def _cumtrapz(taus, integrand):
 # ------------------------------------------------------- theorem ensembles
 
 
+# the most memory one chunk of an ensemble's draws may take, unless a single
+# draw is larger: 1 MiB
+_CHUNK_BYTES = 2**20
+# the time grid an ensemble's ratios are read on
+_ENSEMBLE_TIMES = 49
+
+
+def _chunk_draws(draw_floats):
+    """Draws per chunk of an ensemble whose draw holds ``draw_floats`` floats:
+    as many as fit in _CHUNK_BYTES, and at least one."""
+    return max(1, _CHUNK_BYTES // (8 * draw_floats))
+
+
+def _gram_tables(lattice, draws):
+    """Per-draw, per-degree Gram matrices sum_s x_s x_s^T and slot sums of
+    ``draws`` (n_draws, n_slots, k); shapes (n_draws, n_degrees, k, k) and
+    (n_draws, n_degrees, k)."""
+    per_degree = [draws[:, lattice.slots_of_degree(l), :] for l in range(lattice.l_max + 1)]
+    return (np.stack([x.swapaxes(1, 2) @ x for x in per_degree], axis=1),
+            np.stack([x.sum(axis=1) for x in per_degree], axis=1))
+
+
+def _drawn_gram_tables(rng, lattice, n_draws, entries, decay):
+    """``_gram_tables`` of n_draws Gaussian draws of ``entries`` per slot,
+    damped by ``lattice.damping(decay)``.
+
+    The draws come from ``rng`` in order, in chunks of whole draws, and each
+    chunk is folded into the tables before the next is drawn: the numbers of
+    one (n_draws, n_slots, entries) draw, without ever holding it.
+    """
+    damping = lattice.damping(decay)[None, :, None]
+    gram = np.empty((n_draws, lattice.l_max + 1, entries, entries))
+    sums = np.empty((n_draws, lattice.l_max + 1, entries))
+    step = _chunk_draws(lattice.n_slots * entries)
+    for lo in range(0, n_draws, step):
+        chunk = rng.standard_normal((min(step, n_draws - lo), lattice.n_slots, entries))
+        chunk *= damping
+        gram[lo:lo + step], sums[lo:lo + step] = _gram_tables(lattice, chunk)
+        del chunk  # before the next one is drawn, so that only one is ever held
+    return gram, sums
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     resolutions: tuple[int, ...]
@@ -288,7 +332,7 @@ class TheoremReport:
     passed: bool
 
 
-def _ensemble_ratios(config, lattice, bg, part, draws, taus):
+def _ensemble_ratios(config, lattice, bg, part, gram, sums, taus):
     """Energy / (data + forcing) of every draw at every time; (n_draws, n_times).
 
     Forward family: a draw holds per-slot asymptotic data (O, frak_h,
@@ -298,7 +342,8 @@ def _ensemble_ratios(config, lattice, bg, part, draws, taus):
     data-to-seed map folded in), the forced response f and, per time, the
     diagonal weights W that ``_energy_weights`` puts on the stacked (values,
     tau * derivs), pointwise and in the tail integrand.  So a draw enters
-    only through its Gram matrix G = sum_s x_s x_s^T and slot sum S:
+    only through its Gram matrix G = sum_s x_s x_s^T and slot sum S, per
+    degree (``gram`` and ``sums``, as ``_gram_tables`` returns them):
     sum_s (P x_s + f)^T W (P x_s + f) = tr(Q G) + 2 c.S + m_l f^T W f, with
     the forms Q = P^T W P and c = P^T W f built once per (degree, time).  The
     forcing budget integrates the same table's forcing weight.
@@ -317,9 +362,6 @@ def _ensemble_ratios(config, lattice, bg, part, draws, taus):
     cross = (p_t @ (w * forced)[..., None])[..., 0]
     const = np.einsum("l,jlta,lta->jt", lattice.mult, w, forced * forced)
 
-    per_degree = [draws[:, lattice.slots_of_degree(l), :] for l in range(lattice.l_max + 1)]
-    gram = np.stack([x.swapaxes(1, 2) @ x for x in per_degree], axis=1)  # (n_draws, degree, k, k)
-    sums = np.stack([x.sum(axis=1) for x in per_degree], axis=1)
     acc = (np.einsum("nlab,jltab->jnt", gram, forms, optimize=True)
            + 2.0 * np.einsum("nla,jlta->jnt", sums, cross, optimize=True) + const[:, None])
     energies = acc[0] + _cumtrapz(taus, acc[1])
@@ -357,17 +399,16 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
     )
     n_cols = config.n_columns
     if system == "first":
-        taus = np.geomspace(config.tau_seed, 1.0, 49)
+        taus = np.geomspace(config.tau_seed, 1.0, _ENSEMBLE_TIMES)
         entries = n_cols + 1
     else:
-        taus = np.geomspace(1.0, 1e-3, 49)
+        taus = np.geomspace(1.0, 1e-3, _ENSEMBLE_TIMES)
         entries = 2 * n_cols
     max_ratios, med_ratios = [], []
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
-        draws = rng.standard_normal((n_draws, lattice.n_slots, entries))
-        draws *= lattice.damping(decay)[None, :, None]
-        sup = np.max(_ensemble_ratios(config, lattice, bg, part, draws, taus), axis=1)
+        gram, sums = _drawn_gram_tables(rng, lattice, n_draws, entries, decay)
+        sup = np.max(_ensemble_ratios(config, lattice, bg, part, gram, sums, taus), axis=1)
         max_ratios.append(float(np.max(sup)))
         med_ratios.append(float(np.median(sup)))
     factors = tuple(

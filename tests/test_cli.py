@@ -346,11 +346,10 @@ def test_frequency_limit_reads_each_targets_largest_lattice(target):
 
 
 def test_frequency_limit_set_by_resolutions_names_verify_line():
-    # de Sitter at l_max 1200: 4 sqrt(1200 * 1201), about 4802; two draws keep
-    # the ensemble under the size limit, which 50 draws (2.15 GiB) exceed
+    # de Sitter at l_max 1200: 4 sqrt(1200 * 1201), about 4802; the ensemble's
+    # 50 draws, one chunk at a time, keep under the size limit (54 MB at once)
     with pytest.raises(ConfigError, match="line 3: forward-first would integrate .* 4802"):
-        parse_config("[scenario]\ntargets = forward-first\n[verify]\nresolutions = 600, 1200\n"
-                     "n_draws = 2\n")
+        parse_config("[scenario]\ntargets = forward-first\n[verify]\nresolutions = 600, 1200\n")
 
 
 def test_bench_scenarios_pass_the_frequency_limit():
@@ -445,11 +444,24 @@ def test_size_limit_counts_the_split_blowup_rows():
     assert parse_config("[scenario]\ntargets = singular-split\n[verify]\nn_draws = 3000000\n")
 
 
+def test_size_limit_counts_the_ensemble_tables():
+    # 1e7 draws at l_max 128 hold a 165 GB Gram table (a 4 x 4 matrix per
+    # draw and degree) and 3.9 GB of ratios, next to one 0.5 MB chunk of draws
+    with pytest.raises(ConfigError, match="line 3: forward-first would draw 169,040,532,512 "):
+        parse_config("[scenario]\ntargets = forward-first\n[verify]\nn_draws = 10000000\n")
+
+
 def test_paper_dimensions_parse_at_resolutions_that_fit():
-    # n = 4 at resolutions 8/16/24 draws 61 MB per ensemble, and its lp-props
-    # field at l_max 32 takes 0.9 MB; the default scenario parses too
-    scn = parse_config("[lattice]\nn = 4\n[verify]\nresolutions = 8, 16, 24\n")
-    assert (scn.n_sphere, scn.resolutions) == (4, (8, 16, 24))
+    # n = 4: the ensembles hold one draw at a time of the 520,625 slots of
+    # l_max 48 (25 MB; all 50 draws at once were 1.25 GB) or the 23.8 million of
+    # l_max 128 (1.14 GB, above the limit); the lp-props field at l_max 32
+    # takes 0.9 MB; the default scenario parses too
+    for resolutions in ((8, 16, 24), (16, 32, 48), (16, 32, 64)):
+        text = f"[lattice]\nn = 4\n[verify]\nresolutions = {', '.join(map(str, resolutions))}\n"
+        scn = parse_config(text)
+        assert (scn.n_sphere, scn.resolutions) == (4, resolutions)
+    with pytest.raises(ConfigError, match="line 1: backward-second would draw 1,144,249,600 "):
+        parse_config("[lattice]\nn = 4\n")
     assert parse_config("") == Scenario()
 
 

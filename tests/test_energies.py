@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from shellwave import (
     split_singular_component,
     verify_theorem_ratio,
 )
-from shellwave.energies import _default_forcing, _ensemble_ratios
+from shellwave.energies import _default_forcing, _ensemble_ratios, _gram_tables
 from tests.conftest import bounded_data, bounded_field, zero_data
 from tests.oracles import (
     ModeState,
@@ -191,6 +192,23 @@ def test_blowup_reports_match_slot_level_statistic(part, background, l_max):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11
 
 
+def test_blowup_check_works_in_a_small_multiple_of_its_rows(part, bg):
+    # 2,000 rows of O on l_max 8, read at 121 times over 4 decades: the decade
+    # sups come one decade at a time, so no working array outgrows the table
+    # of statistics; a (rows, decades, times) broadcast peaked at 7.8x the rows
+    lat = build_lattice(2, 8)
+    rows = np.random.default_rng(5).standard_normal((2000, lat.n_slots)) * lat.damping(6.0)
+    grid = make_time_grid(1e-6, 1.0, count=121)
+    singular_blowup_check(BLOWUP_CFG, lat, bg, part, rows[:2], grid)  # lazy set-up
+    tracemalloc.start()
+    try:
+        singular_blowup_check(BLOWUP_CFG, lat, bg, part, rows, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows.nbytes  # measured 2.7x
+
+
 # ------------------------------------------------------ energy functionals
 
 
@@ -351,7 +369,7 @@ def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
         budget = data_energy_second(state, bg, lat, cfg.top_order)
         budget = budget + forcing_energy_second(cfg, lat, bg, taus)
     assert np.array_equal(traj.taus, taus)
-    ratios = _ensemble_ratios(cfg, lat, bg, part, draw[None], taus)
+    ratios = _ensemble_ratios(cfg, lat, bg, part, *_gram_tables(lat, draw[None]), taus)
     assert ratios.shape == (1, len(taus))
     # the whole series: the backward maximum sits at tau = 1, before any propagation
     np.testing.assert_allclose(ratios[0], energy / budget, rtol=1e-8, atol=0.0)
@@ -375,7 +393,8 @@ def test_ensemble_kernel_matches_per_degree_contraction(part, bg, system, monkey
     else:
         taus, entries = np.geomspace(1.0, 1e-3, 17), 2 * cfg.n_columns
     draws = rng.standard_normal((4, lat.n_slots, entries)) * lat.damping(7.0)[None, :, None]
-    np.testing.assert_allclose(_ensemble_ratios(cfg, lat, bg, part, draws, taus),
+    np.testing.assert_allclose(_ensemble_ratios(cfg, lat, bg, part, *_gram_tables(lat, draws),
+                                                taus),
                                ensemble_ratios(cfg, lat, bg, part, draws, taus),
                                rtol=1e-12, atol=0.0)
     assert len(calls) == 1  # one weight table on the (degree, time) grid
@@ -433,6 +452,43 @@ def test_theorem_ratios_golden(part, bg, system, scale):
     max_ref, med_ref = GOLDEN_RATIOS[(system, scale)]
     np.testing.assert_allclose(rep.max_ratios, max_ref, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(rep.median_ratios, med_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("system,entries", [("first", 4), ("second", 6)])
+def test_chunked_ensemble_reports_the_one_shot_numbers(part, bg, system, entries,
+                                                       monkeypatch):
+    # the draws come from one Generator in one order whatever the chunk, so
+    # one chunk of all draws, uneven chunks (3, 3, 2 draws on the 25 slots of
+    # l_max 4, so a chunk that drew too many would shift l_max 8's draws) and
+    # one draw per chunk report the same bits
+    gram_tables, chunks = energies._gram_tables, []
+    monkeypatch.setattr(energies, "_gram_tables", lambda lattice, draws: chunks.append(
+        (lattice.l_max, len(draws))) or gram_tables(lattice, draws))
+    reports = []
+    for budget, want in ((2**40, [(4, 8), (8, 8)]),
+                         (3 * 8 * 25 * entries, [(4, 3), (4, 3), (4, 2)] + [(8, 1)] * 8),
+                         (1, [(4, 1)] * 8 + [(8, 1)] * 8)):
+        monkeypatch.setattr(energies, "_CHUNK_BYTES", budget)
+        chunks.clear()
+        reports.append(verify_theorem_ratio(system, part, bg, resolutions=(4, 8), n_draws=8,
+                                            coupling_scale=0.1, seed=3))
+        assert chunks == want
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_ensemble_memory_does_not_grow_with_its_draws(part, bg):
+    # 50 backward draws on the 4225 slots of l_max 64 take 9.67 MiB at once;
+    # folded into the Gram tables a chunk at a time, the whole check stays
+    # below that (measured 15.9 MiB one-shot, 6.2 MiB in chunks)
+    verify_theorem_ratio("second", part, bg, resolutions=(4, 8), n_draws=2)  # lazy set-up
+    tracemalloc.start()
+    try:
+        verify_theorem_ratio("second", part, bg, resolutions=(16, 64), n_draws=50,
+                             coupling_scale=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 4225 * 6 * 8
 
 
 @pytest.mark.parametrize("resolutions", [(8,), ()])
