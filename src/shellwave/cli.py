@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .energies import (
-    _ENSEMBLE_TIMES,
-    _chunk_draws,
+    _ensemble_floats,
     shell_decay_check,
     singular_blowup_check,
     verify_theorem_ratio,
@@ -306,24 +305,20 @@ def _largest_draws(scn):
     """Per target: what its largest draws hold at once, each as the degree of
     its lattice and a float count (one corpus field, one data vector (O, h,
     phi0_1..phi0_I) per slot, or the blow-up's O rows).  A theorem ensemble
-    holds one chunk of draws at its top resolution, plus its per-draw tables:
-    the Gram matrices of every degree and the ratios at every time.  The
-    largest lattice a target builds is the first one named."""
+    holds at its top resolution what ``_ensemble_floats`` counts.  The largest
+    lattice a target builds is the first one named."""
     top = max(scn.resolutions)
 
     def slots(l_max):  # in Python ints, so that no count overflows
         return sum(sphere_multiplicity(scn.n_sphere, l) for l in range(l_max + 1))
 
-    def ensemble(entries):
-        draw = slots(top) * entries
-        tables = scn.n_draws * ((top + 1) * entries**2 + _ENSEMBLE_TIMES)
-        return ((top, min(scn.n_draws, _chunk_draws(draw)) * draw + tables),)
-
     split_l_max = max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX, _LADDER_L_MAX)
     roundtrip_l_max = min(scn.l_max, _ROUNDTRIP_L_MAX)
     return {"lp-props": ((scn.l_max, slots(scn.l_max)),),
-            "forward-first": ensemble(scn.n_regular + 2),
-            "backward-second": ensemble(2 * (scn.n_regular + 1)),
+            "forward-first": ((top, _ensemble_floats(slots(top), top, scn.n_draws,
+                                                     scn.n_regular + 2)),),
+            "backward-second": ((top, _ensemble_floats(slots(top), top, scn.n_draws,
+                                                       2 * (scn.n_regular + 1))),),
             "roundtrip": ((roundtrip_l_max, (scn.n_regular + 2) * slots(roundtrip_l_max)),),
             "singular-split": ((split_l_max, 3 * slots(split_l_max)),
                                (_SPLIT_FIXED_L_MAX,

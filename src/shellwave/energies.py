@@ -294,6 +294,23 @@ def _chunk_draws(draw_floats):
     return max(1, _CHUNK_BYTES // (8 * draw_floats))
 
 
+def _ensemble_floats(slots, l_max, n_draws, entries):
+    """The floats a theorem ensemble may hold at once: n_draws draws of
+    ``entries`` per slot on ``slots`` slots of degrees 0..l_max.
+
+    Every stage is counted as if held together: a chunk of draws and its
+    Gram products (``_gram_tables`` makes them twice: products, then stacked);
+    per draw, every degree's Gram matrix and slot sum, the six (n_draws,
+    n_times) tables of ``_ensemble_ratios`` while it adds its two einsums, and
+    the previous resolution's sup; per degree and time, four (2 entries)^2
+    blocks for the propagators and their forms (tracemalloc reads under two).
+    """
+    draw, grams = slots * entries, (l_max + 1) * (entries**2 + entries)
+    chunk = min(n_draws, _chunk_draws(draw)) * (draw + 2 * grams)
+    return (chunk + n_draws * (grams + 6 * _ENSEMBLE_TIMES + 1)
+            + 4 * (l_max + 1) * _ENSEMBLE_TIMES * (2 * entries) ** 2)
+
+
 def _gram_tables(lattice, draws):
     """Per-draw, per-degree Gram matrices sum_s x_s x_s^T and slot sums of
     ``draws`` (n_draws, n_slots, k); shapes (n_draws, n_degrees, k, k) and
@@ -366,7 +383,7 @@ def _ensemble_ratios(config, lattice, bg, part, gram, sums, taus):
            + 2.0 * np.einsum("nla,jlta->jnt", sums, cross, optimize=True) + const[:, None])
     energies = acc[0] + _cumtrapz(taus, acc[1])
     data_sq = np.einsum("nlaa,al->n", gram, _data_weights(system, m, n_cols, bg, lattice.lam0))
-    forcing_sq = sum(np.array([f.profile(t) for t in taus]) ** 2 for f in config.forcing_list())
+    forcing_sq = sum(np.array([f.profile(t) for t in taus]) ** 2 for f in config.forcings)
     budget = _cumtrapz(taus, lattice.mult @ forcing * forcing_sq)
     return energies / (data_sq[:, None] + budget)
 
@@ -407,8 +424,9 @@ def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50
     max_ratios, med_ratios = [], []
     for l_max in resolutions:
         lattice = build_lattice(n_sphere, l_max)
-        gram, sums = _drawn_gram_tables(rng, lattice, n_draws, entries, decay)
-        sup = np.max(_ensemble_ratios(config, lattice, bg, part, gram, sums, taus), axis=1)
+        # no name holds one resolution's tables while the next one draws
+        sup = np.max(_ensemble_ratios(config, lattice, bg, part, *_drawn_gram_tables(
+            rng, lattice, n_draws, entries, decay), taus), axis=1)
         max_ratios.append(float(np.max(sup)))
         med_ratios.append(float(np.median(sup)))
     factors = tuple(

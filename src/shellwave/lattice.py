@@ -19,7 +19,6 @@ __all__ = [
     "Lattice",
     "ConformalBackground",
     "Field",
-    "TimeGrid",
     "build_lattice",
     "desitter_background",
     "constant_background",
@@ -165,19 +164,6 @@ class ConformalBackground:
         """f'(tau) / (tau f(tau)), extended continuously to tau = 0."""
         return self.f_prime_over_tau(tau) / self.f(tau)
 
-    def inv_f_sq_series(self, order):
-        """Even Taylor coefficients of 1/f(tau)^2 through tau^(2*order)."""
-        f = np.zeros(order + 1)
-        m = min(order + 1, len(self.f_even))
-        f[:m] = self.f_even[:m]
-        # g = 1/f^2 solves (f^2) g = 1; convolve order by order.
-        fsq = np.convolve(f, f)[: order + 1]
-        g = np.zeros(order + 1)
-        g[0] = 1.0 / fsq[0]
-        for j in range(1, order + 1):
-            g[j] = -np.dot(fsq[1 : j + 1], g[j - 1 :: -1]) / fsq[0]
-        return g
-
 
 def _even_horner(coeffs, tau):
     """sum_j coeffs[j] tau^(2j) by Horner's rule.
@@ -242,25 +228,9 @@ def random_field(lattice, rng, decay=1.0):
     return Field(lattice=lattice, coeffs=c)
 
 
-@dataclass(frozen=True, eq=False)
-class TimeGrid:
-    """Strictly increasing evaluation times in (0, 1]."""
-
-    taus: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "taus", np.asarray(self.taus, dtype=float))
-        t = self.taus
-        if t.ndim != 1 or len(t) == 0:
-            raise ValueError("time grid must be a nonempty 1-d array")
-        if np.any(t <= 0.0) or np.any(t > 1.0):
-            raise ValueError("times must lie in (0, 1]")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-
-
 def make_time_grid(tau_min, tau_max=1.0, count=33):
-    """Log-spaced grid, which suits the collapsing end."""
+    """Log-spaced times, which suit the collapsing end: a strictly increasing
+    float array in (0, 1]."""
     if not 0.0 < tau_min < tau_max <= 1.0:
         raise ValueError(f"need 0 < tau_min < tau_max <= 1, got [{tau_min}, {tau_max}]")
     if count < 2:
@@ -268,4 +238,6 @@ def make_time_grid(tau_min, tau_max=1.0, count=33):
     taus = np.geomspace(tau_min, tau_max, count)
     # guard the endpoints against geomspace rounding
     taus[0], taus[-1] = tau_min, tau_max
-    return TimeGrid(taus=taus)
+    if np.any(np.diff(taus) <= 0.0):
+        raise ValueError(f"{count} times do not increase strictly on [{tau_min}, {tau_max}]")
+    return taus

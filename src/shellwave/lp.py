@@ -70,7 +70,17 @@ class LPPartition:
     k_max: int
     smoothness: int
     shift: float = 0.0
-    _step: np.ndarray = dc_field(repr=False, default=None)
+    # the smoothstep's coefficients, derived at construction
+    _step: np.ndarray = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.k_min < 0 < self.k_max:
+            raise ValueError(f"need k_min < 0 < k_max, got [{self.k_min}, {self.k_max}]")
+        if self.smoothness < 1:
+            raise ValueError(f"smoothness must be >= 1, got {self.smoothness}")
+        if not -0.5 <= self.shift <= 0.5:
+            raise ValueError(f"shift must lie in [-1/2, 1/2], got {self.shift}")
+        object.__setattr__(self, "_step", _smoothstep_coeffs(self.smoothness))
 
     @property
     def ks(self):
@@ -78,28 +88,27 @@ class LPPartition:
 
     def _step_eval(self, x):
         # S(x) for x in [0, 1], vectorized; caller guarantees the range.
-        out = np.zeros_like(x)
-        for c in self._step[::-1]:
-            out = out * x + c
-        return out * x ** (self.smoothness + 1)
+        return np.polynomial.polynomial.polyval(x, self._step) * x ** (self.smoothness + 1)
 
     def _step_deriv(self, x):
-        p = self._step
+        # S'(x), likewise
         n = self.smoothness
-        out = np.zeros_like(x)
-        for j in range(len(p) - 1, -1, -1):
-            out = out * x + p[j] * (n + 1 + j)
-        return out * x**n
+        return np.polynomial.polynomial.polyval(x, self._step * np.arange(n + 1, 2 * n + 2)) * x**n
 
-    def bump(self, mu):
-        """M(mu): 1 at the cell center mu = 4^shift, 0 outside [4^(shift-1), 4^(shift+1)]."""
+    def _log4(self, mu):
+        """The log coordinate log_4 mu - shift of every mu, inf where mu <= 0."""
         mu = np.asarray(mu, dtype=float)
-        # |log_4 mu - shift| (inf for mu <= 0), overwritten by the bump value;
-        # one array of mu's size, since shell tables pass large ones
         out = np.full_like(mu, np.inf)
         np.log(mu, out=out, where=mu > 0.0)
         out /= math.log(4.0)
         out -= self.shift
+        return out
+
+    def bump(self, mu):
+        """M(mu): 1 at the cell center mu = 4^shift, 0 outside [4^(shift-1), 4^(shift+1)]."""
+        # |log_4 mu - shift|, overwritten by the bump value; one array of mu's
+        # size, since shell tables pass large ones
+        out = self._log4(mu)
         np.abs(out, out=out)
         inside = out < 1.0
         out[inside] = np.sin(0.5 * math.pi * self._step_eval(1.0 - out[inside]))
@@ -110,19 +119,11 @@ class LPPartition:
         """dM/dmu, exact (chain rule through the log coordinate)."""
         mu = np.asarray(mu, dtype=float)
         out = np.zeros_like(mu)
-        pos = mu > 0.0
-        v = np.zeros_like(mu)
-        v[pos] = np.log(mu[pos]) / math.log(4.0) - self.shift
-        inside = pos & (np.abs(v) < 1.0) & (np.abs(v) > 0.0)
-        a = np.abs(v[inside])
-        dv = (
-            np.cos(0.5 * math.pi * self._step_eval(1.0 - a))
-            * 0.5
-            * math.pi
-            * self._step_deriv(1.0 - a)
-            * (-np.sign(v[inside]))
-        )
-        out[inside] = dv / (mu[inside] * math.log(4.0))
+        v = self._log4(mu)
+        inside = (np.abs(v) < 1.0) & (np.abs(v) > 0.0)
+        x = 1.0 - np.abs(v[inside])
+        dv = np.cos(0.5 * math.pi * self._step_eval(x)) * 0.5 * math.pi * self._step_deriv(x)
+        out[inside] = -np.sign(v[inside]) * dv / (mu[inside] * math.log(4.0))
         return out
 
 
@@ -133,19 +134,8 @@ def make_partition(k_min, k_max, smoothness=3, shift=0.0):
     log_4 scale) and exists so that a second, staggered family can be played
     against the first in orthogonality checks.
     """
-    if not k_min < 0 < k_max:
-        raise ValueError(f"need k_min < 0 < k_max, got [{k_min}, {k_max}]")
-    if smoothness < 1:
-        raise ValueError(f"smoothness must be >= 1, got {smoothness}")
-    if not -0.5 <= shift <= 0.5:
-        raise ValueError(f"shift must lie in [-1/2, 1/2], got {shift}")
-    return LPPartition(
-        k_min=int(k_min),
-        k_max=int(k_max),
-        smoothness=int(smoothness),
-        shift=float(shift),
-        _step=_smoothstep_coeffs(int(smoothness)),
-    )
+    return LPPartition(k_min=int(k_min), k_max=int(k_max), smoothness=int(smoothness),
+                       shift=float(shift))
 
 
 def _check_k(part, k):
@@ -169,13 +159,9 @@ def _degree_power(lattice, coeffs):
 
 
 def log_grad_weights(part, lam):
-    """ell(lambda) = sum_{k>=0} M(lambda 4^-k)^2 log 2^k."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.zeros_like(lam)
-    for k in range(max(0, part.k_min), part.k_max + 1):
-        m = part.bump(lam * 4.0 ** (-k))
-        out += m * m * (k * math.log(2.0))
-    return out
+    """ell(lambda) = sum_{k>=0} M(lambda 4^-k)^2 log 2^k, on the shell table's k >= 0 rows."""
+    cells = _shell_table(part, lam)[-part.k_min:]  # k = 0..k_max
+    return np.sum(cells**2 * (np.arange(part.k_max + 1) * math.log(2.0))[:, None], axis=0)
 
 
 def refined_poincare_defect(part, k, delta, field, tau, bg):
@@ -224,10 +210,8 @@ class PropertyReport:
 
 def _coverage_mask(part, lam):
     """Modes whose dyadic window is fully inside the cell range."""
-    ok = lam > 0.0
-    u = np.full_like(lam, -np.inf)
-    u[ok] = np.log(lam[ok]) / math.log(4.0) - part.shift
-    return ok & (u >= part.k_min) & (u <= part.k_max)
+    u = part._log4(lam)
+    return (u >= part.k_min) & (u <= part.k_max)
 
 
 def _within_roundoff(constant, bound):

@@ -148,9 +148,8 @@ def _psi_over_f_series(bg, psi_index, order):
     if psi_index == 0:
         return inv_f
     fpt = np.zeros(order + 1)  # f'(tau)/tau as an even series
-    for j in range(1, len(bg.f_even)):
-        if j <= order:
-            fpt[j - 1] = 2.0 * j * bg.f_even[j]
+    coeffs = bg._f_prime_over_tau_even[:order]
+    fpt[: len(coeffs)] = coeffs
     kappa_over_f = np.convolve(fpt, np.convolve(inv_f, inv_f)[: order + 1])[: order + 1]
     if psi_index == 1:
         return kappa_over_f
@@ -165,7 +164,7 @@ def _q_series(lam0, bg, order, diag_psi=None, diag_scale=0.0):
     q(tau) = 4 lam0 / f(tau)^2 minus the diagonal coupling
     diag_scale * psi(tau) * sqrt(lambda(tau)), which is also even.
     """
-    q = np.multiply.outer(bg.inv_f_sq_series(order), 4.0 * lam0)
+    q = np.multiply.outer(_series_inv(np.convolve(bg.f_even, bg.f_even), order), 4.0 * lam0)
     if diag_scale != 0.0:
         coupled = q - np.multiply.outer(_psi_over_f_series(bg, diag_psi, order),
                                         diag_scale * np.sqrt(lam0))
@@ -331,7 +330,8 @@ class SystemConfig:
     sign of their rows ("first": +1/tau, "second": -1/tau, whose rows must not
     couple back to column 0).  Coupling entry (i, j) contributes
     scale[i,j] * psi[psi_index[i,j]](tau) * sqrt(lambda(tau)) * column_j to
-    row i, with psi profiles {1, kappa, tau^2 kappa}.  ``top_order`` is the
+    row i, with psi profiles {1, kappa, tau^2 kappa}.  ``forcings`` holds one
+    Forcing per column, each unforced if none is given.  ``top_order`` is the
     highest derivative level the energy norms weigh.
     """
 
@@ -370,7 +370,9 @@ class SystemConfig:
             raise ValueError(_SECOND_DECOUPLING_MSG)
         object.__setattr__(self, "coupling_scale", scale)
         object.__setattr__(self, "coupling_psi", psi)
-        if self.forcings and len(self.forcings) != c:
+        if not self.forcings:
+            object.__setattr__(self, "forcings", (Forcing(),) * c)
+        elif len(self.forcings) != c:
             raise ValueError(f"need one forcing per column ({c}), got {len(self.forcings)}")
 
     @property
@@ -383,11 +385,6 @@ class SystemConfig:
         if self.system == "second":
             s[1:] = -1.0
         return s
-
-    def forcing_list(self):
-        if self.forcings:
-            return list(self.forcings)
-        return [Forcing()] * self.n_columns
 
 
 def random_coupling(n_regular, system, rng, scale):
@@ -415,12 +412,11 @@ def _forcing_source(config):
     The forcing is the same on every entry of a row, so the source is one
     (n_columns, 1) column that broadcasts across the row.
     """
-    forcings = config.forcing_list()
-    if all(f.amplitude == 0.0 for f in forcings):
+    if all(f.amplitude == 0.0 for f in config.forcings):
         return None
 
     def source(tau):
-        return np.array([f.profile(tau) for f in forcings])[:, None]
+        return np.array([f.profile(tau) for f in config.forcings])[:, None]
 
     return source
 
@@ -785,7 +781,7 @@ def _scalar_kernel(lam, u0, theta0, rtol, atol):
 def _eval_taus(tau_from, tau_to, grid):
     lo, hi = min(tau_from, tau_to), max(tau_from, tau_to)
     if grid is not None:
-        inner = grid.taus[(grid.taus > lo) & (grid.taus < hi)]
+        inner = grid[(grid > lo) & (grid < hi)]
     else:
         inner = np.geomspace(lo, hi, 33)[1:-1]
     taus = np.concatenate([[lo], inner, [hi]])
@@ -1005,10 +1001,9 @@ def split_singular_component(config, lattice, bg, data, grid, part):
         m[n_cols, n_cols] = m[-1, -1] = m[0, 0]
         m[-1, 1:n_cols] = m[0, 1:n_cols]
 
-    forcings = config.forcing_list()
     aug = SystemConfig(
-        n_regular=n_cols + 1, system="first", top_order=config.top_order,
-        coupling_scale=scale, coupling_psi=psi, forcings=(*forcings, Forcing(), forcings[0]),
+        n_regular=n_cols + 1, system="first", top_order=config.top_order, coupling_scale=scale,
+        coupling_psi=psi, forcings=(*config.forcings, Forcing(), config.forcings[0]),
         tau_seed=tau0, rtol=config.rtol, atol=config.atol,
     )
     taus = _eval_taus(tau0, 1.0, grid)

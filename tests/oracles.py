@@ -7,7 +7,9 @@ and draw by draw, the right-hand side through the log-chart solver, the shell an
 gradient norms through the degree-axis shell table, the seeds through the
 per-degree data-to-seed maps, the trajectories, round trip and extraction
 through maps composed per degree before any slot is touched, and the blow-up
-statistic through one per-degree solve.  The Gronwall majorant is here in
+statistic through one per-degree solve.  On a constant background the
+per-degree propagators have a closed form in Bessel functions, an exact
+reference for the block kernel at any frequency.  The Gronwall majorant is here in
 its full base point x time form, which the package reaches by a
 triangle-only reduce in the same summation order.
 """
@@ -225,7 +227,7 @@ def _forcing_budget(config, lattice, bg, taus, system):
                                 lam, taus[:, None])
     # summed over columns per time; every slot of every degree is forced alike
     forcing_sq = np.zeros(len(taus))
-    for f in config.forcing_list():
+    for f in config.forcings:
         forcing_sq += np.array([f.profile(tau) for tau in taus]) ** 2
     return _cumtrapz(taus, (weight * forcing_sq[:, None]) @ lattice.mult)
 
@@ -300,8 +302,59 @@ def mode_rhs(config, lattice, bg, tau, values, derivs):
     amat = config.coupling_scale * psi[config.coupling_psi]
     rhs = (amat @ values) * np.sqrt(lam) - 4.0 * lam * values
     rhs -= (config.drag_signs / tau)[:, None] * derivs
-    rhs += np.array([f.profile(tau) for f in config.forcing_list()])[:, None]
+    rhs += np.array([f.profile(tau) for f in config.forcings])[:, None]
     return derivs, rhs
+
+
+# ------------------------------------------------- closed-form propagators
+
+
+def _bessel_pair(drag, omega, tau):
+    """Fundamental pair of u'' + drag u'/tau + omega^2 u = 0 at tau, per omega.
+
+    Shape (n_omegas, 2, 2): rows (u, tau u'), columns the two solutions,
+    J0, Y0 (omega tau) for drag +1 and tau J1, tau Y1 (omega tau) for drag
+    -1; at omega = 0 they are 1, log tau and 1, tau^2.
+    """
+    from scipy.special import jv, yv
+
+    x = omega * tau
+    safe = np.where(omega > 0.0, x, 1.0)  # Y diverges at 0; omega = 0 is set below
+    if drag == 1:
+        pair = np.array([[jv(0, x), yv(0, safe)], [-x * jv(1, x), -x * yv(1, safe)]])
+        still = [[1.0, math.log(tau)], [0.0, 1.0]]
+    else:
+        pair = tau * np.array([[jv(1, x), yv(1, safe)], [x * jv(0, x), x * yv(0, safe)]])
+        still = [[1.0, tau * tau], [0.0, 2.0 * tau * tau]]
+    pair = np.moveaxis(pair, -1, 0)
+    pair[omega == 0.0] = still
+    return pair
+
+
+def constant_propagators(config, lattice, f0, tau_anchor, taus):
+    """``fundamental_matrices`` of a diagonally coupled config on the constant
+    background f = f0, in closed form.
+
+    There kappa = 0, so only couplings with psi = 1 act, and they must sit on
+    the diagonal.  Column i then solves u'' + s_i u'/tau + omega_i^2 u = 0
+    with omega_i^2 = 4 lambda - a_i sqrt(lambda), lambda = lam0 / f0^2 and
+    a_i its diagonal coupling, so its block on (v_i, tau v_i') is Phi(tau)
+    Phi(tau_anchor)^-1, Phi the pair of ``_bessel_pair``; the columns do not
+    mix.
+    """
+    acting = np.where(config.coupling_psi == 0, config.coupling_scale, 0.0)
+    if np.any(acting != np.diag(np.diag(acting))):
+        raise ValueError("the closed form holds for diagonal couplings only")
+    lam = lattice.lam0 / (f0 * f0)
+    n_cols = config.n_columns
+    out = np.zeros((lattice.l_max + 1, len(taus), 2 * n_cols, 2 * n_cols))
+    for i, drag in enumerate(config.drag_signs):
+        omega = np.sqrt(4.0 * lam - acting[i, i] * np.sqrt(lam))
+        back = np.linalg.inv(_bessel_pair(drag, omega, tau_anchor))
+        for t, tau in enumerate(taus):
+            # rows and columns i and n_cols + i: column i's value and tau * derivative
+            out[:, t, i::n_cols, i::n_cols] = _bessel_pair(drag, omega, tau) @ back
+    return out
 
 
 # ------------------------------------------------------------- seeding

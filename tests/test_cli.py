@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from shellwave import (
     parse_config,
     run_scenario,
     verify_refined_poincare,
+    verify_theorem_ratio,
 )
 from shellwave import cli, modelsys
 from shellwave.cli import _SECTION_KEYS, TARGETS, ConfigError, main
@@ -446,9 +448,30 @@ def test_size_limit_counts_the_split_blowup_rows():
 
 def test_size_limit_counts_the_ensemble_tables():
     # 1e7 draws at l_max 128 hold a 165 GB Gram table (a 4 x 4 matrix per
-    # draw and degree) and 3.9 GB of ratios, next to one 0.5 MB chunk of draws
-    with pytest.raises(ConfigError, match="line 3: forward-first would draw 169,040,532,512 "):
+    # draw and degree), 41 GB of slot sums and 23.5 GB in the six ratio
+    # tables, next to one 0.5 MB chunk of draws
+    with pytest.raises(ConfigError, match="line 3: forward-first would draw 230,013,519,200 "):
         parse_config("[scenario]\ntargets = forward-first\n[verify]\nn_draws = 10000000\n")
+
+
+@pytest.mark.parametrize("system,target", [("first", "forward-first"),
+                                           ("second", "backward-second")])
+def test_size_limit_bounds_the_traced_ensemble_peak(system, target):
+    # at resolutions 1, 2 the Gram tables are small and the ratio tables set
+    # the peak: counting one ratio table per draw read 3.4x (first) and 2.6x
+    # (second) below it.  The count must bound what the target's verifier holds
+    scn = Scenario(targets=(target,), n_draws=20000, resolutions=(1, 2))
+    count = 8 * cli._largest_draws(scn)[target][0][1]
+    bg, part = scn.background(), scn.partition()
+    verify_theorem_ratio(system, part, bg, resolutions=(1, 2), n_draws=2)  # lazy set-up
+    tracemalloc.start()
+    try:
+        verify_theorem_ratio(system, part, bg, resolutions=scn.resolutions,
+                             n_draws=scn.n_draws, coupling_scale=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= count  # measured 0.92x (first) and 0.91x (second)
 
 
 def test_paper_dimensions_parse_at_resolutions_that_fit():
@@ -460,7 +483,7 @@ def test_paper_dimensions_parse_at_resolutions_that_fit():
         text = f"[lattice]\nn = 4\n[verify]\nresolutions = {', '.join(map(str, resolutions))}\n"
         scn = parse_config(text)
         assert (scn.n_sphere, scn.resolutions) == (4, resolutions)
-    with pytest.raises(ConfigError, match="line 1: backward-second would draw 1,144,249,600 "):
+    with pytest.raises(ConfigError, match="line 1: backward-second would draw 1,173,871,456 "):
         parse_config("[lattice]\nn = 4\n")
     assert parse_config("") == Scenario()
 

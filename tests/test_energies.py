@@ -8,7 +8,6 @@ from shellwave import energies, modelsys
 from shellwave import (
     Forcing,
     SystemConfig,
-    TimeGrid,
     build_lattice,
     constant_background,
     desitter_background,
@@ -355,8 +354,7 @@ def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
         draw = rng.standard_normal((lat.n_slots, n_cols + 1)) * damp
         # a draw holds (O, frak_h, phi0_1, phi0_2) per slot; the seed reads h
         data = renormalized(lat, part, bg, draw.T, inverse=True)
-        traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0,
-                         grid=TimeGrid(taus=taus))
+        traj = integrate(cfg, lat, bg, seed_state(cfg, lat, bg, data), 1.0, grid=taus)
         _, energy = energy_first(traj)
         budget = data_energy_first(lat, part, bg, data, cfg.top_order)
         budget = budget + forcing_energy_first(cfg, lat, bg, taus)
@@ -364,7 +362,7 @@ def test_ensemble_ratio_matches_trajectory_energy(part, bg, system):
         taus = np.geomspace(1.0, 1e-3, 25)
         draw = rng.standard_normal((lat.n_slots, 2 * n_cols)) * damp
         state = ModeState(tau=1.0, values=draw[:, :n_cols].T, derivs=draw[:, n_cols:].T)
-        traj = integrate(cfg, lat, bg, state, 1e-3, grid=TimeGrid(taus=taus[::-1]))
+        traj = integrate(cfg, lat, bg, state, 1e-3, grid=taus[::-1])
         _, energy = energy_second(traj)
         budget = data_energy_second(state, bg, lat, cfg.top_order)
         budget = budget + forcing_energy_second(cfg, lat, bg, taus)

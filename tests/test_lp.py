@@ -60,6 +60,17 @@ def test_make_partition_validation():
         make_partition(-4, 8, shift=0.7)
 
 
+def test_direct_construction_is_the_make_partition_path():
+    # the constructor validates its fields and derives the smoothstep itself,
+    # so a directly built partition evaluates, with make_partition's bits
+    direct, made = LPPartition(k_min=-2, k_max=2, smoothness=3), make_partition(-2, 2, 3)
+    mu = np.geomspace(0.1, 10.0, 101)
+    assert np.array_equal(direct.bump(mu), made.bump(mu))
+    assert np.array_equal(direct.bump_prime(mu), made.bump_prime(mu))
+    with pytest.raises(ValueError, match="k_min < 0 < k_max"):
+        LPPartition(k_min=3, k_max=-3, smoothness=0, shift=9.0)
+
+
 # ------------------------------------------------------- multiplier algebra
 
 

@@ -15,7 +15,6 @@ from shellwave import (
     ConformalBackground,
     Forcing,
     SystemConfig,
-    TimeGrid,
     bessel_oracle,
     build_lattice,
     constant_background,
@@ -39,6 +38,7 @@ from shellwave.energies import _oracle_envelope
 from tests.conftest import bounded_data, bounded_field, zero_data
 from tests.oracles import (
     ModeState,
+    constant_propagators,
     extract_asymptotic_data,
     integrate,
     mode_rhs,
@@ -550,7 +550,7 @@ def test_stored_derivative_matches_finite_difference(part, bg):
     state = seed_state(cfg, lat, bg, bounded_data(lat, rng, 1))
 
     def fd_error(n_pts):
-        traj = integrate(cfg, lat, bg, state, 0.9, grid=TimeGrid(np.linspace(0.5, 0.9, n_pts)))
+        traj = integrate(cfg, lat, bg, state, 0.9, grid=np.linspace(0.5, 0.9, n_pts))
         # the trajectory starts at the seed time; keep the uniform segment
         keep = traj.taus >= 0.5 - 1e-12
         vals, ders, ts = traj.values[keep], traj.derivs[keep], traj.taus[keep]
@@ -1021,7 +1021,7 @@ def _solver_case(case, part, bg):
     if case == "propagators":
         # decoupled: the drive is 0 for the propagators and the source alone
         # for the forced response, with the second family's drag flip in both
-        taus = make_time_grid(cfg.tau_seed, 1.0, count=9).taus
+        taus = make_time_grid(cfg.tau_seed, 1.0, count=9)
         return (fundamental_matrices(cfg, lat, bg, cfg.tau_seed, taus),
                 forced_profile(cfg, lat, bg, cfg.tau_seed, taus))
     if case == "backward":
@@ -1154,6 +1154,53 @@ def test_liouvilles_identity_fails_with_a_wrong_drag_flip(monkeypatch, target):
     assert found and all(defect > 1e4 * rtol for defect, rtol in found)
 
 
+# the closed-form gate: each column block's largest entry error, over its
+# largest exact entry, within this multiple of rtol * omega_max
+_CLOSED_FORM_GATE = 4.0
+
+
+def _closed_form_error(system, l_max, diag=(0.0, 0.0), lam_scale=1.0):
+    """The largest closed-form error of the propagators on f = 1.5 with the
+    diagonal couplings ``diag`` (psi = 1), run from 1e-3 up to 1 and from 1
+    down, in units of rtol * omega_max.  The solver sees lam0 * lam_scale;
+    the closed form the true lam0."""
+    cfg = SystemConfig(n_regular=1, system=system, coupling_scale=np.diag(diag),
+                       rtol=1e-9, atol=1e-11)
+    lat, bg = build_lattice(2, l_max), constant_background(1.5)
+    seen = dataclasses.replace(lat, lam0=lam_scale * lat.lam0)
+    taus = np.geomspace(1e-3, 1.0, 9)
+    worst, n_cols = 0.0, cfg.n_columns
+    for anchor, times in ((taus[0], taus), (1.0, taus[::-1])):
+        got = fundamental_matrices(cfg, seen, bg, anchor, times)
+        exact = constant_propagators(cfg, lat, 1.5, anchor, times)
+        for i in range(n_cols):  # column i's block: rows and columns i, n_cols + i
+            g, e = got[..., i::n_cols, i::n_cols], exact[..., i::n_cols, i::n_cols]
+            err = np.max(np.abs(g - e), axis=(1, 2, 3)) / np.max(np.abs(e), axis=(1, 2, 3))
+            worst = max(worst, float(np.max(err)))
+        assert np.all(got[exact == 0.0] == 0.0)  # e.g. the other columns' entries
+    return worst / (cfg.rtol * 2.0 * math.sqrt(lat.lam0[-1]) / 1.5)
+
+
+@pytest.mark.parametrize("system", ["first", "second"])
+@pytest.mark.parametrize("l_max,diag", [(16, (0.0, 0.0)), (64, (0.0, 0.0)), (256, (0.0, 0.0)),
+                                        (64, (0.3, -0.2))])
+def test_propagators_match_the_closed_form_on_a_constant_background(system, l_max, diag):
+    # on f = f0 each column with a diagonal psi = 1 coupling a is a Bessel
+    # equation at omega^2 = 4 lambda - a sqrt(lambda) (omega up to 342 at l_max
+    # 256): J0, Y0 for drag +1 (both families' column 0, the first's regular
+    # column) and tau J1, tau Y1 for drag -1 (the second's).  Uncoupled,
+    # measured 0.15/0.61/1.17 (first) and 0.14/0.62/2.71 (second) at l_max
+    # 16/64/256, the worst near the top degree
+    assert _closed_form_error(system, l_max, diag) <= _CLOSED_FORM_GATE
+
+
+@pytest.mark.parametrize("system", ["first", "second"])
+def test_closed_form_gate_fails_a_frequency_error(system):
+    # negative control: a solver that sees lam0 scaled by 3.9/4 (omega off by
+    # 1.3%) reads 2.3e7 (first) and 4.2e7 (second) in the gate's units
+    assert _closed_form_error(system, 16, lam_scale=3.9 / 4.0) > _CLOSED_FORM_GATE
+
+
 def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_lattice):
     # the benchmark's modelsys.solves, rhs_evals and solve_s wrap this name;
     # forced runs of data make two solves, the propagators and the forced
@@ -1190,7 +1237,7 @@ def test_integrate_matches_mode_rhs_by_finite_differences(part, bg, system):
     )
     h = 1e-3
     run = integrate(cfg, lat, bg, _end_state(lat, rng, cfg.n_columns), 0.5 - h,
-                    grid=TimeGrid(taus=[0.5 - h, 0.5, 0.5 + h]))
+                    grid=np.array([0.5 - h, 0.5, 0.5 + h]))
     assert np.array_equal(run.taus, [1.0, 0.5 + h, 0.5, 0.5 - h])
     expected = mode_rhs(cfg, lat, bg, 0.5, run.values[2], run.derivs[2])
     for series, want in zip((run.values, run.derivs), expected):
@@ -1233,6 +1280,6 @@ def test_trajectory_helpers(part, bg, small_lattice):
     assert traj.taus.shape == (5,)
     assert traj.values.shape == traj.derivs.shape == (5, 2, small_lattice.n_slots)
     st = traj.state_at(2)
-    assert st.tau == pytest.approx(grid.taus[2])
+    assert st.tau == pytest.approx(grid[2])
     assert np.array_equal(st.values, traj.values[2])
     assert np.array_equal(st.derivs, traj.derivs[2])
