@@ -272,10 +272,11 @@ def _data_weights(system, top_order, n_cols, bg, lam0):
 
 def _cumtrapz(taus, integrand):
     """Trapezoid integral along the grid from its first time; time is the last axis."""
-    steps = np.abs(np.diff(taus))
-    parts = 0.5 * steps * (integrand[..., 1:] + integrand[..., :-1])
-    return np.concatenate([np.zeros_like(integrand[..., :1]), np.cumsum(parts, axis=-1)],
-                          axis=-1)
+    out = np.zeros_like(integrand)
+    parts = integrand[..., 1:] + integrand[..., :-1]
+    parts *= 0.5 * np.abs(np.diff(taus))
+    np.cumsum(parts, axis=-1, out=out[..., 1:])
+    return out
 
 
 # ------------------------------------------------------- theorem ensembles
@@ -300,15 +301,18 @@ def _ensemble_floats(slots, l_max, n_draws, entries):
 
     Every stage is counted as if held together: a chunk of draws and its
     Gram products (``_gram_tables`` makes them twice: products, then stacked);
-    per draw, every degree's Gram matrix and slot sum, the six (n_draws,
-    n_times) tables of ``_ensemble_ratios`` while it adds its two einsums, and
-    the previous resolution's sup; per degree and time, four (2 entries)^2
-    blocks for the propagators and their forms (tracemalloc reads under two).
+    per draw, every degree's Gram matrix and slot sum, the four (n_draws,
+    n_times) tables of ``_ensemble_ratios`` while it integrates the tail (its
+    two energy rows and the two of ``_cumtrapz``), and the previous
+    resolution's sup; per degree and time, two (2 entries)^2 blocks for the
+    propagators, whose solve rows and degree-major copy are live together
+    (each block holds a d x d propagator, d <= 2 entries; tracemalloc reads
+    1.15 blocks for the forward family, 0.51 for the backward one).
     """
     draw, grams = slots * entries, (l_max + 1) * (entries**2 + entries)
     chunk = min(n_draws, _chunk_draws(draw)) * (draw + 2 * grams)
-    return (chunk + n_draws * (grams + 6 * _ENSEMBLE_TIMES + 1)
-            + 4 * (l_max + 1) * _ENSEMBLE_TIMES * (2 * entries) ** 2)
+    return (chunk + n_draws * (grams + 4 * _ENSEMBLE_TIMES + 1)
+            + 2 * (l_max + 1) * _ENSEMBLE_TIMES * (2 * entries) ** 2)
 
 
 def _gram_tables(lattice, draws):
@@ -362,7 +366,11 @@ def _ensemble_ratios(config, lattice, bg, part, gram, sums, taus):
     only through its Gram matrix G = sum_s x_s x_s^T and slot sum S, per
     degree (``gram`` and ``sums``, as ``_gram_tables`` returns them):
     sum_s (P x_s + f)^T W (P x_s + f) = tr(Q G) + 2 c.S + m_l f^T W f, with
-    the forms Q = P^T W P and c = P^T W f built once per (degree, time).  The
+    the forms Q = P^T W P and c = P^T W f.  The kernel walks the degrees:
+    it builds one degree's (time, k, k) forms per energy row and folds them
+    into that row's (n_draws, n_times) table through one reused work table,
+    so besides the propagators it holds only draw-sized tables.  A row whose
+    weights are all zero, the forward family's tail, is skipped.  The
     forcing budget integrates the same table's forcing weight.
     """
     system, n_cols, m = config.system, config.n_columns, config.top_order
@@ -374,18 +382,28 @@ def _ensemble_ratios(config, lattice, bg, part, gram, sums, taus):
     weights, forcing = _energy_weights(system, m, n_cols, lam, taus)
     weights[:, 1] /= taus**2  # the propagators carry tau * derivs
     w = np.moveaxis(weights.reshape(2, 2 * n_cols, *lam.shape), 1, -1)  # (2, degree, time, d)
-    p_t = props.swapaxes(-1, -2)
-    forms = p_t @ (w[..., None] * props)
-    cross = (p_t @ (w * forced)[..., None])[..., 0]
-    const = np.einsum("l,jlta,lta->jt", lattice.mult, w, forced * forced)
-
-    acc = (np.einsum("nlab,jltab->jnt", gram, forms, optimize=True)
-           + 2.0 * np.einsum("nla,jlta->jnt", sums, cross, optimize=True) + const[:, None])
-    energies = acc[0] + _cumtrapz(taus, acc[1])
+    rows = [j for j in range(2) if np.any(w[j])]  # a zero row, the forward tail, adds 0
+    acc = np.zeros((2, len(gram), len(taus)))
+    work = np.empty_like(acc[0])
+    for l, (p, f) in enumerate(zip(props, forced)):
+        p_t = p.swapaxes(-1, -2)
+        for j in rows:
+            wl = w[j, l]  # (time, d)
+            forms = p_t @ (wl[..., None] * p)  # Q, (time, k, k)
+            cross = 2.0 * (p_t @ (wl * f)[..., None])[..., 0]  # 2c, (time, k)
+            np.matmul(gram[:, l].reshape(len(gram), -1), forms.reshape(len(taus), -1).T, out=work)
+            acc[j] += work
+            np.matmul(sums[:, l], cross.T, out=work)
+            acc[j] += work
+            acc[j] += lattice.mult[l] * np.sum(wl * f * f, axis=-1)
+    del work  # before the tail integral, so that at most four such tables are live
+    energies = acc[0]
+    energies += _cumtrapz(taus, acc[1])
     data_sq = np.einsum("nlaa,al->n", gram, _data_weights(system, m, n_cols, bg, lattice.lam0))
     forcing_sq = sum(np.array([f.profile(t) for t in taus]) ** 2 for f in config.forcings)
     budget = _cumtrapz(taus, lattice.mult @ forcing * forcing_sq)
-    return energies / (data_sq[:, None] + budget)
+    energies /= data_sq[:, None] + budget
+    return energies
 
 
 def verify_theorem_ratio(system, part, bg, resolutions=(32, 64, 128), n_draws=50,

@@ -398,6 +398,19 @@ def test_ensemble_kernel_matches_per_degree_contraction(part, bg, system, monkey
     assert len(calls) == 1  # one weight table on the (degree, time) grid
 
 
+@pytest.mark.parametrize("top_order", [0, 1, 2, 3])
+def test_forward_tail_weights_are_exactly_zero(top_order):
+    # the ensemble kernel skips an energy row whose weights are all zero; the
+    # forward family's tail row is such a row on any (lambda, tau) grid, so
+    # skipping it drops no term, while the backward family's tail is kept
+    rng = np.random.default_rng(29)
+    lam, tau = rng.uniform(0.0, 1e4, (40, 1)), rng.uniform(1e-4, 1.0, 30)
+    first, _ = energies._energy_weights("first", top_order, 3, lam, tau)
+    second, _ = energies._energy_weights("second", top_order, 3, lam, tau)
+    assert np.all(first[1] == 0.0) and np.all(first[0, :, 1:] > 0.0)
+    assert np.any(second[1] != 0.0)
+
+
 # energies at the five grid times of a coupled, forced run on S^2 with
 # l_max 4, recorded from the per-degree composition in integrate; a
 # slot-level solve at the same tolerances reads within 2.1e-10 relative
@@ -477,7 +490,8 @@ def test_chunked_ensemble_reports_the_one_shot_numbers(part, bg, system, entries
 def test_ensemble_memory_does_not_grow_with_its_draws(part, bg):
     # 50 backward draws on the 4225 slots of l_max 64 take 9.67 MiB at once;
     # folded into the Gram tables a chunk at a time, the whole check stays
-    # below that (measured 15.9 MiB one-shot, 6.2 MiB in chunks)
+    # below that (measured 15.9 MiB one-shot, 6.2 MiB in chunks, 2.8 MiB
+    # with the forms built one degree at a time)
     verify_theorem_ratio("second", part, bg, resolutions=(4, 8), n_draws=2)  # lazy set-up
     tracemalloc.start()
     try:
