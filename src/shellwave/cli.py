@@ -315,10 +315,10 @@ def _largest_draws(scn):
     split_l_max = max(min(scn.l_max, _SPLIT_L_MAX), _SPLIT_FIXED_L_MAX, _LADDER_L_MAX)
     roundtrip_l_max = min(scn.l_max, _ROUNDTRIP_L_MAX)
     return {"lp-props": ((scn.l_max, slots(scn.l_max)),),
-            "forward-first": ((top, _ensemble_floats(slots(top), top, scn.n_draws,
-                                                     scn.n_regular + 2)),),
-            "backward-second": ((top, _ensemble_floats(slots(top), top, scn.n_draws,
-                                                       2 * (scn.n_regular + 1))),),
+            "forward-first": ((top, _ensemble_floats("first", scn.n_regular + 1, slots(top),
+                                                     top, scn.n_draws)),),
+            "backward-second": ((top, _ensemble_floats("second", scn.n_regular + 1, slots(top),
+                                                       top, scn.n_draws)),),
             "roundtrip": ((roundtrip_l_max, (scn.n_regular + 2) * slots(roundtrip_l_max)),),
             "singular-split": ((split_l_max, 3 * slots(split_l_max)),
                                (_SPLIT_FIXED_L_MAX,

@@ -295,24 +295,30 @@ def _chunk_draws(draw_floats):
     return max(1, _CHUNK_BYTES // (8 * draw_floats))
 
 
-def _ensemble_floats(slots, l_max, n_draws, entries):
-    """The floats a theorem ensemble may hold at once: n_draws draws of
-    ``entries`` per slot on ``slots`` slots of degrees 0..l_max.
+def _ensemble_floats(system, n_cols, slots, l_max, n_draws):
+    """The floats a theorem ensemble of ``system`` may hold at once: n_draws
+    draws of its per-slot entries on ``slots`` slots of degrees 0..l_max,
+    with n_cols columns.
 
     Every stage is counted as if held together: a chunk of draws and its
     Gram products (``_gram_tables`` makes them twice: products, then stacked);
-    per draw, every degree's Gram matrix and slot sum, the four (n_draws,
-    n_times) tables of ``_ensemble_ratios`` while it integrates the tail (its
-    two energy rows and the two of ``_cumtrapz``), and the previous
-    resolution's sup; per degree and time, two (2 entries)^2 blocks for the
-    propagators, whose solve rows and degree-major copy are live together
-    (each block holds a d x d propagator, d <= 2 entries; tracemalloc reads
-    1.15 blocks for the forward family, 0.51 for the backward one).
+    per draw, every degree's Gram matrix and slot sum, the ratio-sized
+    (n_draws, n_times) tables of ``_ensemble_ratios`` at its peak (forward:
+    the energy row and the divisor of the last line; backward: the two
+    energy rows and the two of ``_cumtrapz``), the data norm and the
+    previous resolution's sup; per degree and time, twice the d (d + 1)
+    floats of a d x d propagator and its forced response, d = 2 n_cols.
+    tracemalloc reads ``fundamental_matrices`` at 1.8 d^2 per degree and
+    time (its solve's rows, which it returns as a view, and the solver's
+    working arrays), and the kernel at up to d^2 + 3 d + 8 (the propagators,
+    the forced response and the weights).
     """
+    entries, d = (n_cols + 1 if system == "first" else 2 * n_cols), 2 * n_cols
+    tables = 2 if system == "first" else 4
     draw, grams = slots * entries, (l_max + 1) * (entries**2 + entries)
     chunk = min(n_draws, _chunk_draws(draw)) * (draw + 2 * grams)
-    return (chunk + n_draws * (grams + 4 * _ENSEMBLE_TIMES + 1)
-            + 2 * (l_max + 1) * _ENSEMBLE_TIMES * (2 * entries) ** 2)
+    return (chunk + n_draws * (grams + tables * _ENSEMBLE_TIMES + 2)
+            + 2 * (l_max + 1) * _ENSEMBLE_TIMES * d * (d + 1))
 
 
 def _gram_tables(lattice, draws):
@@ -367,38 +373,42 @@ def _ensemble_ratios(config, lattice, bg, part, gram, sums, taus):
     degree (``gram`` and ``sums``, as ``_gram_tables`` returns them):
     sum_s (P x_s + f)^T W (P x_s + f) = tr(Q G) + 2 c.S + m_l f^T W f, with
     the forms Q = P^T W P and c = P^T W f.  The kernel walks the degrees:
-    it builds one degree's (time, k, k) forms per energy row and folds them
-    into that row's (n_draws, n_times) table through one reused work table,
-    so besides the propagators it holds only draw-sized tables.  A row whose
-    weights are all zero, the forward family's tail, is skipped.  The
-    forcing budget integrates the same table's forcing weight.
+    it folds degree l's data-to-seed map into P_l there, builds that
+    degree's (time, k, k) forms per energy row and folds them into that
+    row's (n_draws, n_times) table through one reused work table, so
+    besides the propagators, held once as views of their solve, it holds
+    only draw-sized tables.  A row whose weights are all zero, the forward
+    family's tail, gets no table and no tail integral.  The forcing budget
+    integrates the same table's forcing weight.
     """
     system, n_cols, m = config.system, config.n_columns, config.top_order
     props = fundamental_matrices(config, lattice, bg, taus[0], taus)
-    if system == "first":
-        props = props @ data_to_state_maps(config, lattice, bg, taus[0], part)[:, None]
+    seed = data_to_state_maps(config, lattice, bg, taus[0], part) if system == "first" else None
     forced = forced_profile(config, lattice, bg, taus[0], taus)  # (n_degrees, n_times, d)
     lam = eigenvalue_at(bg, lattice.lam0[:, None], taus)
     weights, forcing = _energy_weights(system, m, n_cols, lam, taus)
     weights[:, 1] /= taus**2  # the propagators carry tau * derivs
     w = np.moveaxis(weights.reshape(2, 2 * n_cols, *lam.shape), 1, -1)  # (2, degree, time, d)
     rows = [j for j in range(2) if np.any(w[j])]  # a zero row, the forward tail, adds 0
-    acc = np.zeros((2, len(gram), len(taus)))
+    acc = np.zeros((len(rows), len(gram), len(taus)))
     work = np.empty_like(acc[0])
     for l, (p, f) in enumerate(zip(props, forced)):
+        if seed is not None:
+            p = p @ seed[l]
         p_t = p.swapaxes(-1, -2)
-        for j in rows:
+        for row, j in zip(acc, rows):
             wl = w[j, l]  # (time, d)
             forms = p_t @ (wl[..., None] * p)  # Q, (time, k, k)
             cross = 2.0 * (p_t @ (wl * f)[..., None])[..., 0]  # 2c, (time, k)
             np.matmul(gram[:, l].reshape(len(gram), -1), forms.reshape(len(taus), -1).T, out=work)
-            acc[j] += work
+            row += work
             np.matmul(sums[:, l], cross.T, out=work)
-            acc[j] += work
-            acc[j] += lattice.mult[l] * np.sum(wl * f * f, axis=-1)
+            row += work
+            row += lattice.mult[l] * np.sum(wl * f * f, axis=-1)
     del work  # before the tail integral, so that at most four such tables are live
     energies = acc[0]
-    energies += _cumtrapz(taus, acc[1])
+    for tail in acc[1:]:  # the backward family's tail integrand
+        energies += _cumtrapz(taus, tail)
     data_sq = np.einsum("nlaa,al->n", gram, _data_weights(system, m, n_cols, bg, lattice.lam0))
     forcing_sq = sum(np.array([f.profile(t) for t in taus]) ** 2 for f in config.forcings)
     budget = _cumtrapz(taus, lattice.mult @ forcing * forcing_sq)

@@ -1106,24 +1106,26 @@ def fundamental_matrices(config, lattice, bg, tau_anchor, taus):
     stacked (values, tau * derivs) vector of one slot.  The per-mode system
     only depends on the degree, so every run of data and the ensembles over
     random data reduce to matrix multiplication against these.  One solve
-    carries all d unit starts of every degree.
+    carries all d unit starts of every degree.  The result is a degree-major
+    view of that solve's (time, row, degree * d + start) rows, not a copy, so
+    each propagator is held once.
     """
     d, n_deg = 2 * config.n_columns, lattice.l_max + 1
     start = np.tile(np.eye(d), n_deg)  # entry degree * d + j starts at unit vector j
     rows = _propagate(config, np.repeat(lattice.lam0, d), bg, None, start, tau_anchor, taus)
-    # (time, row, degree * d + start) -> (degree, time, row, start)
-    return np.ascontiguousarray(rows.reshape(len(taus), d, n_deg, d).transpose(2, 0, 1, 3))
+    return rows.reshape(len(taus), d, n_deg, d).transpose(2, 0, 1, 3)
 
 
 def forced_profile(config, lattice, bg, tau_anchor, taus):
     """Zero-data response to the configured forcing, per degree.
 
-    Returns (n_degrees, n_times, d); every slot of a degree is forced with
-    the same profile, so this broadcasts across slots.
+    Returns (n_degrees, n_times, d), a degree-major view of the solve's
+    (time, row, degree) rows; every slot of a degree is forced with the same
+    profile, so this broadcasts across slots.
     """
     d, n_deg = 2 * config.n_columns, lattice.l_max + 1
     src = _forcing_source(config)
     if src is None:
         return np.zeros((n_deg, len(taus), d))
     rows = _propagate(config, lattice.lam0, bg, src, np.zeros((d, n_deg)), tau_anchor, taus)
-    return np.ascontiguousarray(rows.transpose(2, 0, 1))  # (time, row, degree) -> degree first
+    return rows.transpose(2, 0, 1)

@@ -448,9 +448,9 @@ def test_size_limit_counts_the_split_blowup_rows():
 
 def test_size_limit_counts_the_ensemble_tables():
     # 1e7 draws at l_max 128 hold a 165 GB Gram table (a 4 x 4 matrix per
-    # draw and degree), 41 GB of slot sums and 15.7 GB in the four ratio
+    # draw and degree), 41 GB of slot sums and 7.8 GB in the two ratio
     # tables, next to one 0.5 MB chunk of draws
-    with pytest.raises(ConfigError, match="line 3: forward-first would draw 222,167,046,496 "):
+    with pytest.raises(ConfigError, match="line 3: forward-first would draw 214,404,821,504 "):
         parse_config("[scenario]\ntargets = forward-first\n[verify]\nn_draws = 10000000\n")
 
 
@@ -477,8 +477,8 @@ def test_size_limit_bounds_the_traced_ensemble_peak(system, target, resolutions,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured at (1, 2): 0.90x (first) and 0.89x (second); at (16, 32, 48):
-    # 0.44x and 0.29x
+    # measured at (1, 2): 0.85x (first) and 0.89x (second); at (16, 32, 48):
+    # 0.51x and 0.56x
     assert peak <= count
 
 
@@ -491,7 +491,7 @@ def test_paper_dimensions_parse_at_resolutions_that_fit():
         text = f"[lattice]\nn = 4\n[verify]\nresolutions = {', '.join(map(str, resolutions))}\n"
         scn = parse_config(text)
         assert (scn.n_sphere, scn.resolutions) == (4, resolutions)
-    with pytest.raises(ConfigError, match="line 1: backward-second would draw 1,159,268,672 "):
+    with pytest.raises(ConfigError, match="line 1: backward-second would draw 1,148,953,200 "):
         parse_config("[lattice]\nn = 4\n")
     assert parse_config("") == Scenario()
 

@@ -491,7 +491,8 @@ def test_ensemble_memory_does_not_grow_with_its_draws(part, bg):
     # 50 backward draws on the 4225 slots of l_max 64 take 9.67 MiB at once;
     # folded into the Gram tables a chunk at a time, the whole check stays
     # below that (measured 15.9 MiB one-shot, 6.2 MiB in chunks, 2.8 MiB
-    # with the forms built one degree at a time)
+    # with the forms built one degree at a time, 2.6 MiB with the
+    # propagators held once)
     verify_theorem_ratio("second", part, bg, resolutions=(4, 8), n_draws=2)  # lazy set-up
     tracemalloc.start()
     try:

@@ -1201,6 +1201,26 @@ def test_closed_form_gate_fails_a_frequency_error(system):
     assert _closed_form_error(system, 16, lam_scale=3.9 / 4.0) > _CLOSED_FORM_GATE
 
 
+@pytest.mark.parametrize("system,taus", [("first", np.geomspace(1e-4, 1.0, 49)),
+                                         ("second", np.geomspace(1.0, 1e-3, 49))],
+                         ids=["first", "second"])
+def test_propagators_are_held_once(bg, system, taus):
+    # on the theorem ensembles' grids at l_max 256 the solve's rows and its
+    # working arrays read 1.81x the propagators' bytes; a degree-major copy
+    # of the rows next to them reads 2.02x
+    cfg = SystemConfig(n_regular=2, system=system, rtol=1e-9, atol=1e-11)
+    fundamental_matrices(cfg, build_lattice(2, 2), bg, taus[0], taus)  # lazy set-up
+    lattice = build_lattice(2, 256)
+    tracemalloc.start()
+    try:
+        props = fundamental_matrices(cfg, lattice, bg, taus[0], taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert props.shape == (257, 49, 6, 6)
+    assert peak <= 1.9 * props.nbytes
+
+
 def test_block_solves_reach_the_module_solve_ivp(monkeypatch, part, bg, small_lattice):
     # the benchmark's modelsys.solves, rhs_evals and solve_s wrap this name;
     # forced runs of data make two solves, the propagators and the forced
